@@ -1,10 +1,10 @@
-// Benchmarks regenerating every table and figure of the paper (see
-// DESIGN.md §5 for the experiment index), plus ablation studies of the
-// design choices and micro-benchmarks of the hot simulator paths.
+// Benchmarks regenerating every table and figure of the paper, plus
+// ablation studies of the design choices and micro-benchmarks of the
+// hot simulator paths.
 //
 // The figure benchmarks run a scaled-down measurement protocol (the
-// curve shapes match the paper; see EXPERIMENTS.md for full-protocol
-// numbers) and report the reproduced quantities as custom metrics:
+// curve shapes match the paper; `sweep -figure N -full` runs the full
+// protocol) and report the reproduced quantities as custom metrics:
 // zero-load latency in cycles and saturation load in percent of
 // capacity.
 package routersim_test
@@ -157,7 +157,7 @@ func BenchmarkFigure17(b *testing.B) { benchFigure(b, "figure17") }
 func BenchmarkFigure18(b *testing.B) { benchFigure(b, "figure18") }
 
 // ---------------------------------------------------------------------
-// Ablations (design choices called out in DESIGN.md §6)
+// Ablations of the router design choices
 // ---------------------------------------------------------------------
 
 func ablationConfig(kind router.Kind, vcs, buf int) sim.Config {

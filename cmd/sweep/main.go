@@ -32,6 +32,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"runtime"
@@ -432,7 +433,7 @@ func parseLoads(s string) []float64 {
 	}
 	var out []float64
 	for _, f := range splitList(s) {
-		v, err := strconv.ParseFloat(f, 64)
+		v, err := parseLoad(f)
 		if err != nil {
 			fatal(fmt.Errorf("-loads: %v", err))
 		}
@@ -448,7 +449,7 @@ func parseRange(s string) (lo, hi, step float64, ok bool) {
 	}
 	var vals [3]float64
 	for i, f := range fields {
-		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
+		v, err := parseLoad(strings.TrimSpace(f))
 		if err != nil {
 			fatal(fmt.Errorf("-loads range %q: %v", s, err))
 		}
@@ -458,6 +459,17 @@ func parseRange(s string) (lo, hi, step float64, ok bool) {
 		fatal(fmt.Errorf("-loads range %q: want lo:hi:step with step > 0", s))
 	}
 	return vals[0], vals[1], vals[2], true
+}
+
+// parseLoad parses one -loads number. ParseFloat accepts "NaN" and
+// "Inf", which no load can be: as a range bound they would make the
+// grid walk above never end.
+func parseLoad(f string) (float64, error) {
+	v, err := strconv.ParseFloat(f, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = fmt.Errorf("%q is not a finite number", f)
+	}
+	return v, err
 }
 
 // roundLoad snaps a swept load to 4 decimals so range-generated grids

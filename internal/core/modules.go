@@ -68,7 +68,8 @@ type Module struct {
 func (m Module) TotalTau4() float64 { return logicaleffort.TauToTau4(m.T + m.H) }
 
 // SpecOptions control how the speculative router's allocation stage is
-// assembled (see DESIGN.md §3, "Interpretive choice").
+// assembled: an interpretive choice, because the paper's prose and its
+// Table 1 count the crossbar grant mux in different stages.
 type SpecOptions struct {
 	// CombineInCrossbarStage folds the CB grant-selection mux into the
 	// crossbar stage (which has slack, being a full-cycle stage) rather

@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation. Each experiment couples the exact workload and parameters
 // of the paper with the modules that implement them, and reports the
-// same rows/series the paper plots (see DESIGN.md §5 for the index).
+// same rows/series the paper plots.
 package experiments
 
 import (

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -92,6 +93,18 @@ func TestSimConfigRejectsNonpositiveResources(t *testing.T) {
 	for i, sc := range bad {
 		if _, err := sc.SimConfig(1, Protocol{Warmup: 1, Packets: 1}); err == nil {
 			t.Errorf("case %d: invalid scenario accepted: %+v", i, sc)
+		}
+	}
+}
+
+// TestSimConfigRejectsNonFiniteLoad: a NaN or infinite load is an
+// error at validation, not a hang inside network.New (NaN < 0 is false,
+// so the negative-load check alone let it through).
+func TestSimConfigRejectsNonFiniteLoad(t *testing.T) {
+	for _, load := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		sc := Scenario{Router: "spec-vc", K: 4, Load: load}
+		if _, err := sc.SimConfig(1, Protocol{Warmup: 1, Packets: 1}); err == nil {
+			t.Errorf("load %v accepted", load)
 		}
 	}
 }

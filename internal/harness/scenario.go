@@ -9,6 +9,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"routersim/internal/network"
@@ -420,8 +421,8 @@ func (s Scenario) SimConfig(seed uint64, pr Protocol) (sim.Config, error) {
 	if err != nil {
 		return sim.Config{}, err
 	}
-	if s.Load < 0 {
-		return sim.Config{}, fmt.Errorf("negative load %v", s.Load)
+	if !(s.Load >= 0) || math.IsInf(s.Load, 0) {
+		return sim.Config{}, fmt.Errorf("load %v; need a finite value >= 0", s.Load)
 	}
 	srcSpec, err := traffic.ParseSource(s.Source)
 	if err != nil {

@@ -9,6 +9,7 @@ package network
 
 import (
 	"fmt"
+	"math"
 
 	"routersim/internal/flit"
 	"routersim/internal/link"
@@ -156,8 +157,8 @@ func (c *Config) Normalize() error {
 	if c.Pattern == nil {
 		c.Pattern = traffic.Uniform{}
 	}
-	if c.InjectionRate < 0 {
-		return fmt.Errorf("network: negative injection rate")
+	if !(c.InjectionRate >= 0) || math.IsInf(c.InjectionRate, 0) {
+		return fmt.Errorf("network: injection rate %v; need a finite value >= 0", c.InjectionRate)
 	}
 	if c.Topo == nil {
 		mesh, err := topology.NewCube(c.K, 2, false)

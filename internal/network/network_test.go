@@ -1,6 +1,7 @@
 package network
 
 import (
+	"math"
 	"testing"
 
 	"routersim/internal/flit"
@@ -161,6 +162,11 @@ func TestNormalizeDefaultsAndErrors(t *testing.T) {
 		{K: 8, PacketSize: -1, Router: router.DefaultConfig(router.Wormhole)},
 		{K: 8, FlitDelay: -1, Router: router.DefaultConfig(router.Wormhole)},
 		{K: 8, InjectionRate: -0.1, Router: router.DefaultConfig(router.Wormhole)},
+		// Non-finite rates used to pass (NaN < 0 is false) and hang New
+		// while it parked the sources.
+		{K: 8, InjectionRate: math.NaN(), Router: router.DefaultConfig(router.Wormhole)},
+		{K: 8, InjectionRate: math.Inf(1), Router: router.DefaultConfig(router.Wormhole)},
+		{K: 8, InjectionRate: math.Inf(-1), Router: router.DefaultConfig(router.Wormhole)},
 		{K: 200, Router: router.DefaultConfig(router.Wormhole)}, // over topology.MaxNodes: an error, not a panic
 		{K: 8, Router: router.Config{Kind: router.Wormhole, VCs: 0, BufPerVC: 4}},
 	}

@@ -209,12 +209,14 @@ func (s *source) step(now int64) {
 	}
 }
 
-// park consumes the injector's idle gap in one batch and returns the
-// wake cycle of the next injection, or -1 if the source never injects
-// again. It must only be called on an idle source (empty queue, nothing
-// in flight) whose ticks are applied through the current cycle; the
-// injector's tick sequence is identical to per-cycle stepping, only
-// executed early.
+// park consumes the injector's idle gap in one AdvanceToInjection call
+// and returns the wake cycle of the next injection, or -1 if the source
+// never injects again. It must only be called on an idle source (empty
+// queue, nothing in flight) whose ticks are applied through the current
+// cycle; the injector ends in exactly the state per-cycle stepping
+// would leave it in, only early. The call does not walk the gap cycle
+// by cycle (a constant-rate injector jumps its accumulator binade by
+// binade), so a long gap costs no more to park than a short one.
 func (s *source) park() int64 {
 	k := s.adv.AdvanceToInjection()
 	if k < 1 {

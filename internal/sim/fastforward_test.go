@@ -52,6 +52,43 @@ func TestFastForwardResultIdentity(t *testing.T) {
 	}
 }
 
+// TestVanishingLoadEngineIdentity: at 2e-5 packets per node per cycle
+// (the benchmark's drain-tail rate) each source fires once in 50,000
+// cycles, so every injection is placed by ConstantRate's binade jump.
+// The full-scan engine ticks its injectors one cycle at a time instead,
+// so equal results across full scan, the active-set engine and two
+// shards pin the jump's schedule to per-cycle ticking end to end.
+func TestVanishingLoadEngineIdentity(t *testing.T) {
+	cfg := Config{
+		Net: network.Config{
+			K:             8,
+			Router:        router.DefaultConfig(router.SpeculativeVC),
+			InjectionRate: 2e-5,
+			Seed:          7,
+		},
+		WarmupCycles:   20000,
+		MeasurePackets: 40,
+	}
+	active, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := cfg
+	full.Net.FullScan = true
+	if res, err := Run(full); err != nil {
+		t.Fatal(err)
+	} else if !reflect.DeepEqual(active, res) {
+		t.Fatalf("active-set result diverged from full scan:\nactive: %+v\nfull:   %+v", active, res)
+	}
+	sharded := cfg
+	sharded.Net.Shards = 2
+	if res, err := Run(sharded); err != nil {
+		t.Fatal(err)
+	} else if !reflect.DeepEqual(active, res) {
+		t.Fatalf("sharded result diverged from serial:\nserial:  %+v\nsharded: %+v", active, res)
+	}
+}
+
 // TestFastForwardCITarget: the jump path must coexist with early
 // CI-target termination — the shortened sample and its intervals are
 // identical across engines.

@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -324,30 +325,198 @@ func TestConstantRateNextInjection(t *testing.T) {
 	}
 }
 
+// tickToInjection is the oracle for AdvanceToInjection: it calls Tick
+// until it fires and returns the number of calls, or -1 — with the
+// ticks consumed — once budget calls have passed without an injection.
+func tickToInjection(c *ConstantRate, budget int64) int64 {
+	for k := int64(1); k <= budget; k++ {
+		if c.Tick() != 0 {
+			return k
+		}
+	}
+	return -1
+}
+
+// checkAdvanceAgainstTick advances two copies of the same injector
+// state, one with AdvanceToInjection and one tick by tick, through
+// rounds injections and requires the same tick counts and the same
+// accumulator bits after each. It stops early, without failing, when
+// the oracle needs more than budget ticks for one injection.
+func checkAdvanceAgainstTick(t *testing.T, rate, acc float64, rounds int, budget int64) {
+	t.Helper()
+	adv := &ConstantRate{rate: rate, acc: acc}
+	ref := &ConstantRate{rate: rate, acc: acc}
+	for round := 0; round < rounds; round++ {
+		want := tickToInjection(ref, budget)
+		if want < 0 {
+			return
+		}
+		got := adv.AdvanceToInjection()
+		if got != want || math.Float64bits(adv.acc) != math.Float64bits(ref.acc) {
+			t.Fatalf("rate %v (%#x) acc %v (%#x) round %d: AdvanceToInjection = %d leaving acc %#x, ticking took %d leaving acc %#x",
+				rate, math.Float64bits(rate), acc, math.Float64bits(acc), round,
+				got, math.Float64bits(adv.acc), want, math.Float64bits(ref.acc))
+		}
+	}
+}
+
 func TestConstantRateAdvanceToInjection(t *testing.T) {
-	// The mutating advance must agree with the pure peek and leave the
-	// injector exactly where per-cycle ticking would.
-	for _, rate := range []float64{0.001, 0.01, 0.125, 0.33, 1.0} {
-		a := NewConstantRate(rate, 0.4)
-		b := NewConstantRate(rate, 0.4)
-		for round := 0; round < 20; round++ {
-			want := a.NextInjection()
-			got := a.AdvanceToInjection()
-			if got != want {
-				t.Fatalf("rate %v round %d: AdvanceToInjection = %d, peek said %d", rate, round, got, want)
-			}
-			for i := int64(1); i < got; i++ {
-				if b.Tick() != 0 {
-					t.Fatalf("rate %v round %d: reference injected early", rate, round)
-				}
-			}
-			if b.Tick() != 1 {
-				t.Fatalf("rate %v round %d: reference did not inject at tick %d", rate, round, got)
+	// The jump must leave the injector exactly where per-cycle ticking
+	// does: same tick count and same accumulator bits, injection after
+	// injection, on both sides of the strideShift gate.
+	for _, rate := range []float64{0.00002, 0.001, 0.00125, 0.01, 0.04, 0.125, 0.33, 0.5, 1.0, 1.5} {
+		for _, phase := range []float64{0, 0.4, 0.999} {
+			checkAdvanceAgainstTick(t, rate, phase, 8, 1<<20)
+		}
+	}
+	// A rate above 1 injects every tick and lets the accumulator grow
+	// past 1, where no tick may be skipped however large acc/rate is.
+	checkAdvanceAgainstTick(t, 1.5, 100, 8, 4)
+	if got := NewConstantRate(0, 0).AdvanceToInjection(); got != -1 {
+		t.Fatalf("zero-rate AdvanceToInjection = %d, want -1", got)
+	}
+}
+
+func TestConstantRateAdvanceAdversarial(t *testing.T) {
+	// Inputs chosen against the binade jump's case analysis, part one:
+	// power-of-two and few-bit rates (every add is exact until the
+	// accumulator's ulp outgrows the rate's lowest bit) from
+	// accumulators at zero, in the subnormals and one ulp below a
+	// binade edge, which exercise the fall-through to real adds and the
+	// edge crossing.
+	below := func(x float64) float64 { return math.Nextafter(x, 0) }
+	accs := []float64{
+		0, 5e-324, 1e-310, // zero and subnormals
+		0.25, below(0.25), below(below(0.25)), // binade edge, odd and even mantissas below it
+		0.5, below(0.5), 0.5 + 0x1p-53, 0.5 + 0x1p-52, // lowest mantissas of the top binade
+		below(1), below(below(1)), 0.75, 0.3, 1.0 / 3,
+	}
+	var rates []float64
+	for e := 1; e <= 30; e++ {
+		p := math.Ldexp(1, -e)
+		rates = append(rates, p) // one mantissa bit
+		if e <= 16 {
+			rates = append(rates, 1.5*p, 1.25*p, 1.75*p) // two and three mantissa bits
+		}
+	}
+	for _, rate := range rates {
+		if testing.Short() && rate < 0x1p-16 {
+			continue
+		}
+		// Accumulators a few hundred ticks short of 1 keep the oracle
+		// cheap at any rate; the full list needs ~1/rate ticks each, so
+		// it stops at 2^-22.
+		near := 1 - 300*rate
+		try := []float64{near, below(near), below(below(near)), below(1)}
+		if rate >= 0x1p-22 {
+			try = append(try, accs...)
+		}
+		for _, acc := range try {
+			checkAdvanceAgainstTick(t, rate, acc, 5, 1<<23)
+		}
+	}
+	// Part two, exact ties: the rate's lowest set bit is half the
+	// accumulator's ulp, so every add is decided by round-half-even and
+	// the first one by the parity of the starting mantissa. That takes
+	// a rate ~2^-53 of the accumulator, which ticking can only follow
+	// to an injection from a few ulps below 1 (u = 2^-53 there). The
+	// non-tie neighbours pin the round-down and round-up branches at
+	// the same scale.
+	const u = 0x1p-53
+	for _, ulps := range []float64{1.5, 2.5, 3.5, 4.5, 7.5, 1, 2, 3, 1.25, 1.75, 2.25, 2.75} {
+		// The rate's own neighbours miss the tie by its last bit.
+		for _, rate := range []float64{ulps * u, math.Nextafter(ulps*u, 1), math.Nextafter(ulps*u, 0)} {
+			for m := 1; m <= 64; m++ {
+				checkAdvanceAgainstTick(t, rate, 1-float64(m)*u, 1, 128)
 			}
 		}
 	}
-	if got := NewConstantRate(0, 0).AdvanceToInjection(); got != -1 {
-		t.Fatalf("zero-rate AdvanceToInjection = %d, want -1", got)
+	// A rate of exactly half an ulp: an odd mantissa moves once, to the
+	// even neighbour, and then stalls; an even one stalls at once.
+	for _, tc := range []struct{ acc, after float64 }{
+		{0.5 + 0x1p-53, 0.5 + 0x1p-52},
+		{0.5 + 0x1p-52, 0.5 + 0x1p-52},
+	} {
+		inj := &ConstantRate{rate: 0x1p-54, acc: tc.acc}
+		if got := inj.AdvanceToInjection(); got != -1 {
+			t.Fatalf("tie stall from %#x: AdvanceToInjection = %d, want -1", math.Float64bits(tc.acc), got)
+		}
+		if inj.acc != tc.after {
+			t.Fatalf("tie stall from %#x: acc = %#x, want %#x", math.Float64bits(tc.acc), math.Float64bits(inj.acc), math.Float64bits(tc.after))
+		}
+	}
+}
+
+func TestConstantRateAdvanceRandom(t *testing.T) {
+	// Seeded random sweep over the range simulations use: rates
+	// log-uniform in [2^-17, 1) with full 52-bit mantissas or, every
+	// other draw, only the top 4 mantissa bits; accumulators uniform in
+	// [0, 1).
+	pairs := 4000
+	if testing.Short() {
+		pairs = 400
+	}
+	r := rng.New(12)
+	for i := 0; i < pairs; i++ {
+		rate := math.Ldexp(1+r.Float64(), -1-r.Intn(17))
+		if i%2 == 1 {
+			rate = math.Float64frombits(math.Float64bits(rate) &^ (1<<48 - 1))
+		}
+		checkAdvanceAgainstTick(t, rate, r.Float64(), 5, 1<<20)
+	}
+}
+
+func TestNewConstantRateRejectsBadRate(t *testing.T) {
+	for _, rate := range []float64{-0.1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewConstantRate(%v) did not panic", rate)
+				}
+			}()
+			NewConstantRate(rate, 0)
+		}()
+	}
+}
+
+// FuzzConstantRateAdvance: for any rate and accumulator bit patterns
+// the injector can hold, the jump agrees with ticking — in tick count
+// and accumulator bits — whenever ticking reaches the injection within
+// the budget, and always terminates.
+func FuzzConstantRateAdvance(f *testing.F) {
+	for _, seed := range [][2]float64{
+		{0.00002, 0}, {0.00125, 0.7}, {0.04, 0.039}, {0.5, 0.25}, {1, 0}, {1.5, 100},
+		{0x1p-20, 0.5 + 0x1p-53}, {0x1.8p-12, 0x1.fffffffffffffp-2}, {5e-324, 0}, {1e-310, 1e-320},
+		{1e-18, 0.5},
+	} {
+		f.Add(math.Float64bits(seed[0]), math.Float64bits(seed[1]))
+	}
+	f.Fuzz(func(t *testing.T, rateBits, accBits uint64) {
+		rate, acc := math.Float64frombits(rateBits), math.Float64frombits(accBits)
+		if !(rate > 0) || math.IsInf(rate, 0) || !(acc >= 0) || math.IsInf(acc, 0) {
+			t.Skip() // NewConstantRate and Tick never produce these
+		}
+		checkAdvanceAgainstTick(t, rate, acc, 3, 1<<16)
+		// Past the oracle's budget the jump must still return.
+		(&ConstantRate{rate: rate, acc: acc}).AdvanceToInjection()
+	})
+}
+
+// advanceSink keeps the benchmarked call from being optimized away.
+var advanceSink int64
+
+// BenchmarkConstantRateAdvance measures one AdvanceToInjection call —
+// one parked source's idle gap — at both ends of the rate range: 0.5
+// and 0.04 stay in the plain add loop, 0.005 and 0.00002 take the
+// binade jump.
+func BenchmarkConstantRateAdvance(b *testing.B) {
+	for _, rate := range []float64{0.5, 0.04, 0.005, 0.00002} {
+		b.Run(strconv.FormatFloat(rate, 'f', -1, 64), func(b *testing.B) {
+			inj := NewConstantRate(rate, 0.4)
+			for i := 0; i < b.N; i++ {
+				advanceSink += inj.AdvanceToInjection()
+			}
+		})
 	}
 }
 
@@ -362,8 +531,19 @@ func TestConstantRateStalledAccumulator(t *testing.T) {
 	if got := inj.AdvanceToInjection(); got != -1 {
 		t.Fatalf("stalled AdvanceToInjection = %d, want -1", got)
 	}
-	// (A rate that stalls only after progress is not testable here: the
-	// accumulator takes ~rate/ulp steps to reach its stall point, which
-	// for any stallable rate is astronomically many. The guard above
-	// catches the stall whenever the walk arrives at it.)
+	// A stall reached only after progress: rate = 2^-60 advances a
+	// small accumulator until ulp(acc)/2 passes the rate, at acc = 2^-7
+	// after about 2^53 ticks. Ticking cannot follow that, but the jump
+	// gets there in a few dozen steps and must report "never" with the
+	// accumulator at the stall point, where one more Tick is a no-op.
+	inj = &ConstantRate{rate: 0x1p-60, acc: 0x1p-40}
+	if got := inj.AdvanceToInjection(); got != -1 {
+		t.Fatalf("AdvanceToInjection = %d, want -1 (stalled)", got)
+	}
+	if inj.acc != 0x1p-7 {
+		t.Fatalf("stalled at acc = %v (%#x), want 2^-7", inj.acc, math.Float64bits(inj.acc))
+	}
+	if before := inj.acc; inj.Tick() != 0 || inj.acc != before {
+		t.Fatalf("Tick moved a stalled accumulator: %#x -> %#x", math.Float64bits(before), math.Float64bits(inj.acc))
+	}
 }
