@@ -4,10 +4,13 @@
 package routersim_test
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"routersim/internal/allocator"
 	"routersim/internal/arbiter"
+	"routersim/internal/flit"
 	"routersim/internal/link"
 	"routersim/internal/network"
 	"routersim/internal/router"
@@ -293,5 +296,36 @@ func TestAllocatorZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(400, func() { a.Allocate(vaReqs) }); allocs != 0 {
 		t.Errorf("VCAllocator.Allocate allocates %.2f times per call, want 0", allocs)
+	}
+}
+
+// TestFootprint is the memory-layout gate: a flit is 24 bytes, and
+// building a network costs a bounded number of heap objects and bytes
+// per router — VC state, buffers, credit counters, arbiter rows and
+// wires come from per-router and per-network slabs, not one object each
+// (171 mallocs and 13.8 KB per router before the slabs). The sharded
+// build gets the same bound: per-shard arenas must not fragment it.
+func TestFootprint(t *testing.T) {
+	if sz := unsafe.Sizeof(flit.Flit{}); sz != 24 {
+		t.Errorf("flit.Flit is %d bytes, want 24", sz)
+	}
+	for _, shards := range []int{0, 2} {
+		cfg := network.Config{K: 16, Router: router.DefaultConfig(router.SpeculativeVC), Seed: 1, InjectionRate: 0.01, Shards: shards}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		net, err := network.New(cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes := float64(net.Nodes())
+		mallocs := float64(after.Mallocs-before.Mallocs) / nodes
+		kb := float64(after.TotalAlloc-before.TotalAlloc) / nodes / 1000
+		t.Logf("shards=%d: network.New k=16 spec-vc: %.1f mallocs, %.2f KB per router", shards, mallocs, kb)
+		if mallocs > 60 || kb > 11.5 {
+			t.Errorf("shards=%d: network.New costs %.1f mallocs and %.2f KB per router, want <= 60 and <= 11.5", shards, mallocs, kb)
+		}
+		net.Close()
 	}
 }

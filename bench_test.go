@@ -261,6 +261,25 @@ func BenchmarkMatrixArbiterGrant(b *testing.B) {
 	}
 }
 
+// BenchmarkBankGrantCold is the cold twin of the benchmark above: it
+// walks 4,096 banks of the VC allocator's stage-2 shape (10 arbiters
+// over 10 requestors, 800 bytes of rows each — 3.3 MB in all) round
+// robin with one requester per grant, so every grant finds its bank out
+// of the near caches, as a 1,024-router network's grants do at low
+// load. The memory layout moves this number; it must not move the warm
+// one.
+func BenchmarkBankGrantCold(b *testing.B) {
+	banks := make([]arbiter.Bank, 4096)
+	for i := range banks {
+		banks[i] = arbiter.NewBank(10, 10, nil)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		banks[i&4095].Grant(i%10, 1<<(i%7))
+	}
+}
+
 func BenchmarkSeparableSwitchAllocate(b *testing.B) {
 	s := allocator.NewSeparableSwitch(5, 2, nil)
 	reqs := []allocator.SwitchRequest{
@@ -299,8 +318,17 @@ func benchCycles(b *testing.B, cfg network.Config, warm int64) {
 	}
 	b.ResetTimer()
 	b.ReportAllocs()
+	steps := 0
 	for i := 0; i < b.N; i++ {
 		net.Step(warm + int64(i))
+		steps += net.ActiveRouters()
+	}
+	if steps > 0 {
+		// Σ step time ÷ Σ len(active): what one router-step costs. On
+		// the 1,024-router low-load network each router is touched once
+		// every few cycles and its state has left the caches in between
+		// — the cold per-router cost the 64-router benchmarks cannot see.
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/router-step")
 	}
 }
 

@@ -38,8 +38,8 @@ type SwitchGrant struct {
 // output port selects among the bidding inputs.
 type SeparableSwitch struct {
 	p, v       int
-	inputArbs  []arbiter.Arbiter // one per input port, over v VCs
-	outputArbs []arbiter.Arbiter // one per output port, over p inputs
+	inputArbs  arbiter.Bank // one arbiter per input port, over v VCs
+	outputArbs arbiter.Bank // one arbiter per output port, over p inputs
 
 	// scratch, reused across Allocate calls
 	inReqs   []uint64
@@ -52,26 +52,24 @@ type SeparableSwitch struct {
 // NewSeparableSwitch returns an allocator for p ports and v VCs per
 // port, using arbiters from factory (nil means matrix arbiters).
 func NewSeparableSwitch(p, v int, factory arbiter.Factory) *SeparableSwitch {
-	if factory == nil {
-		factory = arbiter.MatrixFactory
-	}
+	s := new(SeparableSwitch)
+	s.init(p, v, factory)
+	return s
+}
+
+func (s *SeparableSwitch) init(p, v int, factory arbiter.Factory) {
 	if p < 1 || v < 1 {
 		panic(fmt.Sprintf("allocator: invalid switch allocator size p=%d v=%d", p, v))
 	}
-	s := &SeparableSwitch{
+	*s = SeparableSwitch{
 		p: p, v: v,
-		inputArbs:  make([]arbiter.Arbiter, p),
-		outputArbs: make([]arbiter.Arbiter, p),
+		inputArbs:  arbiter.NewBank(p, v, factory),
+		outputArbs: arbiter.NewBank(p, p, factory),
 		inReqs:     make([]uint64, p),
 		inWinner:   make([]int, p),
 		outReqs:    make([]uint64, p),
 		reqOut:     make([]int, p*v),
 	}
-	for i := 0; i < p; i++ {
-		s.inputArbs[i] = factory(v)
-		s.outputArbs[i] = factory(p)
-	}
-	return s
 }
 
 // Allocate performs one allocation cycle over the given requests and
@@ -107,7 +105,7 @@ func (s *SeparableSwitch) Allocate(reqs []SwitchRequest) []SwitchGrant {
 	}
 	for m := inMask; m != 0; m &= m - 1 {
 		in := bits.TrailingZeros64(m)
-		if w, ok := s.inputArbs[in].Grant(s.inReqs[in]); ok {
+		if w, ok := s.inputArbs.Grant(in, s.inReqs[in]); ok {
 			s.inWinner[in] = w
 			out := s.reqOut[in*s.v+w]
 			if outMask&(1<<out) == 0 {
@@ -121,7 +119,7 @@ func (s *SeparableSwitch) Allocate(reqs []SwitchRequest) []SwitchGrant {
 	s.grants = s.grants[:0]
 	for m := outMask; m != 0; m &= m - 1 {
 		out := bits.TrailingZeros64(m)
-		if in, ok := s.outputArbs[out].Grant(s.outReqs[out]); ok {
+		if in, ok := s.outputArbs.Grant(out, s.outReqs[out]); ok {
 			s.grants = append(s.grants, SwitchGrant{In: in, VC: s.inWinner[in], Out: out})
 		}
 	}

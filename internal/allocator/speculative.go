@@ -11,8 +11,8 @@ import "routersim/internal/arbiter"
 // speculation never takes bandwidth from a non-speculative flit — the
 // property that makes the speculation conservative.
 type SpeculativeSwitch struct {
-	nonspec *SeparableSwitch
-	spec    *SeparableSwitch
+	nonspec SeparableSwitch
+	spec    SeparableSwitch
 
 	// PrioritizeNonSpec enables the paper's priority rule. Disabling it
 	// (ablation) resolves output conflicts in favour of the speculative
@@ -27,13 +27,14 @@ type SpeculativeSwitch struct {
 // NewSpeculativeSwitch returns a speculative switch allocator for p
 // ports and v VCs per port.
 func NewSpeculativeSwitch(p, v int, factory arbiter.Factory) *SpeculativeSwitch {
-	return &SpeculativeSwitch{
-		nonspec:           NewSeparableSwitch(p, v, factory),
-		spec:              NewSeparableSwitch(p, v, factory),
+	s := &SpeculativeSwitch{
 		PrioritizeNonSpec: true,
 		outTaken:          make([]bool, p),
 		inTaken:           make([]bool, p),
 	}
+	s.nonspec.init(p, v, factory)
+	s.spec.init(p, v, factory)
+	return s
 }
 
 // resetTaken clears the per-port conflict scratch.

@@ -29,10 +29,10 @@ type VCGrant struct {
 // (p·v):1 arbiters (one per output VC) chooses among the bidders.
 type VCAllocator struct {
 	p, v      int
-	stage1    []arbiter.Arbiter // per input VC (p·v of them), over v candidates
-	stage2    []arbiter.Arbiter // per output VC (p·v of them), over p·v bidders
-	bids      []uint64          // per output VC: bitmask of bidding input VCs
-	bidder    []VCRequest       // request by flattened input-VC index
+	stage1    arbiter.Bank // per input VC (p·v of them), over v candidates
+	stage2    arbiter.Bank // per output VC (p·v of them), over p·v bidders
+	bids      []uint64     // per output VC: bitmask of bidding input VCs
+	bidder    []VCRequest  // request by flattened input-VC index
 	hasBidder []bool
 	grants    []VCGrant // scratch, reused across Allocate calls
 
@@ -45,24 +45,17 @@ type VCAllocator struct {
 
 // NewVCAllocator returns a VC allocator for p ports and v VCs per port.
 func NewVCAllocator(p, v int, factory arbiter.Factory) *VCAllocator {
-	if factory == nil {
-		factory = arbiter.MatrixFactory
-	}
 	if p < 1 || v < 1 {
 		panic(fmt.Sprintf("allocator: invalid VC allocator size p=%d v=%d", p, v))
 	}
 	n := p * v
 	a := &VCAllocator{
 		p: p, v: v,
-		stage1:    make([]arbiter.Arbiter, n),
-		stage2:    make([]arbiter.Arbiter, n),
+		stage1:    arbiter.NewBank(n, v, factory),
+		stage2:    arbiter.NewBank(n, n, factory),
 		bids:      make([]uint64, n),
 		bidder:    make([]VCRequest, n),
 		hasBidder: make([]bool, n),
-	}
-	for i := 0; i < n; i++ {
-		a.stage1[i] = factory(v)
-		a.stage2[i] = factory(n)
 	}
 	return a
 }
@@ -97,7 +90,7 @@ func (a *VCAllocator) Allocate(reqs []VCRequest) []VCGrant {
 		if a.hasBidder[iIdx] {
 			panic(fmt.Sprintf("allocator: duplicate VC request from input %d vc %d", r.In, r.VC))
 		}
-		w, ok := a.stage1[iIdx].Grant(cands)
+		w, ok := a.stage1.Grant(iIdx, cands)
 		if !ok {
 			continue
 		}
@@ -125,7 +118,7 @@ func (a *VCAllocator) Allocate(reqs []VCRequest) []VCGrant {
 	for _, oIdx := range a.touched {
 		bids := a.bids[oIdx]
 		a.bids[oIdx] = 0
-		iIdx, ok := a.stage2[oIdx].Grant(bids)
+		iIdx, ok := a.stage2.Grant(int(oIdx), bids)
 		if !ok {
 			continue
 		}

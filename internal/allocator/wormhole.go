@@ -18,25 +18,21 @@ type PortRequest struct {
 // packet's tail flit.
 type WormholeSwitch struct {
 	p       int
-	arbs    []arbiter.Arbiter
-	holder  []int // input port holding each output, -1 if free
+	arbs    arbiter.Bank // one arbiter per output port, over p inputs
+	holder  []int        // input port holding each output, -1 if free
 	reqBits []uint64
 	grants  []PortRequest // scratch, reused across Arbitrate calls
 }
 
 // NewWormholeSwitch returns a wormhole switch arbiter over p ports.
 func NewWormholeSwitch(p int, factory arbiter.Factory) *WormholeSwitch {
-	if factory == nil {
-		factory = arbiter.MatrixFactory
-	}
 	w := &WormholeSwitch{
 		p:       p,
-		arbs:    make([]arbiter.Arbiter, p),
+		arbs:    arbiter.NewBank(p, p, factory),
 		holder:  make([]int, p),
 		reqBits: make([]uint64, p),
 	}
-	for i := range w.arbs {
-		w.arbs[i] = factory(p)
+	for i := range w.holder {
 		w.holder[i] = -1
 	}
 	return w
@@ -76,7 +72,7 @@ func (w *WormholeSwitch) Arbitrate(reqs []PortRequest) []PortRequest {
 		if w.reqBits[out] == 0 {
 			continue
 		}
-		if in, ok := w.arbs[out].Grant(w.reqBits[out]); ok {
+		if in, ok := w.arbs.Grant(out, w.reqBits[out]); ok {
 			w.holder[out] = in
 			w.grants = append(w.grants, PortRequest{In: in, Out: out})
 		}

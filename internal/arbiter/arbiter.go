@@ -44,13 +44,8 @@ type Matrix struct {
 // NewMatrix returns a matrix arbiter over n requestors, initialized with
 // requestor 0 at the highest priority.
 func NewMatrix(n int) *Matrix {
-	checkN(n)
-	m := &Matrix{n: n, mask: mask(n), beats: make([]uint64, n)}
-	for i := 0; i < n; i++ {
-		// i beats all j > i initially (upper triangular).
-		m.beats[i] = (^uint64(0) << (i + 1)) & m.mask
-	}
-	return m
+	b := NewBank(1, n, nil) // one arbiter's rows, in their initial order
+	return &Matrix{n: n, mask: b.mask, beats: b.rows}
 }
 
 func mask(n int) uint64 {
@@ -65,7 +60,13 @@ func (m *Matrix) N() int { return m.n }
 
 // Grant implements Arbiter.
 func (m *Matrix) Grant(requests uint64) (int, bool) {
-	requests &= m.mask
+	return grantRows(m.beats, requests&m.mask)
+}
+
+// grantRows is the matrix arbiter's grant cycle over one arbiter's
+// priority rows (Matrix and Bank share it): pick the requestor that
+// beats every other requestor, then demote it to the lowest priority.
+func grantRows(rows []uint64, requests uint64) (int, bool) {
 	if requests == 0 {
 		return -1, false
 	}
@@ -74,8 +75,12 @@ func (m *Matrix) Grant(requests uint64) (int, bool) {
 		i := bits.TrailingZeros64(rem)
 		// i wins if it beats every other requestor.
 		others := requests &^ (1 << i)
-		if m.beats[i]&others == others {
-			m.demote(i)
+		if rows[i]&others == others {
+			// Everyone now beats the winner; the winner beats no one.
+			for j := range rows {
+				rows[j] |= 1 << i
+			}
+			rows[i] = 0
 			return i, true
 		}
 	}
@@ -83,15 +88,45 @@ func (m *Matrix) Grant(requests uint64) (int, bool) {
 	panic("arbiter: matrix order corrupted; no winner among requestors")
 }
 
-// demote moves winner to the bottom of the priority order: everyone now
-// beats the winner, and the winner beats no one.
-func (m *Matrix) demote(winner int) {
-	m.beats[winner] = 0
-	for j := 0; j < m.n; j++ {
-		if j != winner {
-			m.beats[j] |= 1 << winner
+// Bank is count independent n:1 arbiters addressed by index; the
+// allocators hold one per stage, by value. Its matrix arbiters have no
+// header each: their priority rows lie back to back in one slice
+// (arbiter k's row i is rows[k*n+i]), so a grant touches the Bank and n
+// adjacent words. A Bank built from a Factory (the ablation policies)
+// keeps the factory's arbiters and forwards to them.
+type Bank struct {
+	n    int
+	mask uint64
+	rows []uint64
+	arbs []Arbiter
+}
+
+// NewBank returns count arbiters over n requestors each: matrix
+// arbiters when factory is nil, the factory's otherwise.
+func NewBank(count, n int, factory Factory) Bank {
+	checkN(n)
+	b := Bank{n: n, mask: mask(n)}
+	if factory != nil {
+		b.arbs = make([]Arbiter, count)
+		for k := range b.arbs {
+			b.arbs[k] = factory(n)
 		}
+		return b
 	}
+	b.rows = make([]uint64, count*n)
+	for i := range b.rows {
+		// Requestor i%n beats all j > i%n initially (upper triangular).
+		b.rows[i] = (^uint64(0) << (i%n + 1)) & b.mask
+	}
+	return b
+}
+
+// Grant is Arbiter.Grant on arbiter k of the bank.
+func (b *Bank) Grant(k int, requests uint64) (int, bool) {
+	if b.arbs != nil {
+		return b.arbs[k].Grant(requests)
+	}
+	return grantRows(b.rows[k*b.n:(k+1)*b.n], requests&b.mask)
 }
 
 // RoundRobin is a rotating-priority arbiter: after a grant, the slot

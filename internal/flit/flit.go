@@ -84,10 +84,11 @@ func (p *Packet) Done() bool { return p.Ejected >= p.Size }
 // ejection, including source queueing). Only valid once Done.
 func (p *Packet) Latency() int64 { return p.EjectedAt - p.CreatedAt }
 
-// Flit is the unit of flow control and buffer allocation.
+// Flit is the unit of flow control and buffer allocation. It is 24
+// bytes: every wire ring entry and buffer slot holds one by value.
 type Flit struct {
 	Pkt  *Packet
-	Seq  int // position within the packet, 0-based
+	Seq  int32 // position within the packet, 0-based
 	Kind Type
 	// VC is the virtual-channel id field of the flit on its current
 	// link. The switch traversal stage rewrites it to the allocated
@@ -118,7 +119,7 @@ func AppendPacketFlits(dst []Flit, p *Packet) []Flit {
 		case i == p.Size-1:
 			k = Tail
 		}
-		dst = append(dst, Flit{Pkt: p, Seq: i, Kind: k})
+		dst = append(dst, Flit{Pkt: p, Seq: int32(i), Kind: k})
 	}
 	return dst
 }

@@ -20,7 +20,7 @@ func TestNewPacketFlits(t *testing.T) {
 		t.Error("last flit must be tail")
 	}
 	for i, f := range fl {
-		if f.Seq != i || f.Pkt != p {
+		if int(f.Seq) != i || f.Pkt != p {
 			t.Errorf("flit %d: seq=%d pkt=%p", i, f.Seq, f.Pkt)
 		}
 	}

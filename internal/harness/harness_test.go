@@ -142,6 +142,27 @@ func TestSimConfigRejectsWormholeVCs(t *testing.T) {
 	}
 }
 
+// TestScenarioRejectsTooManyInputVCs: a scenario whose routers would
+// need more than 64 input VCs (Ports×VCs) is an ordinary job error that
+// names the limit — not a panic out of network.New for the harness to
+// recover and retry with back-off.
+func TestScenarioRejectsTooManyInputVCs(t *testing.T) {
+	sc := Scenario{Router: "spec-vc", K: 4, VCs: 13, Load: 0.1}
+	if _, err := RunScenario(sc, tinyOptions()); err == nil || !strings.Contains(err.Error(), "5 ports × 13 VCs") {
+		t.Errorf("RunScenario: got %v, want an error naming 5 ports × 13 VCs", err)
+	}
+	rs, err := Run(Matrix{Routers: []string{"spec-vc"}, Ks: []int{4}, VCs: []int{2, 16}, Loads: []float64{0.1}}, tinyOptions())
+	if err != nil || len(rs) != 2 {
+		t.Fatalf("Run: %v, %d results", err, len(rs))
+	}
+	if rs[0].Error != "" {
+		t.Errorf("2-VC job failed: %s", rs[0].Error)
+	}
+	if !strings.Contains(rs[1].Error, "at most 64") || rs[1].Failure != nil {
+		t.Errorf("16-VC job: error %q, failure %+v; want a plain error naming the limit", rs[1].Error, rs[1].Failure)
+	}
+}
+
 func TestMatrixValidate(t *testing.T) {
 	good := Matrix{Routers: []string{"vc"}, Patterns: []string{"bit-reversal"}, Ks: []int{4}}
 	if err := good.Validate(); err != nil {

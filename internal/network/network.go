@@ -519,66 +519,11 @@ func New(cfg Config) (*Network, error) {
 		}
 	}
 
-	// Inter-router links: for every directional output port with a
-	// neighbour, a flit wire (us → them) and a credit wire (them → us).
-	// The topology names the input port the link lands on. The flit wire
-	// takes the driving router's link delay; credit state at the driving
-	// side is sized for the downstream router's input buffers. Credit
-	// wires are presized to the credit-loop bound (every buffer slot of
-	// the fed input port can have a credit in flight at once): the
-	// active-set scheduler drains a sleeping receiver's credit wires
-	// only at its next wake, so the backlog is real, not a bug.
-	for id := 0; id < nodes; id++ {
-		for port := 1; port < ports; port++ {
-			next, inPort, ok := n.topo.Neighbor(id, port)
-			if !ok {
-				continue
-			}
-			if n.shardAt != nil && n.shardAt[id] != n.shardAt[next] {
-				// Boundary link: both directions get an outbox written
-				// only by the pushing shard and an inbox read only by
-				// the receiving shard; the barrier moves entries over
-				// (shard.go). All four wires are presized to the
-				// worst-case window lead (xferCap) on top of the
-				// credit-loop bound; the flit outbox-side dues are what
-				// the receiver's wake wheel gets at the barrier. The
-				// flit link (id → next) bounds how far next's shard may
-				// outrun id's; its credit wire, popped by id's router
-				// creditLag cycles late, bounds the reverse direction
-				// at CreditDelay + creditLag.
-				creditCap := vcs(next)*buf(next) + cfg.CreditDelay
-				fOut := link.NewWireCap[flit.Flit](delay(id), xferCap)
-				fIn := link.NewWireCap[flit.Flit](delay(id), xferCap)
-				cOut := link.NewWireCap[router.Credit](cfg.CreditDelay, creditCap+xferCap)
-				cIn := link.NewWireCap[router.Credit](cfg.CreditDelay, creditCap+xferCap)
-				n.routers[id].ConnectOutput(port, fOut, cIn)
-				n.routers[next].ConnectInput(inPort, fIn, cOut)
-				n.flitXfers = append(n.flitXfers, flitXfer{out: fOut, in: fIn, dst: int32(next)})
-				n.creditXfers = append(n.creditXfers, creditXfer{out: cOut, in: cIn})
-				noteDep(n.shardAt[id], n.shardAt[next], int64(delay(id)))
-				noteDep(n.shardAt[next], n.shardAt[id], int64(cfg.CreditDelay)+n.routers[id].CreditLag())
-				if vcsAt != nil || bufAt != nil {
-					n.routers[id].SetOutputPolicy(port, vcs(next), buf(next))
-				}
-				continue
-			}
-			fw := link.NewWire[flit.Flit](delay(id))
-			cw := link.NewWireCap[router.Credit](cfg.CreditDelay, vcs(next)*buf(next)+cfg.CreditDelay)
-			n.routers[id].ConnectOutput(port, fw, cw)
-			n.routers[next].ConnectInput(inPort, fw, cw)
-			if vcsAt != nil || bufAt != nil {
-				n.routers[id].SetOutputPolicy(port, vcs(next), buf(next))
-			}
-		}
-	}
-
 	// Sources: one per node, feeding the router's local input port
-	// through an injection channel with the same propagation delays.
+	// through an injection channel with the same propagation delays
+	// (wired below, with everything else).
 	n.sources = make([]*source, nodes)
 	for id := 0; id < nodes; id++ {
-		fw := link.NewWire[flit.Flit](delay(id))
-		cw := link.NewWireCap[router.Credit](cfg.CreditDelay, vcs(id)*buf(id)+cfg.CreditDelay)
-		n.routers[id].ConnectInput(topology.PortLocal, fw, cw)
 		// Every source owns one RNG stream split off the master; which
 		// draws it makes (and in what order) is part of the schedule
 		// contract, so the const path keeps its historical phase draw.
@@ -596,7 +541,99 @@ func New(cfg Config) (*Network, error) {
 				return nil, fmt.Errorf("network: %w", err)
 			}
 		}
-		n.sources[id] = newSource(n, id, inj, nodeRNG, fw, cw, vcs(id), buf(id))
+		n.sources[id] = newSource(n, id, inj, nodeRNG, vcs(id), buf(id))
+	}
+
+	// Wires: every link is a flit wire and a credit wire in the
+	// opposite direction; the topology names the input port a link
+	// lands on. A flit wire takes the driving router's link delay.
+	// Credit wires are presized to the credit-loop bound (every buffer
+	// slot of the fed input port can have a credit in flight at once):
+	// the active-set scheduler drains a sleeping receiver's credit
+	// wires only at its next wake, so the backlog is real, not a bug.
+	//
+	// Wires are carved from link.Arena slabs in the order of the node
+	// that pops them — a router's injection and neighbour flit wires,
+	// its output ports' credit wires, its source's credit wire — so the
+	// headers one Deliver polls are adjacent. Each shard has its own
+	// arenas, which also hold the outboxes its routers push: two shards
+	// never write one cache line. The wiring runs twice; the first pass
+	// only sizes the arenas (Arena.Wire returns nil until Alloc).
+	type arenas struct {
+		flits   link.Arena[flit.Flit]
+		credits link.Arena[router.Credit]
+	}
+	pools := make([]arenas, max(1, len(shardParts)))
+	shardOf := func(id int) int32 {
+		if n.shardAt == nil {
+			return 0
+		}
+		return n.shardAt[id]
+	}
+	wireNode := func(id int) {
+		r, mine := n.routers[id], &pools[shardOf(id)]
+		inject := mine.flits.Wire(delay(id), 0)
+		for q := 1; q < ports; q++ {
+			a, pa, ok := n.topo.Neighbor(id, q)
+			if !ok {
+				continue
+			}
+			// The inbound half of port q, both wires popped by id: the
+			// flit link a → id and the credit wire of the link id → a
+			// (credit state sized for a's input buffers).
+			if vcsAt != nil || bufAt != nil {
+				r.SetOutputPolicy(q, vcs(a), buf(a))
+			}
+			creditCap := vcs(a)*buf(a) + cfg.CreditDelay
+			if shardOf(a) == shardOf(id) {
+				fw := mine.flits.Wire(delay(a), 0)
+				cw := mine.credits.Wire(cfg.CreditDelay, creditCap)
+				r.ConnectArrivals(q, fw, cw)
+				n.routers[a].ConnectDepartures(pa, fw, cw)
+				continue
+			}
+			// Boundary link: a pushes onto outboxes only its shard
+			// writes, id pops inboxes only its shard reads, and the
+			// barrier moves entries over (shard.go), posting the flit
+			// dues to id's wake wheel. All four wires are presized to
+			// the worst-case window lead (xferCap) on top of the
+			// credit-loop bound. id's shard may outrun a's by the flit
+			// delay, and by CreditDelay + creditLag on the credit wire,
+			// which id's router pops creditLag cycles late.
+			theirs := &pools[shardOf(a)]
+			fIn := mine.flits.Wire(delay(a), xferCap)
+			cIn := mine.credits.Wire(cfg.CreditDelay, creditCap+xferCap)
+			fOut := theirs.flits.Wire(delay(a), xferCap)
+			cOut := theirs.credits.Wire(cfg.CreditDelay, creditCap+xferCap)
+			r.ConnectArrivals(q, fIn, cIn)
+			n.routers[a].ConnectDepartures(pa, fOut, cOut)
+			if fIn != nil {
+				n.flitXfers = append(n.flitXfers, flitXfer{out: fOut, in: fIn, dst: int32(id)})
+				n.creditXfers = append(n.creditXfers, creditXfer{out: cOut, in: cIn})
+			}
+			noteDep(shardOf(a), shardOf(id), min(int64(delay(a)), int64(cfg.CreditDelay)+r.CreditLag()))
+		}
+		credit := mine.credits.Wire(cfg.CreditDelay, vcs(id)*buf(id)+cfg.CreditDelay)
+		r.ConnectInput(topology.PortLocal, inject, credit)
+		n.sources[id].flitOut, n.sources[id].creditIn = inject, credit
+	}
+	for pass := 0; pass < 2; pass++ {
+		if shardParts == nil {
+			for id := 0; id < nodes; id++ {
+				wireNode(id)
+			}
+		}
+		for _, part := range shardParts {
+			for _, id := range part {
+				wireNode(int(id))
+			}
+		}
+		if pass == 0 {
+			for i := range pools {
+				pools[i].flits.Alloc()
+				pools[i].credits.Alloc()
+			}
+		}
 	}
 
 	if cfg.Shards > 1 {

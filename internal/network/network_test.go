@@ -49,7 +49,7 @@ func TestFlitOrderAndConservation(t *testing.T) {
 			net.OnPacketCreated = func(p *flit.Packet, now int64) { created++ }
 			net.OnFlitEjected = func(f flit.Flit, now int64) {
 				flits++
-				if f.Seq != nextSeq[f.Pkt.ID] {
+				if int(f.Seq) != nextSeq[f.Pkt.ID] {
 					t.Fatalf("packet %d: flit seq %d ejected, want %d", f.Pkt.ID, f.Seq, nextSeq[f.Pkt.ID])
 				}
 				nextSeq[f.Pkt.ID]++

@@ -88,7 +88,7 @@ func TestRandomConfigurationsRunClean(t *testing.T) {
 		done := 0
 		nextSeq := map[int64]int{}
 		net.OnFlitEjected = func(f flit.Flit, now int64) {
-			if f.Seq != nextSeq[f.Pkt.ID] {
+			if int(f.Seq) != nextSeq[f.Pkt.ID] {
 				t.Fatalf("iter %d: packet %d flit disorder", i, f.Pkt.ID)
 			}
 			nextSeq[f.Pkt.ID]++

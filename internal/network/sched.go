@@ -427,6 +427,15 @@ func (n *Network) stepActive(now int64) {
 	n.stepActiveSources(now)
 }
 
+// ActiveRouters returns how many routers the last Step stepped (0 on
+// the full-scan and sharded engines: no single active list).
+func (n *Network) ActiveRouters() int {
+	if n.sched == nil {
+		return 0
+	}
+	return len(n.sched.active)
+}
+
 // finishRouter completes one stepped router's cycle: drain its ejected
 // flits onto the network's callbacks, convert its flit pushes into
 // arrival wakes for the downstream routers, and carry it to the next

@@ -733,8 +733,8 @@ func (n *Network) runRound() {
 		n.shardGang.Run(len(n.shards), n.shardRunFn)
 	}
 	// The barrier: move boundary pushes to the receiving wires in
-	// construction order (ascending driving node, then port) — a fixed
-	// serial order, though order is immaterial across distinct wires
+	// construction order (receiving node, shard by shard, then port) —
+	// a fixed serial order, though immaterial across distinct wires
 	// and preserved within each (single producer, monotone dues).
 	// Empty outboxes — the common case once traffic localizes — skip
 	// the move entirely.

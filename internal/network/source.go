@@ -73,13 +73,11 @@ type stream struct {
 	next  int
 }
 
-func newSource(net *Network, node int, inj traffic.Injector, r *rng.RNG,
-	flitOut *link.Wire[flit.Flit], creditIn *link.Wire[router.Credit], vcs, bufPerVC int) *source {
-
+// newSource returns node's source; network.New wires flitOut/creditIn.
+func newSource(net *Network, node int, inj traffic.Injector, r *rng.RNG, vcs, bufPerVC int) *source {
 	s := &source{
 		net: net, node: node, inj: inj, rng: r,
 		tickedTo: -1, pendingAt: -1,
-		flitOut: flitOut, creditIn: creditIn,
 		credits: make([]int, vcs),
 		busy:    make([]bool, vcs),
 		streams: make([]stream, vcs),

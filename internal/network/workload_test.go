@@ -319,6 +319,13 @@ func TestWorkloadConfigRejections(t *testing.T) {
 			c.Topo = mustTopo(t, "ring:12")
 			c.Overrides = []RouterOverride{{Node: 1, VCs: 4}}
 		}, "dateline VC classes"},
+		{"ports × VCs over 64", func(c *Config) { c.Router.VCs = 13 }, "5 ports × 13 VCs"},
+		{"overridden ports × VCs over 64", func(c *Config) { c.Overrides = []RouterOverride{{Node: 0, VCs: 33}} },
+			"override node 0: router: 5 ports × 33 VCs"},
+		{"hypercube ports × VCs over 64", func(c *Config) {
+			c.Topo = mustTopo(t, "hypercube:64")
+			c.Router.VCs = 10
+		}, "7 ports × 10 VCs"},
 		{"infeasible mmpp rate", func(c *Config) {
 			c.Source = traffic.SourceSpec{Kind: "mmpp", On: 1, Off: 99}
 			c.InjectionRate = 0.5

@@ -17,16 +17,25 @@ var ErrFull = errors.New("queue: push into full flit FIFO (credit accounting vio
 // FIFO is a fixed-capacity ring buffer of flits. The ring is sized to a
 // power of two so head/tail wrap with a mask instead of a modulo; the
 // logical capacity (credit accounting) stays exactly what was asked for.
+// A FIFO is 40 bytes and usable by value: a router embeds one per input
+// VC and Inits them all over one shared slab of flits.
 type FIFO struct {
 	buf  []flit.Flit
-	mask int
-	cap  int
-	head int
-	n    int
+	cap  int32
+	head int32
+	n    int32
 }
 
 // NewFIFO returns a FIFO holding at most capacity flits.
 func NewFIFO(capacity int) *FIFO {
+	q := new(FIFO)
+	q.Init(capacity, make([]flit.Flit, RingSize(capacity)))
+	return q
+}
+
+// RingSize returns the ring length Init needs for a capacity: the next
+// power of two.
+func RingSize(capacity int) int {
 	if capacity < 1 {
 		panic("queue: FIFO capacity must be at least 1")
 	}
@@ -34,14 +43,23 @@ func NewFIFO(capacity int) *FIFO {
 	for ring < capacity {
 		ring <<= 1
 	}
-	return &FIFO{buf: make([]flit.Flit, ring), mask: ring - 1, cap: capacity}
+	return ring
+}
+
+// Init makes q an empty FIFO of the given capacity over ring, which
+// must have exactly RingSize(capacity) slots that q alone will use.
+func (q *FIFO) Init(capacity int, ring []flit.Flit) {
+	if len(ring) != RingSize(capacity) {
+		panic("queue: FIFO ring is not RingSize(capacity) long")
+	}
+	*q = FIFO{buf: ring, cap: int32(capacity)}
 }
 
 // Cap returns the FIFO capacity in flits.
-func (q *FIFO) Cap() int { return q.cap }
+func (q *FIFO) Cap() int { return int(q.cap) }
 
 // Len returns the number of buffered flits.
-func (q *FIFO) Len() int { return q.n }
+func (q *FIFO) Len() int { return int(q.n) }
 
 // Empty reports whether no flits are buffered.
 func (q *FIFO) Empty() bool { return q.n == 0 }
@@ -54,7 +72,7 @@ func (q *FIFO) Push(f flit.Flit) error {
 	if q.n == q.cap {
 		return ErrFull
 	}
-	q.buf[(q.head+q.n)&q.mask] = f
+	q.buf[int(q.head+q.n)&(len(q.buf)-1)] = f
 	q.n++
 	return nil
 }
@@ -77,7 +95,7 @@ func (q *FIFO) Pop() (flit.Flit, bool) {
 	}
 	f := q.buf[q.head]
 	q.buf[q.head] = flit.Flit{}
-	q.head = (q.head + 1) & q.mask
+	q.head = (q.head + 1) & int32(len(q.buf)-1)
 	q.n--
 	return f, true
 }

@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -8,7 +9,7 @@ import (
 )
 
 func mkFlit(seq int) flit.Flit {
-	return flit.Flit{Seq: seq, Kind: flit.Body}
+	return flit.Flit{Seq: int32(seq), Kind: flit.Body}
 }
 
 func TestFIFOOrder(t *testing.T) {
@@ -20,7 +21,7 @@ func TestFIFOOrder(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		f, ok := q.Pop()
-		if !ok || f.Seq != i {
+		if !ok || int(f.Seq) != i {
 			t.Fatalf("pop %d: got %v ok=%v", i, f.Seq, ok)
 		}
 	}
@@ -101,7 +102,7 @@ func TestFIFOPropertyFIFOOrder(t *testing.T) {
 					continue
 				}
 				f, ok := q.Pop()
-				if !ok || f.Seq != expect {
+				if !ok || int(f.Seq) != expect {
 					return false
 				}
 				expect++
@@ -124,4 +125,50 @@ func TestNewFIFOValidation(t *testing.T) {
 		}
 	}()
 	NewFIFO(0)
+}
+
+// TestFIFOInitSharedSlab: FIFOs Init'ed over adjacent runs of one slab
+// (how a router lays out its input VCs) never touch each other's slots,
+// including at ring wrap-around and for capacities below the ring size:
+// every flit a FIFO pops is one it pushed, in order, and after the run
+// each slot of the slab is empty or holds a flit of the FIFO owning it.
+func TestFIFOInitSharedSlab(t *testing.T) {
+	for _, capacity := range []int{1, 3, 4, 5} {
+		ring := RingSize(capacity)
+		slab := make([]flit.Flit, 3*ring)
+		var qs [3]FIFO
+		for i := range qs {
+			qs[i].Init(capacity, slab[i*ring:(i+1)*ring:(i+1)*ring])
+		}
+		r := rand.New(rand.NewSource(int64(capacity)))
+		var next, expect [3]int
+		for step := 0; step < 5000; step++ {
+			i := r.Intn(3)
+			q := &qs[i]
+			if r.Intn(2) == 0 {
+				err := q.Push(mkFlit(10000*(i+1) + next[i]))
+				if full := next[i]-expect[i] == capacity; (err != nil) != full {
+					t.Fatalf("cap %d fifo %d: push error %v with %d buffered", capacity, i, err, next[i]-expect[i])
+				}
+				if err == nil {
+					next[i]++
+				}
+			} else if f, ok := q.Pop(); ok {
+				if int(f.Seq) != 10000*(i+1)+expect[i] {
+					t.Fatalf("cap %d fifo %d: popped seq %d, want %d", capacity, i, f.Seq, 10000*(i+1)+expect[i])
+				}
+				expect[i]++
+			} else if next[i] != expect[i] {
+				t.Fatalf("cap %d fifo %d: empty pop with %d buffered", capacity, i, next[i]-expect[i])
+			}
+			if q.Len() != next[i]-expect[i] || q.Cap() != capacity {
+				t.Fatalf("cap %d fifo %d: Len %d Cap %d", capacity, i, q.Len(), q.Cap())
+			}
+		}
+		for slot, f := range slab {
+			if owner := slot / ring; f != (flit.Flit{}) && int(f.Seq)/10000 != owner+1 {
+				t.Fatalf("cap %d: slot %d (fifo %d's) holds flit %d", capacity, slot, owner, f.Seq)
+			}
+		}
+	}
 }

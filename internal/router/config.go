@@ -153,6 +153,11 @@ func (c Config) Validate() error {
 	if !c.Kind.UsesVCs() && c.VCs != 1 {
 		return fmt.Errorf("router: %v router must have exactly 1 VC, got %d", c.Kind, c.VCs)
 	}
+	if c.Ports*c.VCs > 64 {
+		// The VC allocator's output-VC arbiters take one request bit
+		// per input VC of the router.
+		return fmt.Errorf("router: %d ports × %d VCs = %d input VCs; the VC allocator arbitrates over at most 64", c.Ports, c.VCs, c.Ports*c.VCs)
+	}
 	if c.BufPerVC < 1 {
 		return fmt.Errorf("router: %d buffers per VC; need at least 1", c.BufPerVC)
 	}
@@ -172,11 +177,4 @@ func (c Config) CreditProcessDelay() int {
 		d = 0
 	}
 	return d
-}
-
-func (c Config) arb() arbiter.Factory {
-	if c.Arb == nil {
-		return arbiter.MatrixFactory
-	}
-	return c.Arb
 }

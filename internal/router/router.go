@@ -54,24 +54,32 @@ const (
 )
 
 // inputVC is one virtual channel of an input controller: a flit FIFO
-// plus channel state.
+// (by value, its ring a slice of the router's buffer slab) plus channel
+// state — 80 bytes, all of a router's VCs adjacent in one slice.
 type inputVC struct {
-	fifo    *queue.FIFO
-	state   vcState
+	fifo    queue.FIFO
 	route   int   // output port chosen by the routing stage
-	outVC   int8  // allocated output VC (valid in vcActive)
 	readyAt int64 // earliest cycle of the next pipeline action
 
 	// cands is the output-VC candidate mask chosen by the routing
 	// policy together with route (policy mode only; the dor fast path
 	// derives candidates from the class tables instead).
 	cands uint64
+	// probe is the Figure 16 turnaround bookkeeping; only SetProbe
+	// sets it.
+	probe *vcProbe
 	// attempts counts the VC-allocation attempts of the waiting head,
 	// letting the policy alternate between adaptive and escape choices.
 	attempts int32
+	state    vcState
+	outVC    int8 // allocated output VC (valid in vcActive)
+}
 
-	// turnaround probe bookkeeping (active only when probe != nil)
-	popTimes  []int64
+// vcProbe records when each buffer slot of one input VC was last freed,
+// so the next flit written into it yields a turnaround interval.
+type vcProbe struct {
+	rec       *stats.Turnaround
+	popTimes  []int64 // one per buffer slot, indexed by pop count mod depth
 	popCount  int64
 	pushCount int64
 }
@@ -166,10 +174,6 @@ type Router struct {
 	pending []stGrant
 	next    []stGrant
 
-	// probe, when set, records buffer-turnaround intervals on the
-	// directional (non-local) input ports.
-	probe *stats.Turnaround
-
 	// scratch request buffers, reused across cycles
 	portReqs    []allocator.PortRequest
 	swReqs      []allocator.SwitchRequest
@@ -209,15 +213,21 @@ func New(id int, cfg Config, routes []uint8) *Router {
 	r.vcMaskAll = (uint64(1) << v) - 1
 	r.in = make([]inputPort, p)
 	r.out = make([]outputPort, p)
+	// Every input VC, buffer slot and credit counter of the router
+	// comes from one slab each, sized from this router's own VC count
+	// and buffer depth; the ports hold sub-slices.
+	ring := queue.RingSize(cfg.BufPerVC)
+	vcs := make([]inputVC, p*v)
+	slots := make([]flit.Flit, p*v*ring)
+	credits := make([]int, p*v)
+	for i := range vcs {
+		vcs[i].fifo.Init(cfg.BufPerVC, slots[i*ring:(i+1)*ring:(i+1)*ring])
+		vcs[i].outVC = -1
+		credits[i] = cfg.BufPerVC
+	}
 	for i := 0; i < p; i++ {
-		r.in[i].vcs = make([]inputVC, v)
-		for c := 0; c < v; c++ {
-			r.in[i].vcs[c] = inputVC{fifo: queue.NewFIFO(cfg.BufPerVC), outVC: -1}
-		}
-		r.out[i].credits = make([]int, v)
-		for c := 0; c < v; c++ {
-			r.out[i].credits[c] = cfg.BufPerVC
-		}
+		r.in[i].vcs = vcs[i*v : (i+1)*v : (i+1)*v]
+		r.out[i].credits = credits[i*v : (i+1)*v : (i+1)*v]
 		r.out[i].vcMask = r.vcMaskAll
 	}
 	// The credit-processing pipeline of depth d (a credit received at t
@@ -226,7 +236,7 @@ func New(id int, cfg Config, routes []uint8) *Router {
 	r.creditLag = int64(cfg.CreditProcessDelay())
 	r.out[0].ejection = true
 
-	f := cfg.arb()
+	f := cfg.Arb // nil: the allocators' own matrix arbiter banks
 	switch cfg.Kind {
 	case Wormhole, SingleCycleWormhole:
 		r.whArb = allocator.NewWormholeSwitch(p, f)
@@ -276,6 +286,22 @@ func (r *Router) ConnectInput(port int, flitIn *link.Wire[flit.Flit], creditOut 
 func (r *Router) ConnectOutput(port int, flitOut *link.Wire[flit.Flit], creditIn *link.Wire[Credit]) {
 	r.out[port].flitOut = flitOut
 	r.out[port].creditIn = creditIn
+}
+
+// ConnectArrivals attaches everything port pops — flits on flitIn (its
+// input side), returned credits on creditIn (its output side). With
+// ConnectDepartures it is ConnectInput/ConnectOutput cut the other way,
+// for a network that creates wires in the order of their consumers.
+func (r *Router) ConnectArrivals(port int, flitIn *link.Wire[flit.Flit], creditIn *link.Wire[Credit]) {
+	r.in[port].flitIn = flitIn
+	r.out[port].creditIn = creditIn
+}
+
+// ConnectDepartures attaches everything port pushes: departing flits
+// to flitOut, credits for freed buffers to creditOut.
+func (r *Router) ConnectDepartures(port int, flitOut *link.Wire[flit.Flit], creditOut *link.Wire[Credit]) {
+	r.out[port].flitOut = flitOut
+	r.in[port].creditOut = creditOut
 }
 
 // SetVCClassTable restricts VC-allocation candidates per (destination,
@@ -376,10 +402,9 @@ func (r *Router) SetOutputPolicy(port, downVCs, downBufPerVC int) {
 // SetProbe installs a buffer-turnaround probe on the directional input
 // ports (Figure 16 measurement).
 func (r *Router) SetProbe(p *stats.Turnaround) {
-	r.probe = p
 	for port := 1; port < r.cfg.Ports; port++ {
 		for c := range r.in[port].vcs {
-			r.in[port].vcs[c].popTimes = make([]int64, r.cfg.BufPerVC)
+			r.in[port].vcs[c].probe = &vcProbe{rec: p, popTimes: make([]int64, r.cfg.BufPerVC)}
 		}
 	}
 }
@@ -544,12 +569,12 @@ func (r *Router) enqueue(port int, f flit.Flit, now int64) {
 	}
 	vc := &r.in[port].vcs[f.VC]
 	f.EnqueuedAt = now
-	if r.probe != nil && port != 0 && vc.popTimes != nil {
-		b := int64(len(vc.popTimes))
-		if vc.pushCount >= b {
-			r.probe.Record(now - vc.popTimes[vc.pushCount%b])
+	if pr := vc.probe; pr != nil {
+		b := int64(len(pr.popTimes))
+		if pr.pushCount >= b {
+			pr.rec.Record(now - pr.popTimes[pr.pushCount%b])
 		}
-		vc.pushCount++
+		pr.pushCount++
 	}
 	if err := vc.fifo.Push(f); err != nil {
 		panic(fmt.Sprintf("router %d: input %d vc %d: %v", r.id, port, f.VC, err))
@@ -566,9 +591,9 @@ func (r *Router) send(in, vcIdx int, now int64) {
 	if !ok {
 		panic(fmt.Sprintf("router %d: switch traversal from empty input %d vc %d", r.id, in, vcIdx))
 	}
-	if r.probe != nil && in != 0 && vc.popTimes != nil {
-		vc.popTimes[vc.popCount%int64(len(vc.popTimes))] = now
-		vc.popCount++
+	if pr := vc.probe; pr != nil {
+		pr.popTimes[pr.popCount%int64(len(pr.popTimes))] = now
+		pr.popCount++
 	}
 	out := vc.route
 	f.VC = vc.outVC

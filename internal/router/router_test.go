@@ -1,6 +1,7 @@
 package router
 
 import (
+	"strings"
 	"testing"
 
 	"routersim/internal/flit"
@@ -358,7 +359,7 @@ func TestSpeculationWastedPassageHarmless(t *testing.T) {
 	// Strict per-packet flit ordering must hold.
 	seq := map[int64]int{}
 	for _, a := range g.arrivals {
-		if a.f.Seq != seq[a.f.Pkt.ID] {
+		if int(a.f.Seq) != seq[a.f.Pkt.ID] {
 			t.Fatalf("packet %d flit out of order: got seq %d, want %d", a.f.Pkt.ID, a.f.Seq, seq[a.f.Pkt.ID])
 		}
 		seq[a.f.Pkt.ID]++
@@ -378,6 +379,30 @@ func TestConfigValidation(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("config %+v validated but should not", cfg)
 		}
+	}
+}
+
+// TestConfigRejectsTooManyInputVCs: the VC allocator's output-VC
+// arbiters take one request bit per input VC, so Ports×VCs > 64 must be
+// an error from Validate (naming both numbers), not a panic from inside
+// the arbiter constructor.
+func TestConfigRejectsTooManyInputVCs(t *testing.T) {
+	for _, kind := range []Kind{VirtualChannel, SpeculativeVC, SingleCycleVC} {
+		cfg := Config{Kind: kind, Ports: 5, VCs: 13, BufPerVC: 4}
+		err := cfg.Validate()
+		if err == nil {
+			t.Fatalf("%v: 5 ports × 13 VCs validated", kind)
+		}
+		for _, want := range []string{"5 ports", "13 VCs", "64"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%v: error %q does not mention %q", kind, err, want)
+			}
+		}
+		cfg.VCs = 12 // 60 input VCs: the largest 5-port router that fits
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%v: 5 ports × 12 VCs rejected: %v", kind, err)
+		}
+		New(0, cfg, make([]uint8, 1))
 	}
 }
 
