@@ -15,7 +15,10 @@ import (
 // This file implements deterministic fault injection: a FaultPlan parsed
 // from a compact spec string kills links or whole routers at given
 // cycles. Faults follow a graceful-drain model — a kill changes only
-// future routing decisions. At each fault cycle the routing tables are
+// future routing decisions. A network with a fault plan is the only one
+// that holds per-destination state: next-hop tables, seeded with the
+// topology's dimension-order routes and served to the routers through
+// the routing policies (routing.go). At each fault cycle the tables are
 // rebuilt as up*/down* routes over a BFS orientation of the live graph
 // (deadlock-free for any fault pattern; see reroute), dead output ports
 // are masked out of the adaptive candidate sets, and destinations
@@ -368,6 +371,29 @@ func resolveFaults(fp *FaultPlan, topo topology.Topology, netSeed uint64) (*faul
 	return fs, nil
 }
 
+// initFaults resolves the plan and builds the state only a faulted
+// network has: the dead-port masks and the next-hop tables (one slab,
+// row id = router id's dimension-order routes until the first fault).
+func (n *Network) initFaults() error {
+	fs, err := resolveFaults(n.cfg.faultPlan, n.topo, n.cfg.Seed)
+	if err != nil {
+		return fmt.Errorf("network: %w", err)
+	}
+	nodes := n.topo.Nodes()
+	n.faults = fs
+	n.deadOut = make([]uint64, nodes)
+	n.routeTab = make([][]uint8, nodes)
+	slab := make([]uint8, nodes*nodes)
+	for id := range n.routeTab {
+		row := slab[id*nodes : (id+1)*nodes : (id+1)*nodes]
+		for dst := range row {
+			row[dst] = uint8(n.topo.Route(id, dst))
+		}
+		n.routeTab[id] = row
+	}
+	return nil
+}
+
 // applyFaults applies every fault event due at or before now: dead
 // output ports are ORed into deadOut (the adaptive policies read it) and
 // the routing tables are rebuilt on the live graph. Callers hold the
@@ -418,8 +444,8 @@ func (n *Network) applyFaults(now int64) {
 // strictly descends the (level, id) order and down hops strictly
 // shrink ddown, so table routes are loop-free with bounded length.
 // Sources in a different component than dst get the router.Unroutable
-// sentinel. Tables are rewritten in place; the routers and adaptive
-// policies alias the same rows.
+// sentinel. Tables are rewritten in place; the routing policies alias
+// the same rows.
 func (n *Network) reroute() {
 	fs := n.faults
 	nodes := len(n.routeTab)

@@ -9,18 +9,40 @@ import (
 	"routersim/internal/topology"
 )
 
+// faultCanonCases and faultBadSpecs are the grammar's table tests; they
+// also seed FuzzParseFaults.
+var faultCanonCases = []struct{ spec, want string }{
+	{"link:3-7@cycle=1000", "link:3-7@cycle=1000"},
+	{"link:7-3@cycle=1000", "link:3-7@cycle=1000"},
+	{" link:0-1@cycle=0 ; router:12@cycle=5 ", "link:0-1@cycle=0;router:12@cycle=5"},
+	{"rand:links=2@cycle=500", "rand:links=2@cycle=500"},
+	{"rand:links=2,seed=9@cycle=500", "rand:links=2,seed=9@cycle=500"},
+	{"rand:seed=9,links=2@cycle=500", "rand:links=2,seed=9@cycle=500"},
+	{"rand:routers=3@cycle=42", "rand:routers=3@cycle=42"},
+	{"router:0@cycle=0", "router:0@cycle=0"},
+}
+
+var faultBadSpecs = []string{
+	"link:3-7",                       // no cycle
+	"link:3-7@tick=5",                // wrong key
+	"link:3@cycle=5",                 // missing endpoint
+	"link:3-3@cycle=5",               // self link
+	"link:3-x@cycle=5",               // non-numeric
+	"link:-1-3@cycle=5",              // negative
+	"router:@cycle=5",                // empty id
+	"router:x@cycle=5",               // non-numeric
+	"rand:links=2,routers=1@cycle=0", // both kinds
+	"rand:seed=5@cycle=0",            // neither kind
+	"rand:links=0@cycle=0",           // zero count
+	"rand:bogus=1@cycle=0",           // unknown parameter
+	"quench:3@cycle=5",               // unknown kind
+	"link:1-2@cycle=-3",              // negative cycle
+	"@cycle=5",                       // no kind
+	";;",                             // nothing but separators
+}
+
 func TestParseFaultsCanonical(t *testing.T) {
-	cases := []struct{ spec, want string }{
-		{"link:3-7@cycle=1000", "link:3-7@cycle=1000"},
-		{"link:7-3@cycle=1000", "link:3-7@cycle=1000"},
-		{" link:0-1@cycle=0 ; router:12@cycle=5 ", "link:0-1@cycle=0;router:12@cycle=5"},
-		{"rand:links=2@cycle=500", "rand:links=2@cycle=500"},
-		{"rand:links=2,seed=9@cycle=500", "rand:links=2,seed=9@cycle=500"},
-		{"rand:seed=9,links=2@cycle=500", "rand:links=2,seed=9@cycle=500"},
-		{"rand:routers=3@cycle=42", "rand:routers=3@cycle=42"},
-		{"router:0@cycle=0", "router:0@cycle=0"},
-	}
-	for _, c := range cases {
+	for _, c := range faultCanonCases {
 		got, err := CanonicalFaults(c.spec)
 		if err != nil {
 			t.Errorf("CanonicalFaults(%q): %v", c.spec, err)
@@ -41,29 +63,31 @@ func TestParseFaultsCanonical(t *testing.T) {
 }
 
 func TestParseFaultsErrors(t *testing.T) {
-	bad := []string{
-		"link:3-7",                       // no cycle
-		"link:3-7@tick=5",                // wrong key
-		"link:3@cycle=5",                 // missing endpoint
-		"link:3-3@cycle=5",               // self link
-		"link:3-x@cycle=5",               // non-numeric
-		"link:-1-3@cycle=5",              // negative
-		"router:@cycle=5",                // empty id
-		"router:x@cycle=5",               // non-numeric
-		"rand:links=2,routers=1@cycle=0", // both kinds
-		"rand:seed=5@cycle=0",            // neither kind
-		"rand:links=0@cycle=0",           // zero count
-		"rand:bogus=1@cycle=0",           // unknown parameter
-		"quench:3@cycle=5",               // unknown kind
-		"link:1-2@cycle=-3",              // negative cycle
-		"@cycle=5",                       // no kind
-		";;",                             // nothing but separators
-	}
-	for _, spec := range bad {
+	for _, spec := range faultBadSpecs {
 		if _, err := ParseFaults(spec); err == nil {
 			t.Errorf("ParseFaults(%q): expected error, got none", spec)
 		}
 	}
+}
+
+// FuzzParseFaults: any string either fails to parse with an error or
+// canonicalizes to a fixed point of the grammar — never a panic.
+func FuzzParseFaults(f *testing.F) {
+	for _, c := range faultCanonCases {
+		f.Add(c.spec)
+	}
+	for _, spec := range faultBadSpecs {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		canon, err := CanonicalFaults(spec)
+		if err != nil {
+			return
+		}
+		if again, err := CanonicalFaults(canon); err != nil || again != canon {
+			t.Errorf("CanonicalFaults(%q) = %q, which re-canonicalizes to %q, %v", spec, canon, again, err)
+		}
+	})
 }
 
 // TestFaultResolutionErrors pins structural validation against a

@@ -56,17 +56,17 @@ type Config struct {
 	// on conflict.
 	Overrides []RouterOverride
 	// Routing selects the routing policy: "" or "dor" for the paper's
-	// deterministic dimension-order routing (precomputed tables,
-	// bit-identical to every run before policies existed), or
-	// "adaptive:minimal" for minimal-adaptive routing over escape VCs
-	// (see routing.go). Adaptive routing needs a VC router kind, at
-	// least VCClasses()+1 VCs, uniform VC counts, and a network small
-	// enough for routing tables (topology.MaxNodes).
+	// deterministic dimension-order routing (the topology's Route,
+	// evaluated once per head flit), or "adaptive:minimal" for
+	// minimal-adaptive routing over escape VCs (see routing.go).
+	// Adaptive routing needs a VC router kind, at least VCClasses()+1
+	// VCs and uniform VC counts; neither policy limits the network size.
 	Routing string
 	// Faults is the deterministic fault-injection plan: ';'-separated
 	// events like "link:3-7@cycle=1000", "router:12@cycle=0", or seeded
 	// random draws "rand:links=2,seed=9@cycle=500" (see faults.go).
-	// Empty means no faults. Faulted networks require routing tables.
+	// Empty means no faults. A fault plan rebuilds per-router next-hop
+	// tables (nodes² bytes), so it needs at most topology.MaxNodes nodes.
 	Faults string
 	// FlitDelay is the link propagation delay in cycles (paper: 1).
 	FlitDelay int
@@ -190,12 +190,10 @@ func (c *Config) Normalize() error {
 		return fmt.Errorf("network: %w", err)
 	}
 	c.faultPlan = fp
-	// Both features route through the precomputed tables (the policy
-	// candidate filter and the fault reroute rewrite them in place), so
-	// neither composes with the functional routing of cap-raised
-	// networks.
-	if (c.routing != routeDOR || c.faultPlan != nil) && c.Topo.Nodes() > topology.MaxNodes {
-		return fmt.Errorf("network: adaptive routing and fault injection need routing tables; %s has %d nodes (max %d)",
+	// A fault plan is the one feature that needs per-destination state:
+	// every fault rebuilds a next-hop table of nodes² bytes.
+	if c.faultPlan != nil && c.Topo.Nodes() > topology.MaxNodes {
+		return fmt.Errorf("network: fault injection rebuilds per-router next-hop tables (nodes² bytes); %s has %d nodes (max %d)",
 			c.Topo.Name(), c.Topo.Nodes(), topology.MaxNodes)
 	}
 	if c.routing == routeAdaptiveMinimal {
@@ -309,11 +307,11 @@ type Network struct {
 	// flit is ejected, so a steady-state Step allocates nothing.
 	pktFree []*flit.Packet
 
-	// routeTab aliases every router's routing-table row (table mode
-	// only): fault application rewrites the rows in place at engine
-	// barriers, and the adaptive policies read them. deadOut is the
-	// per-node dead-output-port mask (nil on unfaulted networks).
-	// faults is the resolved fault plan with its application cursor.
+	// Fault-plan state, all nil on unfaulted networks (faults.go):
+	// routeTab[id] is router id's next-hop row, rewritten in place at
+	// engine barriers and read by the routing policies; deadOut is the
+	// per-node dead-output-port mask; faults is the resolved plan with
+	// its application cursor.
 	routeTab [][]uint8
 	deadOut  []uint64
 	faults   *faultState
@@ -402,82 +400,23 @@ func New(cfg Config) (*Network, error) {
 		return cfg.FlitDelay
 	}
 
-	// Precompute per-router routing tables (dst → output port) and, on
-	// topologies with deadlock-avoidance VC classes (tori, rings), the
-	// candidate masks (dst, port) — the routing and VC-allocation stages
-	// are table lookups, not calls. Beyond topology.MaxNodes the tables
-	// would be quadratic in the node count (a 320×320 mesh's route
-	// tables alone are ~10 GiB), so cap-raised networks switch to
-	// functional routing: the topology's Route/VCMask called per
-	// head-of-packet, keeping per-router state linear.
-	hasClasses := n.topo.VCClasses() > 1
-	useTables := nodes <= topology.MaxNodes
-	ports := cfg.Router.Ports
 	n.routers = make([]*router.Router, nodes)
-	if useTables {
-		n.routeTab = make([][]uint8, nodes)
-	}
-	for id := 0; id < nodes; id++ {
+	for id := range n.routers {
 		rcfg := cfg.Router
 		rcfg.VCs = vcs(id)
 		rcfg.BufPerVC = buf(id)
-		if !useTables {
-			id := id
-			n.routers[id] = router.New(id, rcfg, nil)
-			n.routers[id].SetRouteFunc(func(dst int) int { return n.topo.Route(id, dst) })
-			if hasClasses {
-				n.routers[id].SetVCClassFunc(func(dst, port int) uint64 {
-					return n.topo.VCMask(id, dst, port, cfg.Router.VCs)
-				})
-			}
-			continue
-		}
-		routes := make([]uint8, nodes)
-		for dst := 0; dst < nodes; dst++ {
-			routes[dst] = uint8(n.topo.Route(id, dst))
-		}
-		n.routeTab[id] = routes
-		n.routers[id] = router.New(id, rcfg, routes)
-		if hasClasses && cfg.routing == routeDOR {
-			// VC overrides are rejected on class topologies (Normalize),
-			// so the class masks see one uniform VC count.
-			classTab := make([]uint64, nodes*ports)
-			for dst := 0; dst < nodes; dst++ {
-				for port := 0; port < ports; port++ {
-					classTab[dst*ports+port] = n.topo.VCMask(id, dst, port, cfg.Router.VCs)
-				}
-			}
-			n.routers[id].SetVCClassTable(classTab)
-		}
+		n.routers[id] = router.New(id, rcfg, nil)
 	}
-
-	// Fault plans resolve against the concrete topology (seeded random
-	// draws become named kills here, before any engine state exists, so
-	// every engine sees the same plan); adaptive policies share the
-	// routers' table rows and the dead-port mask.
+	// Fault plans resolve against the concrete topology before any
+	// engine state exists, and bring the only per-destination tables a
+	// network ever builds (faults.go); routing reads them through the
+	// same policies that otherwise call the topology (routing.go).
 	if cfg.faultPlan != nil {
-		fs, err := resolveFaults(cfg.faultPlan, n.topo, cfg.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("network: %w", err)
-		}
-		n.faults = fs
-		n.deadOut = make([]uint64, nodes)
-	}
-	if cfg.routing == routeAdaptiveMinimal {
-		esc := n.topo.VCClasses()
-		for id := 0; id < nodes; id++ {
-			n.routers[id].SetRoutingPolicy(&adaptivePolicy{
-				n:          n,
-				id:         id,
-				topo:       n.topo,
-				routes:     n.routeTab[id],
-				escClasses: esc,
-				adaptMask:  topology.FullVCMask(cfg.Router.VCs) &^ topology.FullVCMask(esc),
-				fullMask:   topology.FullVCMask(cfg.Router.VCs),
-				wrap:       esc > 1,
-			})
+		if err := n.initFaults(); err != nil {
+			return nil, err
 		}
 	}
+	n.installRouting()
 
 	// The node→shard map is needed before wiring: links whose endpoints
 	// land in different shards are split into outbox/inbox pairs below.
@@ -573,7 +512,7 @@ func New(cfg Config) (*Network, error) {
 	wireNode := func(id int) {
 		r, mine := n.routers[id], &pools[shardOf(id)]
 		inject := mine.flits.Wire(delay(id), 0)
-		for q := 1; q < ports; q++ {
+		for q := 1; q < cfg.Router.Ports; q++ {
 			a, pa, ok := n.topo.Neighbor(id, q)
 			if !ok {
 				continue
@@ -641,7 +580,7 @@ func New(cfg Config) (*Network, error) {
 		return n, nil
 	}
 	if !cfg.FullScan {
-		n.sched = newScheduler(n, n.buildSchedTables(0), 0, nodes)
+		n.sched = newScheduler(n, n.buildSchedTables(0), -1, nil)
 	}
 
 	if cfg.StepWorkers > 1 {

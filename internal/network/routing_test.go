@@ -1,6 +1,7 @@
 package network
 
 import (
+	"fmt"
 	"testing"
 
 	"routersim/internal/flit"
@@ -9,14 +10,19 @@ import (
 	"routersim/internal/traffic"
 )
 
+// routingCanonCases and routingBadSpecs are the grammar's table tests;
+// they also seed FuzzParseRouting.
+var routingCanonCases = []struct{ spec, want string }{
+	{"", ""},
+	{"dor", ""},
+	{"adaptive", "adaptive:minimal"},
+	{"adaptive:minimal", "adaptive:minimal"},
+}
+
+var routingBadSpecs = []string{"adaptive:full", "xy", "random"}
+
 func TestParseRoutingCanonical(t *testing.T) {
-	cases := []struct{ spec, want string }{
-		{"", ""},
-		{"dor", ""},
-		{"adaptive", "adaptive:minimal"},
-		{"adaptive:minimal", "adaptive:minimal"},
-	}
-	for _, c := range cases {
+	for _, c := range routingCanonCases {
 		got, err := CanonicalRouting(c.spec)
 		if err != nil {
 			t.Errorf("CanonicalRouting(%q): %v", c.spec, err)
@@ -26,11 +32,31 @@ func TestParseRoutingCanonical(t *testing.T) {
 			t.Errorf("CanonicalRouting(%q) = %q, want %q", c.spec, got, c.want)
 		}
 	}
-	for _, bad := range []string{"adaptive:full", "xy", "random"} {
+	for _, bad := range routingBadSpecs {
 		if _, err := ParseRouting(bad); err == nil {
 			t.Errorf("ParseRouting(%q): expected error, got none", bad)
 		}
 	}
+}
+
+// FuzzParseRouting: any string either fails to parse with an error or
+// canonicalizes to a fixed point of the grammar — never a panic.
+func FuzzParseRouting(f *testing.F) {
+	for _, c := range routingCanonCases {
+		f.Add(c.spec)
+	}
+	for _, spec := range routingBadSpecs {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		canon, err := CanonicalRouting(spec)
+		if err != nil {
+			return
+		}
+		if again, err := CanonicalRouting(canon); err != nil || again != canon {
+			t.Errorf("CanonicalRouting(%q) = %q, which re-canonicalizes to %q, %v", spec, canon, again, err)
+		}
+	})
 }
 
 // TestAdaptiveConfigValidation pins the configuration gates: adaptive
@@ -167,6 +193,72 @@ func TestAdaptiveDeliversAtLowLoad(t *testing.T) {
 		// All but the in-flight tail must have completed.
 		if done < created*9/10 {
 			t.Errorf("%s: only %d of %d packets completed at 20%% load", spec, done, created)
+		}
+	}
+}
+
+// TestDORPolicyMatchesTopology is the routing seam's differential test:
+// for every (cur, dst) of every topology family, the policy the routers
+// consult returns exactly the topology's dimension-order port and, on
+// dateline topologies, its class mask for that port (every VC
+// elsewhere).
+func TestDORPolicyMatchesTopology(t *testing.T) {
+	const vcs = 4
+	for _, spec := range []string{"mesh:k=5", "mesh:k=3,n=3", "torus:k=5", "ring:9", "hypercube:16"} {
+		topo, err := topology.New(spec, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc := router.DefaultConfig(router.VirtualChannel)
+		rc.VCs = vcs
+		net, err := New(Config{Topo: topo, Router: rc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for cur := 0; cur < topo.Nodes(); cur++ {
+			for dst := 0; dst < topo.Nodes(); dst++ {
+				r := net.Router(cur)
+				port, mask := r.RoutingPolicy().Route(r, &flit.Packet{Src: cur, Dst: dst}, 0)
+				wantMask := ^uint64(0)
+				if topo.VCClasses() > 1 {
+					wantMask = topo.VCMask(cur, dst, topo.Route(cur, dst), vcs)
+				}
+				if port != topo.Route(cur, dst) || mask != wantMask {
+					t.Fatalf("%s: policy(%d→%d) = port %d mask %#x, want port %d mask %#x",
+						spec, cur, dst, port, mask, topo.Route(cur, dst), wantMask)
+				}
+			}
+		}
+	}
+}
+
+// TestTablePolicyMatchesFunctional keeps the next-hop table as the
+// reference for the computed routes: a fault scheduled past the end of
+// the run makes every routing decision a table lookup without ever
+// changing a route, so the run must be event-for-event identical to the
+// unfaulted one, serial and sharded.
+func TestTablePolicyMatchesFunctional(t *testing.T) {
+	cycles := simCycles(3000)
+	for _, spec := range []string{"mesh:k=4", "torus:k=4", "hypercube:16"} {
+		topo, err := topology.New(spec, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{
+			Topo:          topo,
+			Router:        router.DefaultConfig(router.SpeculativeVC),
+			Seed:          5,
+			InjectionRate: 0.4 * topo.UniformCapacity() / 5,
+		}
+		for _, shards := range []int{0, 2} {
+			cfg.Shards = shards
+			cfg.Faults = ""
+			ref := eventTrace(t, cfg, cycles)
+			if len(ref) == 0 {
+				t.Fatalf("%s: no traffic in the reference run", spec)
+			}
+			cfg.Faults = fmt.Sprintf("link:0-1@cycle=%d", 10*cycles)
+			compareTraces(t, fmt.Sprintf("%s shards=%d table policy", spec, shards), ref, eventTrace(t, cfg, cycles))
 		}
 	}
 }

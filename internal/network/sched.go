@@ -194,45 +194,23 @@ func wakeLess(a, b srcWake) bool {
 	return a.at < b.at || (a.at == b.at && a.id < b.id)
 }
 
-// newScheduler builds the scheduler for the node range [base,
-// base+count) of a freshly wired network: every source in range either
-// parked at its first injection cycle or, if its injector has no exact
-// schedule, active from cycle 0.
-func newScheduler(n *Network, tab *schedTables, base, count int) *scheduler {
+// newScheduler builds the scheduler of a freshly wired network over
+// shard self's node set part (ascending), or over every node for the
+// unsharded engine (self -1, part nil). A contiguous set keeps the
+// arithmetic index mapping; anything else installs the explicit
+// local↔global maps (tab.loc must already cover every node). Every
+// source in the set is either parked at its first injection cycle or,
+// if its injector has no exact schedule, active from cycle 0.
+func newScheduler(n *Network, tab *schedTables, self int, part []int32) *scheduler {
+	base, count := int32(0), n.topo.Nodes()
+	if part != nil {
+		base, count = part[0], len(part)
+	}
 	words := (count + 63) / 64
 	sc := &scheduler{
 		tab:        tab,
-		base:       int32(base),
+		base:       base,
 		count:      count,
-		words:      words,
-		self:       -1,
-		outDst:     tab.outDst,
-		delay:      tab.delay,
-		ports:      tab.ports,
-		wheelSize:  tab.wheelSize,
-		wheelMask:  tab.wheelMask,
-		carryBits:  make([]uint64, words),
-		wheelBits:  make([][]uint64, tab.wheelSize),
-		wheelCount: make([]int, tab.wheelSize),
-		srcBits:    make([]uint64, words),
-	}
-	for i := range sc.wheelBits {
-		sc.wheelBits[i] = make([]uint64, words)
-	}
-	sc.parkSources(n)
-	return sc
-}
-
-// newShardScheduler builds the scheduler of shard `self` over its node
-// set (ascending). A contiguous set keeps the arithmetic index mapping;
-// anything else installs the explicit local↔global maps (tab.loc must
-// already cover every node).
-func newShardScheduler(n *Network, tab *schedTables, self int, part []int32) *scheduler {
-	words := (len(part) + 63) / 64
-	sc := &scheduler{
-		tab:        tab,
-		base:       part[0],
-		count:      len(part),
 		words:      words,
 		self:       int32(self),
 		shardAt:    n.shardAt,
@@ -246,7 +224,7 @@ func newShardScheduler(n *Network, tab *schedTables, self int, part []int32) *sc
 		wheelCount: make([]int, tab.wheelSize),
 		srcBits:    make([]uint64, words),
 	}
-	if int(part[len(part)-1]-part[0]) != len(part)-1 {
+	if part != nil && int(part[count-1]-base) != count-1 {
 		sc.idOf = part
 		sc.loc = tab.loc
 	}

@@ -549,7 +549,7 @@ func (n *Network) buildShards(parts [][]int32, depBound map[[2]int32]int64) {
 	n.shards = make([]*shard, len(parts))
 	for i := range n.shards {
 		sh := &shard{net: n, idx: i}
-		sh.sc = newShardScheduler(n, tab, i, parts[i])
+		sh.sc = newScheduler(n, tab, i, parts[i])
 		sh.ejects = make([]ejectEvent, 0, 64)
 		sh.creates = make([]createEvent, 0, 64)
 		if n.cfg.StepWorkers > 1 {

@@ -16,26 +16,48 @@ import (
 // buffer was freed.
 type Credit struct{ VC int8 }
 
-// Unroutable is the routing-table sentinel for a destination with no
-// live path (a fault partitioned the network). The routing stage sends
+// Unroutable is the next-hop-table sentinel for a destination with no
+// live path (a fault partitioned the network). A table policy sends
 // such packets to the local ejection port with Pkt.Dropped set; the
 // network counts them instead of delivering them. Port indices are < 64,
 // so the sentinel can never collide with a real port.
 const Unroutable = 0xFF
 
-// RoutingPolicy chooses the output port and the output-VC candidate
-// mask for a head flit, replacing the router's table/function lookup.
-// Route is invoked when the head first reaches the routing stage
-// (attempt 0) and again on every VC-allocation retry (attempt counts
-// prior failed attempts), so a policy can adapt to congestion — e.g.
-// re-pick by credit count, or alternate between adaptive candidates and
-// a DOR escape class. It runs inside the router's compute phase and
-// must only read router-local state (r's credit counters, p) plus
-// immutable or barrier-synchronized shared tables; it must be
-// deterministic and allocation-free. A policy that declares p
+// RoutingPolicy is the router's one routing input: it chooses the output
+// port and the output-VC candidate mask for a head flit. Route is
+// invoked once, when the head reaches the routing stage (attempt 0); the
+// choice then stands for every VC-allocation retry, so a deterministic
+// policy costs nothing while a head waits. It runs inside the router's
+// compute phase and must only read router-local state (r's credit
+// counters, p) plus immutable or barrier-synchronized shared tables; it
+// must be deterministic and allocation-free. A policy that declares p
 // unroutable must set p.Dropped and return the local port 0.
 type RoutingPolicy interface {
 	Route(r *Router, p *flit.Packet, attempt int) (port int, vcMask uint64)
+}
+
+// AdaptivePolicy marks a RoutingPolicy whose choice depends on
+// congestion: the router re-invokes its Route on every VC-allocation
+// retry (attempt counts the prior failed attempts), so the policy can
+// re-pick by credit count or alternate between adaptive candidates and a
+// deterministic escape class.
+type AdaptivePolicy interface {
+	RoutingPolicy
+	Adaptive()
+}
+
+// tablePolicy is the built-in policy New installs: routes[dst] is the
+// output port, every VC is a candidate, and an Unroutable entry drains
+// the packet through the local port, marked dropped.
+type tablePolicy []uint8
+
+func (t tablePolicy) Route(_ *Router, p *flit.Packet, _ int) (int, uint64) {
+	port := t[p.Dst]
+	if port == Unroutable {
+		p.Dropped = true
+		return 0, ^uint64(0)
+	}
+	return int(port), ^uint64(0)
 }
 
 // vcState is the per-input-VC channel state (invc_state in the paper;
@@ -61,15 +83,15 @@ type inputVC struct {
 	route   int   // output port chosen by the routing stage
 	readyAt int64 // earliest cycle of the next pipeline action
 
-	// cands is the output-VC candidate mask chosen by the routing
-	// policy together with route (policy mode only; the dor fast path
-	// derives candidates from the class tables instead).
+	// cands is the output-VC candidate mask the routing policy chose
+	// together with route.
 	cands uint64
 	// probe is the Figure 16 turnaround bookkeeping; only SetProbe
 	// sets it.
 	probe *vcProbe
 	// attempts counts the VC-allocation attempts of the waiting head,
-	// letting the policy alternate between adaptive and escape choices.
+	// letting an adaptive policy alternate between adaptive and escape
+	// choices.
 	attempts int32
 	state    vcState
 	outVC    int8 // allocated output VC (valid in vcActive)
@@ -123,31 +145,16 @@ type Router struct {
 	// ignore quiet ports entirely.
 	occPorts uint64
 
-	// routes maps a destination node to this router's output port — the
-	// dor policy's precomputed form. It is built once (network.New) and
-	// only ever rewritten at fault-application barriers while no router
-	// is stepping, so it is safe to share between concurrently stepping
-	// routers. On networks too large for per-router tables it is nil and
-	// routeFn computes the port on demand (a pure function of
-	// (router, dst), equally safe to call concurrently).
-	routes  []uint8
-	routeFn func(dst int) int
-	// policy, when set, replaces the routes/routeFn lookup for head
-	// routing and VC-allocation retries (see RoutingPolicy). nil keeps
-	// the dor fast path.
-	policy RoutingPolicy
+	// policy routes every head flit (see RoutingPolicy); never nil.
+	// readapt caches whether it asked to be re-invoked on VC-allocation
+	// retries (AdaptivePolicy).
+	policy  RoutingPolicy
+	readapt bool
 	// vcMaskAll has the low VCs bits set (the full candidate mask).
 	vcMaskAll uint64
 	// creditLag is the credit-processing pipeline depth in cycles,
 	// applied by popping the credit wires that many cycles late.
 	creditLag int64
-	// classTab, when set, restricts the output VCs a packet may be
-	// allocated on a given output port (dateline deadlock avoidance on
-	// tori), indexed dst*Ports+port. nil permits every VC — unless
-	// classFn is set, the functional equivalent for networks too large
-	// for tables.
-	classTab []uint64
-	classFn  func(dst, port int) uint64
 
 	// ejected collects the flits that left through the local output port
 	// this cycle. The network drains it (in router-id order) after all
@@ -183,24 +190,14 @@ type Router struct {
 	whReleases  []int  // wormhole port releases registered this cycle
 }
 
-// New returns a router. Routing is a three-tier policy layer, picked in
-// this order at the routing stage:
-//
-//  1. SetRoutingPolicy installs a RoutingPolicy that chooses output
-//     port and VC candidates per head flit and per retry (the adaptive
-//     policies live in the network package).
-//  2. Otherwise routes — destination node to output port
-//     (routes[dst] = port) — is the default dimension-ordered ("dor")
-//     policy in its precomputed form. The scalar table lookup IS the
-//     dor policy: it stays a direct indexed load rather than an
-//     interface call so the default path keeps its bit-identical,
-//     zero-allocation behaviour. An entry of Unroutable marks a
-//     destination severed by fault injection; such heads are routed to
-//     the ejection port and dropped. The slice is retained; after New
-//     it may only be rewritten while the network is barrier-stopped
-//     (fault application).
-//  3. A nil routes requires SetRouteFunc before the first Step (the
-//     large-network functional dor mode).
+// New returns a router. Routing has one seam, the RoutingPolicy
+// consulted once per head flit. New installs the built-in table policy
+// over routes — destination node to output port (routes[dst] = port),
+// every VC a candidate, an Unroutable entry drained through the local
+// port and dropped; the slice is retained and read on every head. A
+// caller that routes any other way (the network package's functional
+// dimension-order, adaptive and post-fault policies) passes nil and
+// calls SetRoutingPolicy before the first Step.
 //
 // Flits routed to port 0 (the local port) are ejected: they accumulate
 // in the buffer returned by Ejected until ClearEjected.
@@ -208,7 +205,7 @@ func New(id int, cfg Config, routes []uint8) *Router {
 	if err := cfg.Validate(); err != nil {
 		panic(fmt.Sprintf("router %d: %v", id, err))
 	}
-	r := &Router{id: id, cfg: cfg, routes: routes}
+	r := &Router{id: id, cfg: cfg, policy: tablePolicy(routes)}
 	p, v := cfg.Ports, cfg.VCs
 	r.vcMaskAll = (uint64(1) << v) - 1
 	r.in = make([]inputPort, p)
@@ -304,38 +301,18 @@ func (r *Router) ConnectDepartures(port int, flitOut *link.Wire[flit.Flit], cred
 	r.in[port].creditOut = creditOut
 }
 
-// SetVCClassTable restricts VC-allocation candidates per (destination,
-// output port), indexed dst*Ports+port — used for dateline virtual-
-// channel classes on tori. The table is precomputed by the network and
-// must be set before the first Step; it is read-only afterwards.
-func (r *Router) SetVCClassTable(tab []uint64) {
-	if tab != nil && len(tab)%r.cfg.Ports != 0 {
-		panic(fmt.Sprintf("router %d: VC class table length %d not a multiple of %d ports", r.id, len(tab), r.cfg.Ports))
-	}
-	r.classTab = tab
+// SetRoutingPolicy replaces the routing policy — the single
+// installation point (see RoutingPolicy and New). A policy that adapts
+// (AdaptivePolicy) needs per-VC input state to retry from, so only VC
+// router kinds support one; the network layer enforces this. Must be
+// set before the first Step.
+func (r *Router) SetRoutingPolicy(p RoutingPolicy) {
+	r.policy = p
+	_, r.readapt = p.(AdaptivePolicy)
 }
 
-// SetRouteFunc installs the functional form of the dor policy for
-// networks too large for per-router routing tables (routes passed to
-// New as nil): fn must be a pure function of the destination, returning
-// the output port. It is the lowest policy tier — an installed
-// RoutingPolicy takes precedence (see New). Must be set before the
-// first Step.
-func (r *Router) SetRouteFunc(fn func(dst int) int) { r.routeFn = fn }
-
-// SetVCClassFunc is the functional counterpart of SetVCClassTable for
-// networks too large for per-router tables: fn must be a pure function
-// of (destination, output port) returning the candidate VC mask. Like
-// the class table, it only applies on the dor fast path — a
-// RoutingPolicy returns its own candidate mask per head instead.
-func (r *Router) SetVCClassFunc(fn func(dst, port int) uint64) { r.classFn = fn }
-
-// SetRoutingPolicy installs a per-head routing policy, overriding the
-// routes/routeFn dor lookup (see RoutingPolicy and New). Only router
-// kinds with per-VC input state support policies (the wormhole kinds
-// have no VC-allocation stage to retry from); the network layer
-// enforces this. Must be set before the first Step.
-func (r *Router) SetRoutingPolicy(p RoutingPolicy) { r.policy = p }
+// RoutingPolicy returns the installed routing policy (for tests).
+func (r *Router) RoutingPolicy() RoutingPolicy { return r.policy }
 
 // FreeCreditsMask returns output port out's downstream credits summed
 // over the VCs in mask — the deterministic congestion signal adaptive
@@ -351,27 +328,11 @@ func (r *Router) FreeCreditsMask(out int, mask uint64) int {
 
 // vaCandidates builds the VC-allocation candidate mask for an input VC:
 // the free VCs of the routed output port (limited to the VCs the
-// downstream router actually has), intersected with the class policy —
-// the routing policy's per-head mask when one is installed, the
-// precomputed dateline class tables otherwise.
+// downstream router actually has), intersected with the routing
+// policy's per-head mask.
 func (r *Router) vaCandidates(vc *inputVC) uint64 {
 	op := &r.out[vc.route]
-	cands := ^op.vcBusy & op.vcMask
-	if r.policy != nil {
-		return cands & vc.cands
-	}
-	if r.classTab != nil {
-		hoq := vc.fifo.Peek()
-		if hoq != nil {
-			cands &= r.classTab[hoq.Pkt.Dst*r.cfg.Ports+vc.route]
-		}
-	} else if r.classFn != nil {
-		hoq := vc.fifo.Peek()
-		if hoq != nil {
-			cands &= r.classFn(hoq.Pkt.Dst, vc.route)
-		}
-	}
-	return cands
+	return ^op.vcBusy & op.vcMask & vc.cands
 }
 
 // SetOutputPolicy sizes output port port's credit state for a
@@ -632,30 +593,18 @@ func (r *Router) routeHead(vc *inputVC, now int64) {
 	if hoq == nil || !hoq.Kind.IsHead() || hoq.EnqueuedAt >= now || vc.readyAt > now {
 		return
 	}
-	switch {
-	case r.policy != nil:
-		vc.route, vc.cands = r.policy.Route(r, hoq.Pkt, 0)
-		vc.attempts = 0
-	case r.routes != nil:
-		pt := r.routes[hoq.Pkt.Dst]
-		if pt == Unroutable {
-			pt = 0 // drain to the local port; counted, not delivered
-			hoq.Pkt.Dropped = true
-		}
-		vc.route = int(pt)
-	default:
-		vc.route = r.routeFn(hoq.Pkt.Dst)
-	}
+	vc.route, vc.cands = r.policy.Route(r, hoq.Pkt, 0)
+	vc.attempts = 0
 	vc.state = vcWaitVC
 	vc.readyAt = now + 1
 }
 
-// repick re-invokes the routing policy for a head still waiting on VC
-// allocation, letting it adapt to the credit and busy state of this
-// cycle (and alternate toward its escape class). A no-op on the dor
-// fast path.
+// repick re-invokes an adaptive routing policy for a head still waiting
+// on VC allocation, letting it adapt to the credit and busy state of
+// this cycle (and alternate toward its escape class). A no-op for
+// deterministic policies.
 func (r *Router) repick(vc *inputVC) {
-	if r.policy == nil {
+	if !r.readapt {
 		return
 	}
 	if hoq := vc.fifo.Peek(); hoq != nil {

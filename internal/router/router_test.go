@@ -436,3 +436,25 @@ func TestKindStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestTablePolicyDrainsUnroutable pins the rule the built-in table
+// policy owns: a destination marked Unroutable is not forwarded — the
+// packet drains through the local port with Dropped set, on every
+// router kind.
+func TestTablePolicyDrainsUnroutable(t *testing.T) {
+	for _, kind := range []Kind{Wormhole, VirtualChannel, SpeculativeVC} {
+		cfg := DefaultConfig(kind)
+		cfg.BufPerVC = 8
+		g := newRig(cfg)
+		routes := make([]uint8, 128)
+		routes[99] = Unroutable
+		g.r.SetRoutingPolicy(tablePolicy(routes))
+		p := g.packet(3, 99)
+		pushAll(g, p, 0)
+		g.run(20)
+		if len(g.arrivals) != 0 || len(g.ejected) != 3 || !p.Dropped {
+			t.Errorf("%v: %d flits forwarded, %d ejected, dropped=%v; want 0, 3, true",
+				kind, len(g.arrivals), len(g.ejected), p.Dropped)
+		}
+	}
+}

@@ -6,8 +6,8 @@ import (
 )
 
 // TestSpecCapOptIn: cap=N in a spec raises the MaxNodes default, so
-// topologies far past the table-routing regime (mesh:k=320 is the
-// 102,400-node target from the scaling work) construct successfully.
+// topologies far past it (mesh:k=320 is the 102,400-node target from
+// the scaling work) construct successfully.
 func TestSpecCapOptIn(t *testing.T) {
 	topo, err := New("mesh:k=320,cap=102400", 8)
 	if err != nil {

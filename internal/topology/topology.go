@@ -30,23 +30,25 @@ const (
 // allocation stages index ports through 64-bit occupancy bitmasks.
 const MaxPorts = 64
 
-// MaxNodes is the default node-count cap of any topology: routing
-// tables are precomputed per router (O(nodes) bytes each, O(nodes²)
-// total), so an unbounded spec would silently ask for gigabytes. A spec
-// can raise the cap explicitly with a cap=N parameter (the network
-// layer switches to functional routing above MaxNodes, so the O(nodes²)
-// tables are never built for opted-in large networks).
+// MaxNodes is the default node-count cap of any topology. Simulator
+// state is linear in the node count (routers, wires and sources, about
+// 10 KiB a node; routing is computed, not tabulated), so the cap only
+// keeps a mistyped spec from silently preallocating hundreds of
+// megabytes: a spec raises it explicitly with a cap=N parameter. It is
+// also the largest network a fault plan accepts — faults are the one
+// feature that builds a per-destination table, nodes² bytes.
 const MaxNodes = 1 << 14
 
-// MaxNodesLimit is the absolute ceiling no cap= opt-in can exceed:
-// above MaxNodes routing is functional (no quadratic tables), but the
+// MaxNodesLimit is the absolute ceiling no cap= opt-in can exceed: the
 // O(nodes) router, wire, and source state still has to be addressable.
 const MaxNodesLimit = 1 << 22
 
 // Topology describes a network graph over routers with local ports. All
-// methods are pure functions of the topology's parameters: the network
-// layer precomputes routing and VC-class tables from them once, so none
-// of these are on the simulation hot path.
+// methods are pure functions of the topology's parameters, safe to call
+// concurrently. Route and VCMask are the routing stage itself — the
+// network layer calls them once per head flit per hop (RouteCandidates
+// per adaptive retry) — so they must not allocate; the rest is read at
+// construction only.
 type Topology interface {
 	// Name identifies the topology for reports.
 	Name() string
@@ -136,7 +138,7 @@ func checkSize(name string, nodes, ports, maxNodes int) error {
 		if nodes > MaxNodesLimit {
 			return fmt.Errorf("topology: %s has %d nodes; absolute limit %d", name, nodes, MaxNodesLimit)
 		}
-		return fmt.Errorf("topology: %s has %d nodes; max %d — building it preallocates ≈%s of simulator state; opt in by adding cap=%d to the topology spec",
+		return fmt.Errorf("topology: %s has %d nodes; max %d — building it preallocates ≈%s of router, wire and source state (linear in the node count); opt in by adding cap=%d to the topology spec",
 			name, nodes, limit, MemEstimate(nodes), nodes)
 	}
 	if ports > MaxPorts {
@@ -146,15 +148,11 @@ func checkSize(name string, nodes, ports, maxNodes int) error {
 }
 
 // MemEstimate is a rough preallocation estimate for a network of this
-// many nodes at the paper's parameters: a few KiB of router buffers,
-// wires, and allocator state per node, plus the O(nodes²) routing
-// tables when the network is small enough to build them (above MaxNodes
-// the network layer routes functionally instead).
+// many nodes at the paper's parameters: about 10 KiB of router buffers,
+// wires, allocator and source state per node, and nothing that grows
+// faster than the node count.
 func MemEstimate(nodes int) string {
-	b := int64(nodes) * (4 << 10)
-	if nodes <= MaxNodes {
-		b += int64(nodes) * int64(nodes)
-	}
+	b := int64(nodes) * (10 << 10)
 	if b >= 1<<30 {
 		return fmt.Sprintf("%.1f GiB", float64(b)/(1<<30))
 	}
