@@ -4,13 +4,16 @@
 package routersim_test
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 	"unsafe"
 
 	"routersim/internal/allocator"
 	"routersim/internal/arbiter"
+	"routersim/internal/checkpoint"
 	"routersim/internal/flit"
+	"routersim/internal/harness"
 	"routersim/internal/link"
 	"routersim/internal/network"
 	"routersim/internal/router"
@@ -333,5 +336,60 @@ func TestFootprint(t *testing.T) {
 			t.Errorf("shards=%d: network.New k=%d costs %.1f mallocs and %.2f KB per router, want <= 60 and <= %.1f", c.shards, c.k, mallocs, kb, c.maxKB)
 		}
 		net.Close()
+	}
+}
+
+// TestResumedSweepAllocs bounds what a fully cached sweep costs per
+// loaded job: key, entry read, checksum, decode, JSON and CSV. The
+// matrix is the benchmark's 48-job sweep; the whole pass allocated
+// 5.0 KB per job when it went through reflection JSON both ways and
+// Expand grew its slice and map from empty, 2.6 KB with the JobResult
+// codec and both presized. What remains is mostly the entry's bytes
+// (os.ReadFile), the decoded result, and the file handle.
+func TestResumedSweepAllocs(t *testing.T) {
+	m := harness.Matrix{
+		Routers:    []string{"vc", "spec-vc"},
+		Topologies: []string{"mesh", "torus", "hypercube:64"},
+		Patterns:   []string{"uniform", "transpose"},
+		VCs:        []int{2, 4},
+		Loads:      []float64{0.1, 0.3},
+	}
+	opts := harness.Options{Seed: 1, Protocol: harness.Protocol{Warmup: 100, Packets: 50}}
+	store, err := checkpoint.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	pass := func() int {
+		out.Reset()
+		results, err := harness.RunResumable(m, opts, store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := harness.WriteJSON(&out, results); err != nil {
+			t.Fatal(err)
+		}
+		if err := harness.WriteCSV(&out, results); err != nil {
+			t.Fatal(err)
+		}
+		return len(results)
+	}
+	jobs := pass() // cold: fills the store and sizes the buffer
+	if jobs != 48 {
+		t.Fatalf("matrix expands to %d jobs, want 48", jobs)
+	}
+	opts.Progress = func(int, int, harness.JobResult) { t.Error("a job ran on a cached pass") }
+	const passes = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < passes; i++ {
+		pass()
+	}
+	runtime.ReadMemStats(&after)
+	kb := float64(after.TotalAlloc-before.TotalAlloc) / float64(passes*jobs) / 1000
+	mallocs := float64(after.Mallocs-before.Mallocs) / float64(passes*jobs)
+	t.Logf("cached pass: %.2f KB, %.1f mallocs per loaded job", kb, mallocs)
+	if kb > 3.6 {
+		t.Errorf("a cached pass allocates %.2f KB per loaded job, want <= 3.6", kb)
 	}
 }

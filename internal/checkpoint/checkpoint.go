@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 )
 
 const (
@@ -115,7 +116,7 @@ func Decode(b []byte) ([]byte, error) {
 // converge on one of the (identical, content-addressed) values.
 type Store struct {
 	dir         string
-	quarantined int
+	quarantined atomic.Int64
 }
 
 // Open creates the store directory if needed and returns a handle.
@@ -131,7 +132,7 @@ func (s *Store) Dir() string { return s.dir }
 
 // Quarantined returns how many corrupt entries this handle has set
 // aside so far.
-func (s *Store) Quarantined() int { return s.quarantined }
+func (s *Store) Quarantined() int { return int(s.quarantined.Load()) }
 
 // path returns the entry file for a key.
 func (s *Store) path(key [sha256.Size]byte) string {
@@ -181,7 +182,7 @@ func (s *Store) Get(key [sha256.Size]byte) ([]byte, bool, error) {
 	payload, err := Decode(b)
 	if err != nil {
 		os.Rename(p, p+QuarantineExt)
-		s.quarantined++
+		s.quarantined.Add(1)
 		return nil, false, nil
 	}
 	return payload, true, nil

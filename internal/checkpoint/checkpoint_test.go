@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -139,6 +140,40 @@ func TestStoreQuarantinesCorruption(t *testing.T) {
 	}
 	if _, err := os.Stat(s.path(key) + QuarantineExt); err != nil {
 		t.Fatalf("quarantined copy removed by repair: %v", err)
+	}
+}
+
+// TestStoreConcurrentQuarantine: the Store promises safety for
+// concurrent goroutines, and that includes its quarantine count — run
+// under -race, eight goroutines each Get a distinct corrupt entry.
+func TestStoreConcurrentQuarantine(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 8
+	keys := make([][32]byte, n)
+	for i := range keys {
+		keys[i] = Key([]byte{byte(i)})
+		entry := Encode([]byte("result"))
+		entry[len(entry)-1] ^= 0x80
+		if err := os.WriteFile(s.path(keys[i]), entry, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for _, key := range keys {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, ok, err := s.Get(key); ok || err != nil {
+				t.Errorf("Get of corrupt entry = ok=%v err=%v, want quiet miss", ok, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := s.Quarantined(); got != n {
+		t.Errorf("Quarantined = %d after %d concurrent corrupt Gets", got, n)
 	}
 }
 

@@ -1,10 +1,12 @@
 package harness
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
+	"math"
+	"strconv"
 	"strings"
+
+	"routersim/internal/sim"
 )
 
 // WriteJSON serializes results as one JSON array, in job-index order.
@@ -25,6 +27,7 @@ func WriteJSON(w io.Writer, results []JobResult) error {
 // without holding the serialized form in memory.
 type JSONStream struct {
 	w     io.Writer
+	buf   []byte // one element and its separator, reused across Writes
 	wrote bool
 	err   error
 }
@@ -41,14 +44,10 @@ func (s *JSONStream) Write(r JobResult) error {
 	if s.wrote {
 		sep = ",\n "
 	}
-	var b []byte
-	if b, s.err = json.Marshal(r); s.err != nil {
+	if s.buf, s.err = appendJobResult(append(s.buf[:0], sep...), &r); s.err != nil {
 		return s.err
 	}
-	if _, s.err = io.WriteString(s.w, sep); s.err != nil {
-		return s.err
-	}
-	if _, s.err = s.w.Write(b); s.err != nil {
+	if _, s.err = s.w.Write(s.buf); s.err != nil {
 		return s.err
 	}
 	s.wrote = true
@@ -78,71 +77,116 @@ const CSVHeader = "index,router,topology,k,pattern,vcs,buf_per_vc,packet_size,cr
 // WriteCSV serializes results as CSV in job-index order, with the same
 // determinism guarantee as WriteJSON.
 func WriteCSV(w io.Writer, results []JobResult) error {
-	if _, err := fmt.Fprintln(w, CSVHeader); err != nil {
+	if _, err := io.WriteString(w, CSVHeader+"\n"); err != nil {
 		return err
 	}
-	for _, r := range results {
-		if err := writeCSVRow(w, r); err != nil {
+	var row []byte
+	for i := range results {
+		row = appendCSVRow(row[:0], &results[i])
+		if _, err := w.Write(row); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func writeCSVRow(w io.Writer, r JobResult) error {
-	sc := r.Scenario
-	var offered, accepted, acceptedCI, mean, meanCI float64
-	var p50, p95, max, cycles, unroutable, droppedFlits int64
-	var packets, censored int
-	saturated := false
+// appendCSVRow appends r's CSV row, newline included, to dst: one
+// column per line below, in CSVHeader's order. Floats are spelled as in
+// the JSON, so the two agree byte for byte on every value.
+func appendCSVRow(dst []byte, r *JobResult) []byte {
+	// A failed job has no result, and a kind the delay model does not
+	// describe has no model: their columns are zeros.
+	var res sim.Result
 	if r.Result != nil {
-		offered = r.Result.OfferedLoad
-		accepted = r.Result.AcceptedLoad
-		acceptedCI = r.Result.AcceptedCI
-		mean = r.Result.Latency.MeanLatency
-		meanCI = r.Result.Latency.MeanCI
-		p50, p95, max = r.Result.Latency.P50, r.Result.Latency.P95, r.Result.Latency.MaxLatency
-		packets = r.Result.Latency.Packets
-		censored = r.Result.Latency.Censored
-		unroutable = r.Result.Unroutable
-		droppedFlits = r.Result.DroppedFlits
-		cycles = r.Result.Cycles
-		saturated = r.Result.Saturated
+		res = *r.Result
 	}
-	// Delay-model columns: topology port count and EQ-1 pipeline depth
-	// (0 for kinds the model does not describe, and for failed jobs).
-	var ports, modelStages int
+	var model DelayModel
 	if r.Model != nil {
-		ports, modelStages = r.Model.Ports, r.Model.Stages
+		model = *r.Model
 	}
-	_, err := fmt.Fprintf(w, "%d,%s,%s,%d,%s,%d,%d,%d,%d,%d,%d,%s,%s,%s,%s,%s,%s,%d,%d,%d,%s,%s,%s,%s,%s,%d,%d,%d,%d,%d,%d,%d,%d,%t,%s\n",
-		r.Index, csvEscape(sc.Router), csvEscape(sc.Topology), sc.K, csvEscape(sc.Pattern), sc.VCs, sc.BufPerVC,
-		sc.PacketSize, sc.CreditDelay, sc.StepWorkers, sc.Shards,
-		csvEscape(sc.Source), csvEscape(sc.Sizes), csvEscape(sc.Overrides), csvEscape(sc.Routing), csvEscape(sc.Faults), fmtFloat(sc.Load), r.Seed,
-		ports, modelStages,
-		fmtFloat(offered), fmtFloat(accepted), fmtFloat(acceptedCI), fmtFloat(mean), fmtFloat(meanCI),
-		p50, p95, max, packets, censored, unroutable, droppedFlits, cycles, saturated, csvEscape(r.Error))
-	return err
+	sc, lat := &r.Scenario, &res.Latency
+	dst = csvInt(dst, int64(r.Index))
+	dst = csvString(dst, sc.Router)
+	dst = csvString(dst, sc.Topology)
+	dst = csvInt(dst, int64(sc.K))
+	dst = csvString(dst, sc.Pattern)
+	dst = csvInt(dst, int64(sc.VCs))
+	dst = csvInt(dst, int64(sc.BufPerVC))
+	dst = csvInt(dst, int64(sc.PacketSize))
+	dst = csvInt(dst, int64(sc.CreditDelay))
+	dst = csvInt(dst, int64(sc.StepWorkers))
+	dst = csvInt(dst, int64(sc.Shards))
+	dst = csvString(dst, sc.Source)
+	dst = csvString(dst, sc.Sizes)
+	dst = csvString(dst, sc.Overrides)
+	dst = csvString(dst, sc.Routing)
+	dst = csvString(dst, sc.Faults)
+	dst = csvFloat(dst, sc.Load)
+	dst = append(strconv.AppendUint(dst, r.Seed, 10), ',')
+	dst = csvInt(dst, int64(model.Ports))
+	dst = csvInt(dst, int64(model.Stages))
+	dst = csvFloat(dst, res.OfferedLoad)
+	dst = csvFloat(dst, res.AcceptedLoad)
+	dst = csvFloat(dst, res.AcceptedCI)
+	dst = csvFloat(dst, lat.MeanLatency)
+	dst = csvFloat(dst, lat.MeanCI)
+	dst = csvInt(dst, lat.P50)
+	dst = csvInt(dst, lat.P95)
+	dst = csvInt(dst, lat.MaxLatency)
+	dst = csvInt(dst, int64(lat.Packets))
+	dst = csvInt(dst, int64(lat.Censored))
+	dst = csvInt(dst, res.Unroutable)
+	dst = csvInt(dst, res.DroppedFlits)
+	dst = csvInt(dst, res.Cycles)
+	dst = append(strconv.AppendBool(dst, res.Saturated), ',')
+	dst = csvString(dst, r.Error)
+	dst[len(dst)-1] = '\n' // the last column's separator ends the row
+	return dst
 }
 
-// fmtFloat renders floats exactly as encoding/json does, so CSV and
-// JSON agree byte-for-byte on every value (the thresholds for exponent
-// form differ between json and strconv's 'g' format, so this must go
-// through the json encoder itself).
-func fmtFloat(f float64) string {
-	b, err := json.Marshal(f)
-	if err != nil {
-		// Only non-finite values can fail; the simulator never emits
-		// them, but render something greppable rather than panic.
-		return "NaN"
+// csvInt, csvFloat and csvString append one column and its separator.
+
+func csvInt(dst []byte, v int64) []byte { return append(strconv.AppendInt(dst, v, 10), ',') }
+
+func csvFloat(dst []byte, f float64) []byte { return append(appendFloat(dst, f), ',') }
+
+func csvString(dst []byte, s string) []byte { return append(appendCSVField(dst, s), ',') }
+
+// appendFloat spells f as encoding/json does (the ES6 number-to-string
+// form: 'f' unless |f| < 1e-6 or >= 1e21, then 'e' with "e-09" cleaned
+// up to "e-9"), so JSON, CSV and checkpoint-key bytes agree on every
+// value. A non-finite f, which JSON cannot carry, is rendered as a
+// greppable "NaN".
+func appendFloat(dst []byte, f float64) []byte {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return append(dst, "NaN"...)
 	}
-	return string(b)
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst
+}
+
+// appendCSVField appends s, quoted if it contains CSV metacharacters.
+func appendCSVField(dst []byte, s string) []byte {
+	if !strings.ContainsAny(s, ",\"\n") {
+		return append(dst, s...)
+	}
+	dst = append(dst, '"')
+	for i := 0; i < len(s); i++ {
+		if s[i] == '"' {
+			dst = append(dst, '"')
+		}
+		dst = append(dst, s[i])
+	}
+	return append(dst, '"')
 }
 
 // csvEscape quotes a field if it contains CSV metacharacters.
-func csvEscape(s string) string {
-	if strings.ContainsAny(s, ",\"\n") {
-		return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-	}
-	return s
-}
+func csvEscape(s string) string { return string(appendCSVField(nil, s)) }

@@ -23,19 +23,23 @@ const EngineVersion = "routersim-engine-1"
 // sweeps that expand to the same job — whatever matrix spelled it —
 // share the entry; anything that could change the result changes the
 // key. Execution options (worker count, audit interval, retry budget)
-// are deliberately excluded: they never change result bytes.
-func jobKey(sc Scenario, seed uint64, pr Protocol) [32]byte {
-	scJSON, err := json.Marshal(sc.canonical())
-	if err != nil {
-		panic(fmt.Sprintf("harness: scenario not serializable: %v", err)) // plain-value struct; unreachable
-	}
-	prJSON, err := json.Marshal(pr)
-	if err != nil {
-		panic(fmt.Sprintf("harness: protocol not serializable: %v", err))
-	}
+// are deliberately excluded: they never change result bytes. prJSON is
+// the protocol's JSON (protocolJSON), the same for every job of a run.
+func jobKey(sc Scenario, seed uint64, prJSON []byte) [32]byte {
+	sc = sc.canonical()
+	scJSON := appendScenario(make([]byte, 0, 256), &sc)
 	var seedB [8]byte
 	binary.BigEndian.PutUint64(seedB[:], seed)
 	return checkpoint.Key([]byte(EngineVersion), scJSON, seedB[:], prJSON)
+}
+
+// protocolJSON is the protocol's part of every job key of a run.
+func protocolJSON(pr Protocol) []byte {
+	b, err := json.Marshal(pr)
+	if err != nil {
+		panic(fmt.Sprintf("harness: protocol not serializable: %v", err)) // plain-value struct; unreachable
+	}
+	return b
 }
 
 // RunResumable is Run with crash-safe persistence: every successful
@@ -61,17 +65,20 @@ func RunResumable(m Matrix, opts Options, store *checkpoint.Store) ([]JobResult,
 	keys := make([][32]byte, len(scenarios))
 	ready := make([]bool, len(scenarios))
 	loaded := 0
+	prJSON := protocolJSON(opts.Protocol)
 	for i, sc := range scenarios {
 		seed := rng.Derive(opts.Seed, uint64(i))
-		keys[i] = jobKey(sc, seed, opts.Protocol)
+		keys[i] = jobKey(sc, seed, prJSON)
 		payload, ok, err := store.Get(keys[i])
 		if err != nil || !ok {
 			continue // miss, quarantined, or unreadable: run the job
 		}
 		var jr JobResult
-		// Trust but verify: a decoded entry must be a successful result
-		// for exactly this job, or the job re-runs.
-		if json.Unmarshal(payload, &jr) != nil || jr.Error != "" || jr.Result == nil ||
+		// Trust but verify: an entry must be in the layout this engine
+		// serializes (the checksum only proves that someone wrote these
+		// bytes) and a successful result for exactly this job, or the
+		// job re-runs.
+		if !decodeJobResult(payload, &jr) || jr.Error != "" || jr.Result == nil ||
 			jr.Seed != seed || jr.Scenario != sc {
 			continue
 		}
@@ -106,7 +113,7 @@ func RunResumable(m Matrix, opts Options, store *checkpoint.Store) ([]JobResult,
 		results[i] = executeJob(i, scenarios[i], opts)
 		var perr error
 		if results[i].Error == "" && results[i].Result != nil {
-			payload, err := json.Marshal(results[i])
+			payload, err := appendJobResult(nil, &results[i])
 			if err == nil {
 				err = store.Put(keys[i], payload)
 			}

@@ -2,9 +2,11 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -114,7 +116,7 @@ func removeSomeEntries(t *testing.T, dir string, n int) int {
 	return n
 }
 
-func entryNames(t *testing.T, dir string) []string {
+func entryNames(t testing.TB, dir string) []string {
 	t.Helper()
 	des, err := os.ReadDir(dir)
 	if err != nil {
@@ -355,4 +357,193 @@ func TestRetrySemantics(t *testing.T) {
 			t.Errorf("config error row wrong: %+v", results[0])
 		}
 	})
+}
+
+// storeV1Matrix and storeV1Options are the sweep testdata/store-v1 was
+// filled by, at the last commit whose entries and keys came from
+// encoding/json: twelve jobs, half with a faults spec, half saturated.
+func storeV1Matrix() Matrix {
+	return Matrix{
+		Routers: []string{"wormhole", "vc", "spec-vc"},
+		Ks:      []int{4},
+		Faults:  []string{"", "link:5-6@cycle=200"},
+		Loads:   []float64{0.1, 0.9},
+	}
+}
+
+func storeV1Options() Options {
+	return Options{Seed: 5, Protocol: Protocol{Warmup: 200, Packets: 100}}
+}
+
+// copyStoreV1 copies the checked-in store to a scratch directory (a
+// resume may quarantine or add entries) and returns it opened, with the
+// JSON and CSV the sweep that filled it wrote.
+func copyStoreV1(t testing.TB) (store *checkpoint.Store, wantJSON, wantCSV []byte) {
+	t.Helper()
+	const src = "testdata/store-v1"
+	dir := t.TempDir()
+	for _, name := range entryNames(t, src) {
+		b, err := os.ReadFile(filepath.Join(src, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store, err := checkpoint.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantJSON, err = os.ReadFile(filepath.Join(src, "results.json")); err != nil {
+		t.Fatal(err)
+	}
+	if wantCSV, err = os.ReadFile(filepath.Join(src, "results.csv")); err != nil {
+		t.Fatal(err)
+	}
+	return store, wantJSON, wantCSV
+}
+
+// TestResumeStoreV1: a store written through encoding/json, before the
+// codec, resumes with no job run and reproduces that sweep's bytes —
+// keys, entry payloads, JSON and CSV are all unchanged.
+func TestResumeStoreV1(t *testing.T) {
+	store, wantJSON, wantCSV := copyStoreV1(t)
+	opts := storeV1Options()
+	ran := 0
+	opts.Progress = func(int, int, JobResult) { ran++ }
+	results, err := RunResumable(storeV1Matrix(), opts, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ran != 0 || len(results) != 12 {
+		t.Errorf("resume ran %d of %d jobs, want 0 of 12", ran, len(results))
+	}
+	if n := store.Quarantined(); n != 0 {
+		t.Errorf("%d entries quarantined", n)
+	}
+	gotJSON, gotCSV := render(t, results)
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Errorf("JSON diverges from the sweep that filled the store\n got %s\nwant %s", gotJSON, wantJSON)
+	}
+	if !bytes.Equal(gotCSV, wantCSV) {
+		t.Errorf("CSV diverges from the sweep that filled the store\n got %s\nwant %s", gotCSV, wantCSV)
+	}
+	// And the engine still writes those entries: a cold sweep fills a
+	// fresh store with the same files, byte for byte.
+	fresh, err := checkpoint.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunResumable(storeV1Matrix(), storeV1Options(), fresh); err != nil {
+		t.Fatal(err)
+	}
+	names := entryNames(t, fresh.Dir())
+	if len(names) != 12 {
+		t.Fatalf("cold sweep stored %d entries, want 12", len(names))
+	}
+	for _, name := range names {
+		got, err := os.ReadFile(filepath.Join(fresh.Dir(), name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata/store-v1", name))
+		if err != nil {
+			t.Fatalf("cold sweep stored an entry the checked-in store lacks: %v", err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("entry %s differs from the checked-in one", name)
+		}
+	}
+}
+
+// TestResumeMissRule: an entry whose checksum holds but whose payload
+// is not the bytes this engine serializes for that job is a miss — the
+// job re-runs, nothing is quarantined (the file is intact), and the
+// output equals the clean run's.
+func TestResumeMissRule(t *testing.T) {
+	reindent := func(payload, _ []byte) []byte {
+		var b bytes.Buffer
+		if err := json.Indent(&b, payload, "", "  "); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	for name, rewrite := range map[string]func(payload, other []byte) []byte{
+		"re-indented JSON":      reindent,
+		"another job's payload": func(_, other []byte) []byte { return other },
+		"null result": func(payload, _ []byte) []byte {
+			i, j := bytes.Index(payload, []byte(`"result":{`)), bytes.Index(payload, []byte(`,"delay_model"`))
+			return append(append(append([]byte(nil), payload[:i]...), `"result":null`...), payload[j:]...)
+		},
+	} {
+		store, wantJSON, wantCSV := copyStoreV1(t)
+		names := entryNames(t, store.Dir())
+		read := func(name string) []byte {
+			b, err := os.ReadFile(filepath.Join(store.Dir(), name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload, err := checkpoint.Decode(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return payload
+		}
+		bad := rewrite(read(names[3]), read(names[7]))
+		var probe JobResult
+		if err := json.Unmarshal(bad, &probe); err != nil {
+			t.Fatalf("%s: the rewritten payload must stay valid JSON: %v", name, err)
+		}
+		if err := os.WriteFile(filepath.Join(store.Dir(), names[3]), checkpoint.Encode(bad), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		opts := storeV1Options()
+		ran := 0
+		opts.Progress = func(int, int, JobResult) { ran++ }
+		results, err := RunResumable(storeV1Matrix(), opts, store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ran != 1 {
+			t.Errorf("%s: resume ran %d jobs, want 1 (the rewritten entry's)", name, ran)
+		}
+		if n := store.Quarantined(); n != 0 {
+			t.Errorf("%s: %d entries quarantined; a valid checksum is not corruption", name, n)
+		}
+		gotJSON, gotCSV := render(t, results)
+		if !bytes.Equal(gotJSON, wantJSON) || !bytes.Equal(gotCSV, wantCSV) {
+			t.Errorf("%s: output diverges from the clean run", name)
+		}
+		// The re-run job overwrote the entry with the engine's bytes.
+		var jr JobResult
+		if !decodeJobResult(read(names[3]), &jr) {
+			t.Errorf("%s: the re-run did not restore the entry", name)
+		}
+	}
+}
+
+// BenchmarkResumeLoad times the read side of a resumed sweep: one op
+// is a fully cached RunResumable over the checked-in twelve-entry
+// store (key, read, checksum, decode and verify per job; no
+// simulation, no output), reported per loaded job.
+func BenchmarkResumeLoad(b *testing.B) {
+	store, _, _ := copyStoreV1(b)
+	m, opts := storeV1Matrix(), storeV1Options()
+	opts.Progress = func(int, int, JobResult) { b.Fatal("a job ran instead of loading") }
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	jobs := 0
+	for i := 0; i < b.N; i++ {
+		results, err := RunResumable(m, opts, store)
+		if err != nil {
+			b.Fatal(err)
+		}
+		jobs += len(results)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(jobs), "ns/job")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(jobs), "B/job")
 }

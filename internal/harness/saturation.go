@@ -201,7 +201,7 @@ func WriteSaturationCSV(w io.Writer, results []SaturationResult) error {
 			r.Index, csvEscape(sc.Router), csvEscape(sc.Topology), sc.K, csvEscape(sc.Pattern),
 			sc.VCs, sc.BufPerVC, sc.PacketSize, sc.CreditDelay, sc.StepWorkers, sc.Shards,
 			csvEscape(sc.Routing), csvEscape(sc.Faults), r.Seed,
-			fmtFloat(r.Load), fmtFloat(r.Upper), fmtFloat(r.Throughput),
+			appendFloat(nil, r.Load), appendFloat(nil, r.Upper), appendFloat(nil, r.Throughput),
 			len(r.Probes), r.Cycles, csvEscape(r.Error))
 		if err != nil {
 			return err

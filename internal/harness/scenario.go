@@ -183,8 +183,9 @@ func (m Matrix) Expand() []Scenario {
 	for _, n := range axes {
 		total *= n
 	}
-	var out []Scenario
-	seen := make(map[Scenario]bool)
+	// total bounds both: deduplication only ever removes jobs.
+	out := make([]Scenario, 0, total)
+	seen := make(map[Scenario]bool, total)
 	idx := make([]int, len(axes))
 	for j := 0; j < total; j++ {
 		sc := Scenario{
