@@ -41,7 +41,7 @@ func handleSignals() {
 }
 
 func main() {
-	kindStr := flag.String("router", "spec-vc", "router: wormhole, vc, spec-vc, wormhole-1cycle, vc-1cycle")
+	kindStr := flag.String("router", "spec-vc", "router: "+routersim.RouterNames())
 	vcs := flag.Int("vcs", 0, "virtual channels per port (default: paper config)")
 	buf := flag.Int("buf", 0, "flit buffers per VC (default: paper config)")
 	load := flag.Float64("load", 0.4, "offered load as a fraction of capacity")
@@ -71,7 +71,7 @@ func main() {
 
 	kind, ok := routersim.ParseRouterKind(*kindStr)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown router %q\n", *kindStr)
+		fmt.Fprintf(os.Stderr, "unknown router %q (have %s)\n", *kindStr, routersim.RouterNames())
 		os.Exit(2)
 	}
 	// Resolve the paper defaults up front so the printed/serialized

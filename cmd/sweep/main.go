@@ -53,7 +53,7 @@ func main() {
 	full := flag.Bool("full", false, "use the paper's full protocol (10k warmup, 100k packets)")
 
 	// Matrix axes.
-	routers := flag.String("routers", "spec-vc", "comma-separated router kinds: wormhole, vc, spec-vc, wormhole-1cycle, vc-1cycle")
+	routers := flag.String("routers", "spec-vc", "comma-separated router kinds: "+routersim.RouterNames())
 	topos := flag.String("topos", "mesh", "comma-separated topology specs: mesh, torus, ring, hypercube, parameterized as mesh:k=8, torus:k=4:n=3, hypercube:64, ring:16 (k=/n= params may separate with ':' or ',')")
 	ks := flag.String("k", "8", "comma-separated network sizes: radix for mesh/torus, node count for ring/hypercube")
 	patterns := flag.String("patterns", "uniform", "comma-separated traffic patterns: uniform, transpose, bit-reversal, bit-complement, hotspot[:NODE:FRAC]")

@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"routersim/internal/router"
 )
 
 func tinyOptions() Options {
@@ -376,6 +378,94 @@ func TestEquivalentSpecsDeduplicate(t *testing.T) {
 	}
 	if scs[0].Topology != "hypercube" || scs[0].K != 16 {
 		t.Errorf("canonical scenario wrong: %+v", scs[0])
+	}
+}
+
+// TestSimulatedDepthVersusDelayModel writes down where the simulated
+// pipeline (router.Kind.Stages, derived from the kind's stage plan)
+// departs from the depth EQ 1 prescribes at the same (p, v): the
+// simulator runs one plan per kind whatever the parameters, the model
+// repacks the stages. The list is exact — closing a gap (a plan chosen
+// from the model) or opening one must edit it — and empty at the paper's
+// point, p=5 v=2.
+func TestSimulatedDepthVersusDelayModel(t *testing.T) {
+	type point struct {
+		kind router.Kind
+		p, v int
+	}
+	type depths struct{ model, simulated int }
+	want := map[point]depths{
+		// One VC per port needs no VC allocation stage; the VC router
+		// simulates one regardless.
+		{router.VirtualChannel, 3, 1}: {3, 4},
+		{router.VirtualChannel, 5, 1}: {3, 4},
+		{router.VirtualChannel, 7, 1}: {3, 4},
+		{router.VirtualChannel, 9, 1}: {3, 4},
+		// Eight VCs on a high-radix router push allocation past one cycle.
+		{router.VirtualChannel, 7, 8}:  {5, 4},
+		{router.VirtualChannel, 9, 8}:  {5, 4},
+		{router.VirtualChannel, 13, 8}: {5, 4},
+		{router.SpeculativeVC, 7, 8}:   {4, 3},
+		{router.SpeculativeVC, 9, 8}:   {4, 3},
+		{router.SpeculativeVC, 13, 8}:  {4, 3},
+	}
+	got := map[point]depths{}
+	for _, kind := range router.Kinds() {
+		for _, p := range []int{3, 5, 7, 9, 13} {
+			for _, v := range []int{1, 2, 4, 8} {
+				if v > 1 && !kind.UsesVCs() {
+					continue
+				}
+				model, ok := modelStages(kind, p, v)
+				if !ok {
+					continue // single-cycle kinds: the model does not describe them
+				}
+				if model != kind.Stages() {
+					got[point{kind, p, v}] = depths{model, kind.Stages()}
+				}
+				if p == 5 && v == 2 && model != kind.Stages() {
+					t.Errorf("%v at the paper's point: model %d stages, simulated %d", kind, model, kind.Stages())
+				}
+			}
+		}
+	}
+	for pt, d := range got {
+		if want[pt] != d {
+			t.Errorf("%v p=%d v=%d: model %d, simulated %d; listed %+v", pt.kind, pt.p, pt.v, d.model, d.simulated, want[pt])
+		}
+	}
+	for pt := range want {
+		if _, ok := got[pt]; !ok {
+			t.Errorf("%v p=%d v=%d is listed as a gap but model and simulation agree", pt.kind, pt.p, pt.v)
+		}
+	}
+}
+
+// TestRouterAliasesDeduplicate: every spelling of one router kind is one
+// job with one label and one checkpoint key, and the canonical spelling
+// keeps its bytes.
+func TestRouterAliasesDeduplicate(t *testing.T) {
+	m := Matrix{
+		Routers: []string{"specvc", "spec-vc", "wh", "wormhole"},
+		Ks:      []int{4},
+		Loads:   []float64{0.1},
+	}
+	scs := m.Expand()
+	if len(scs) != 2 || scs[0].Router != "spec-vc" || scs[1].Router != "wormhole" {
+		t.Fatalf("router aliases expanded to %d jobs, want spec-vc and wormhole: %+v", len(scs), scs)
+	}
+	if got := scs[0].Label(); !strings.HasPrefix(got, "spec-vc/") {
+		t.Errorf("label %q does not use the canonical router name", got)
+	}
+	pr := protocolJSON(Protocol{Warmup: 300, Packets: 150})
+	for alias, canon := range map[string]string{"specvc": "spec-vc", "wh": "wormhole", "virtual-channel": "vc", "wh-1cycle": "wormhole-1cycle"} {
+		a, c := Scenario{Router: alias, Load: 0.1}, Scenario{Router: canon, Load: 0.1}
+		if a.canonical() != c.canonical() || c.canonical().Router != canon {
+			t.Errorf("%s does not canonicalize to %s: %+v", alias, canon, a.canonical())
+		}
+		if jobKey(a, 7, pr) != jobKey(c, 7, pr) {
+			t.Errorf("%s and %s have different checkpoint keys", alias, canon)
+		}
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"routersim/internal/router"
 )
 
 var updateKindsGolden = flag.Bool("update-kinds-golden", false,
@@ -18,11 +20,9 @@ var updateKindsGolden = flag.Bool("update-kinds-golden", false,
 // kind — wraparound VC classes, adaptive re-picks on VA retry, a long
 // credit loop, and heterogeneous neighbours.
 func kindsGoldenScenarios() []Scenario {
-	all := []string{"wormhole", "vc", "spec-vc", "wormhole-1cycle", "vc-1cycle"}
-	withVCs := map[string]bool{"vc": true, "spec-vc": true, "vc-1cycle": true}
 	var out []Scenario
-	for _, kind := range all {
-		base := Scenario{Router: kind, K: 4}
+	for _, kind := range router.Kinds() {
+		base := Scenario{Router: kind.String(), K: 4}
 		for _, load := range []float64{0.1, 0.6} {
 			sc := base
 			sc.Load = load
@@ -32,7 +32,7 @@ func kindsGoldenScenarios() []Scenario {
 		slow.CreditDelay, slow.Load = 4, 0.3
 		hetero := base
 		hetero.Overrides, hetero.Load = "5:buf=2;9-10:delay=2", 0.3
-		if withVCs[kind] {
+		if kind.UsesVCs() {
 			hetero.Overrides = "0:vcs=4,buf=2;" + hetero.Overrides
 			torus, adaptive := base, base
 			torus.Topology, torus.Load = "torus", 0.3

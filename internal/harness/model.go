@@ -40,6 +40,30 @@ func flowControlOf(kind router.Kind) (core.FlowControl, bool) {
 	}
 }
 
+// modelStages is the pipeline depth EQ 1 prescribes for a router kind
+// with p ports and v VCs, and whether the model describes the kind.
+func modelStages(kind router.Kind, p, v int) (int, bool) {
+	fc, ok := flowControlOf(kind)
+	if !ok {
+		return 0, false
+	}
+	params := core.Params{
+		P:         p,
+		V:         v,
+		W:         32,
+		ClockTau4: core.DefaultClockTau4,
+		Range:     core.RangePC,
+	}
+	// Only the depth is retained, so a local Packer's aliased result is
+	// fine — no clone, no per-stage allocations.
+	var pk core.Packer
+	pl, err := pk.Design(fc, params, core.DefaultSpecOptions())
+	if err != nil {
+		return 0, false
+	}
+	return pl.Depth(), true
+}
+
 // DelayModel evaluates the paper's delay model at the scenario's
 // topology and router parameters. It returns nil for single-cycle
 // router kinds (which the model does not describe) and for scenarios
@@ -50,27 +74,13 @@ func (s Scenario) DelayModel() *DelayModel {
 	if !ok {
 		return nil
 	}
-	fc, ok := flowControlOf(kind)
-	if !ok {
-		return nil
-	}
 	topo, err := topology.New(s.Topology, s.K)
 	if err != nil || s.VCs < 1 {
 		return nil
 	}
-	params := core.Params{
-		P:         topo.Ports(),
-		V:         s.VCs,
-		W:         32,
-		ClockTau4: core.DefaultClockTau4,
-		Range:     core.RangePC,
-	}
-	// Only the depth is retained, so a local Packer's aliased result is
-	// fine — no clone, no per-stage allocations.
-	var pk core.Packer
-	pl, err := pk.Design(fc, params, core.DefaultSpecOptions())
-	if err != nil {
+	stages, ok := modelStages(kind, topo.Ports(), s.VCs)
+	if !ok {
 		return nil
 	}
-	return &DelayModel{Ports: params.P, VCs: params.V, Stages: pl.Depth()}
+	return &DelayModel{Ports: topo.Ports(), VCs: s.VCs, Stages: stages}
 }

@@ -80,6 +80,16 @@ type Scenario struct {
 	Load float64 `json:"load"`
 }
 
+// RouterNames lists the canonical name of every router kind, comma
+// separated, for flag help and error messages.
+func RouterNames() string {
+	var names []string
+	for _, k := range router.Kinds() {
+		names = append(names, k.String())
+	}
+	return strings.Join(names, ", ")
+}
+
 // Matrix is a declarative scenario matrix: the cross product of every
 // axis. Empty axes take the paper's defaults (see Normalize). Expansion
 // order is fixed — routers outermost, loads innermost — so job indices,
@@ -274,7 +284,10 @@ func (s Scenario) canonical() Scenario {
 	if s.CreditDelay == 0 {
 		s.CreditDelay = 1
 	}
+	// An alias ("specvc", "wh") becomes the kind's one canonical name, so
+	// equivalent spellings share a job, a label and a checkpoint key.
 	if kind, ok := router.ParseKind(s.Router); ok {
+		s.Router = kind.String()
 		rc := router.DefaultConfig(kind)
 		if s.VCs == 0 {
 			s.VCs = rc.VCs
@@ -390,7 +403,7 @@ func (s Scenario) SimConfig(seed uint64, pr Protocol) (sim.Config, error) {
 	s = s.canonical()
 	kind, ok := router.ParseKind(s.Router)
 	if !ok {
-		return sim.Config{}, fmt.Errorf("unknown router kind %q", s.Router)
+		return sim.Config{}, fmt.Errorf("unknown router kind %q (have %s)", s.Router, RouterNames())
 	}
 	if s.VCs > 1 && !kind.UsesVCs() {
 		// canonical pins matrix-expanded scenarios to 1 VC; a

@@ -4,9 +4,22 @@
 // router, and the idealized single-cycle ("unit latency") routers used as
 // the comparison baseline in Figure 17.
 //
-// Pipeline semantics are registered: a flit advances at most one stage
-// per cycle. Credits are consumed at switch allocation, returned when a
-// flit is read out of the downstream input buffer, and pass through a
+// A router is its assignment of routing (RC), VC allocation (VA), switch
+// allocation (SA) and switch traversal (ST) to cycles (Figure 4). That
+// assignment is data: the kinds table below has one row per Kind — its
+// names, whether it keeps per-VC state or holds output ports per packet,
+// whether heads bid for the switch speculatively, and how many pipeline
+// registers separate RC→VA, VA→SA and SA→ST — and one stepper (Compute,
+// pipeline.go) reads the row. A flit crosses a register by waiting until
+// readyAt = now + that gap. Pipeline depth is derived from the row
+// (Kind.Stages), never stated. Figure 4c's speculation is the spec
+// column: the datapath keeps its VA→SA register (a head whose
+// speculation fails bids again, non-speculatively, the cycle after it
+// wins VA), but a head's switch request is issued in its VA cycle and
+// used if VA succeeds, so the register drops out of the head's depth.
+//
+// Credits are consumed at switch allocation, returned when a flit is
+// read out of the downstream input buffer, and pass through a
 // credit-processing pipeline of depth max(0, stages−2) on receipt, which
 // reproduces the paper's buffer-turnaround times of 4 (wormhole),
 // 5 (virtual-channel), 4 (speculative) and 2 (single-cycle) cycles.
@@ -40,63 +53,79 @@ const (
 	SingleCycleVC
 )
 
+// plan is a kind's stage plan: what the stepper reads.
+type plan struct {
+	// vcs: per-VC input state, a VC allocator and a per-flit switch
+	// allocator. Without it the kind is wormhole: one VC per port, and
+	// the output port, once won, is held until the tail departs, so
+	// flits behind the head need no switch arbitration.
+	vcs bool
+	// spec: a head waiting for an output VC also bids for the switch in
+	// that cycle; the passage is used only if VC allocation succeeds.
+	// It skips the VA→SA register, so it needs vcs and vasa > 0.
+	spec bool
+	// Pipeline registers (0 or 1) between routing and VC allocation (or
+	// port arbitration), between that and switch allocation, and between
+	// switch allocation and crossbar traversal.
+	rcva, vasa, sast int64
+}
+
+// kinds is the kind table, indexed by Kind. The first name is canonical.
+var kinds = [...]struct {
+	names []string
+	plan
+}{
+	Wormhole:            {[]string{"wormhole", "wh"}, plan{rcva: 1, sast: 1}},
+	VirtualChannel:      {[]string{"vc", "virtual-channel"}, plan{vcs: true, rcva: 1, vasa: 1, sast: 1}},
+	SpeculativeVC:       {[]string{"spec-vc", "specvc"}, plan{vcs: true, spec: true, rcva: 1, vasa: 1, sast: 1}},
+	SingleCycleWormhole: {[]string{"wormhole-1cycle", "wh-1cycle"}, plan{}},
+	SingleCycleVC:       {[]string{"vc-1cycle"}, plan{vcs: true}},
+}
+
+func (k Kind) valid() bool { return k >= 0 && int(k) < len(kinds) }
+
 func (k Kind) String() string {
-	switch k {
-	case Wormhole:
-		return "wormhole"
-	case VirtualChannel:
-		return "vc"
-	case SpeculativeVC:
-		return "spec-vc"
-	case SingleCycleWormhole:
-		return "wormhole-1cycle"
-	case SingleCycleVC:
-		return "vc-1cycle"
-	default:
+	if !k.valid() {
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
+	return kinds[k].names[0]
 }
 
 // ParseKind resolves a router kind from its canonical name (the String
-// form) or the common aliases used by the CLIs ("specvc", "vc-1cycle").
+// form) or the common aliases used by the CLIs ("specvc", "wh").
 func ParseKind(s string) (Kind, bool) {
-	switch s {
-	case "wormhole", "wh":
-		return Wormhole, true
-	case "vc", "virtual-channel":
-		return VirtualChannel, true
-	case "spec-vc", "specvc":
-		return SpeculativeVC, true
-	case "wormhole-1cycle", "wh-1cycle":
-		return SingleCycleWormhole, true
-	case "vc-1cycle":
-		return SingleCycleVC, true
-	default:
-		return 0, false
+	for k := range kinds {
+		for _, name := range kinds[k].names {
+			if s == name {
+				return Kind(k), true
+			}
+		}
 	}
+	return 0, false
 }
 
 // Kinds lists every simulated router microarchitecture.
 func Kinds() []Kind {
-	return []Kind{Wormhole, VirtualChannel, SpeculativeVC, SingleCycleWormhole, SingleCycleVC}
+	out := make([]Kind, len(kinds))
+	for k := range out {
+		out[k] = Kind(k)
+	}
+	return out
 }
 
-// Stages returns the router pipeline depth in cycles.
+// Stages returns the router pipeline depth in cycles a head flit sees:
+// one for routing plus one per register of the kind's plan, where a
+// speculating head skips the VC-to-switch-allocation register.
 func (k Kind) Stages() int {
-	switch k {
-	case Wormhole, SpeculativeVC:
-		return 3
-	case VirtualChannel:
-		return 4
-	default:
-		return 1
+	pl := kinds[k].plan
+	if pl.spec {
+		pl.vasa = 0
 	}
+	return int(1 + pl.rcva + pl.vasa + pl.sast)
 }
 
 // UsesVCs reports whether the microarchitecture has per-VC input state.
-func (k Kind) UsesVCs() bool {
-	return k == VirtualChannel || k == SpeculativeVC || k == SingleCycleVC
-}
+func (k Kind) UsesVCs() bool { return kinds[k].vcs }
 
 // Config parameterizes one router instance.
 type Config struct {
@@ -143,6 +172,9 @@ func DefaultConfig(k Kind) Config {
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
+	if !c.Kind.valid() {
+		return fmt.Errorf("router: unknown kind %v", c.Kind)
+	}
 	if c.Ports < 2 || c.Ports > 64 {
 		// The allocation stages track port occupancy in a 64-bit mask.
 		return fmt.Errorf("router: %d ports; need 2..64", c.Ports)

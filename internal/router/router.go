@@ -170,7 +170,12 @@ type Router struct {
 	// never oblige a router to act — see the scheduler's wake rules.)
 	flitPushes uint64
 
-	// allocators (which are instantiated depends on Kind)
+	// plan is the kind's row of the kinds table: which stages the
+	// stepper runs and the registers between them (see Compute).
+	plan plan
+
+	// allocators: whArb for port-held kinds; vcAlloc plus swAlloc or
+	// (speculating kinds) specAlloc for VC kinds
 	whArb     *allocator.WormholeSwitch
 	swAlloc   *allocator.SeparableSwitch
 	vcAlloc   *allocator.VCAllocator
@@ -181,13 +186,13 @@ type Router struct {
 	pending []stGrant
 	next    []stGrant
 
-	// scratch request buffers, reused across cycles
-	portReqs    []allocator.PortRequest
-	swReqs      []allocator.SwitchRequest
-	specReqs    []allocator.SwitchRequest
-	vaReqs      []allocator.VCRequest
-	vaGrantThis []int8 // per input-VC flat index: outVC granted this cycle, -1 otherwise
-	whReleases  []int  // wormhole port releases registered this cycle
+	// scratch request buffers, reused across cycles; New makes only the
+	// ones the plan uses
+	portReqs   []allocator.PortRequest
+	swReqs     []allocator.SwitchRequest
+	specReqs   []allocator.SwitchRequest
+	vaReqs     []allocator.VCRequest
+	whReleases []int // wormhole port releases registered this cycle
 }
 
 // New returns a router. Routing has one seam, the RoutingPolicy
@@ -233,28 +238,30 @@ func New(id int, cfg Config, routes []uint8) *Router {
 	r.creditLag = int64(cfg.CreditProcessDelay())
 	r.out[0].ejection = true
 
+	// Allocators and scratch follow the plan; scratch is preallocated to
+	// its worst-case size so the steady-state cycle never grows a slice.
+	r.plan = kinds[cfg.Kind].plan
 	f := cfg.Arb // nil: the allocators' own matrix arbiter banks
-	switch cfg.Kind {
-	case Wormhole, SingleCycleWormhole:
+	if r.plan.vcs {
+		r.vcAlloc = allocator.NewVCAllocator(p, v, f)
+		r.vaReqs = make([]allocator.VCRequest, 0, p*v)
+		r.swReqs = make([]allocator.SwitchRequest, 0, p*v)
+		if r.plan.spec {
+			r.specAlloc = allocator.NewSpeculativeSwitch(p, v, f)
+			r.specAlloc.PrioritizeNonSpec = cfg.SpecPriority
+			r.specReqs = make([]allocator.SwitchRequest, 0, p*v)
+		} else {
+			r.swAlloc = allocator.NewSeparableSwitch(p, v, f)
+		}
+	} else {
 		r.whArb = allocator.NewWormholeSwitch(p, f)
-	case VirtualChannel, SingleCycleVC:
-		r.swAlloc = allocator.NewSeparableSwitch(p, v, f)
-		r.vcAlloc = allocator.NewVCAllocator(p, v, f)
-	case SpeculativeVC:
-		r.vcAlloc = allocator.NewVCAllocator(p, v, f)
-		r.specAlloc = allocator.NewSpeculativeSwitch(p, v, f)
-		r.specAlloc.PrioritizeNonSpec = cfg.SpecPriority
+		r.portReqs = make([]allocator.PortRequest, 0, p)
+		r.whReleases = make([]int, 0, p)
 	}
-	r.vaGrantThis = make([]int8, p*v)
-	// Preallocate the scratch buffers to their worst-case sizes so the
-	// steady-state cycle never grows a slice.
-	r.pending = make([]stGrant, 0, p)
-	r.next = make([]stGrant, 0, p)
-	r.portReqs = make([]allocator.PortRequest, 0, p)
-	r.swReqs = make([]allocator.SwitchRequest, 0, p*v)
-	r.specReqs = make([]allocator.SwitchRequest, 0, p*v)
-	r.vaReqs = make([]allocator.VCRequest, 0, p*v)
-	r.whReleases = make([]int, 0, p)
+	if r.plan.sast > 0 {
+		r.pending = make([]stGrant, 0, p)
+		r.next = make([]stGrant, 0, p)
+	}
 	return r
 }
 
@@ -498,31 +505,6 @@ func (r *Router) Deliver(now int64) {
 	}
 }
 
-// Compute executes last cycle's latched traversals and this cycle's
-// routing and allocation stages. It only pushes onto the router's
-// output wires and touches router-local state, so all routers' Compute
-// phases may run concurrently (after every Deliver has finished).
-func (r *Router) Compute(now int64) {
-	r.pending, r.next = r.next, r.pending[:0]
-
-	switch r.cfg.Kind {
-	case Wormhole:
-		r.traverseWormholeGrants(now)
-		r.allocWormhole(now)
-		r.applyWormholeReleases()
-	case VirtualChannel:
-		r.traversePending(now)
-		r.allocVC(now)
-	case SpeculativeVC:
-		r.traversePending(now)
-		r.allocSpec(now)
-	case SingleCycleWormhole:
-		r.stepSingleCycleWH(now)
-	case SingleCycleVC:
-		r.stepSingleCycleVC(now)
-	}
-}
-
 func (r *Router) enqueue(port int, f flit.Flit, now int64) {
 	if int(f.VC) >= len(r.in[port].vcs) {
 		panic(fmt.Sprintf("router %d: flit arrived on VC %d of port %d (only %d VCs)",
@@ -575,15 +557,15 @@ func (r *Router) send(in, vcIdx int, now int64) {
 		vc.state = vcIdle
 		vc.outVC = -1
 		vc.readyAt = now
+		if !r.plan.vcs {
+			// A held output port is freed only "when the tail flit
+			// departs the input queue" (Section 3.1). The release
+			// updates the arbiter's status flip-flop at the end of the
+			// cycle (see Compute).
+			r.whReleases = append(r.whReleases, out)
+		}
 	}
 	r.syncOcc(in, vcIdx)
-}
-
-// traversePending executes last cycle's switch grants (VC-style routers).
-func (r *Router) traversePending(now int64) {
-	for _, g := range r.pending {
-		r.send(g.in, g.vc, now)
-	}
 }
 
 // routeHead performs the routing/decode stage for one idle input VC if
@@ -596,7 +578,7 @@ func (r *Router) routeHead(vc *inputVC, now int64) {
 	vc.route, vc.cands = r.policy.Route(r, hoq.Pkt, 0)
 	vc.attempts = 0
 	vc.state = vcWaitVC
-	vc.readyAt = now + 1
+	vc.readyAt = now + r.plan.rcva
 }
 
 // repick re-invokes an adaptive routing policy for a head still waiting
@@ -613,22 +595,6 @@ func (r *Router) repick(vc *inputVC) {
 	}
 }
 
-// routeHeads performs the routing/decode stage for every idle input VC.
-// Only occupied VCs (occ bitmask) are visited. (The speculative router
-// folds this pass into its allocation scan; see allocSpec.)
-func (r *Router) routeHeads(now int64) {
-	for pm := r.occPorts; pm != 0; pm &= pm - 1 {
-		in := bits.TrailingZeros64(pm)
-		for m := r.in[in].occ; m != 0; m &= m - 1 {
-			c := bits.TrailingZeros64(m)
-			vc := &r.in[in].vcs[c]
-			if vc.state == vcIdle {
-				r.routeHead(vc, now)
-			}
-		}
-	}
-}
-
 // hoqEligible returns the head-of-queue flit if it may traverse the
 // switch no earlier than next cycle (it was buffered before this cycle).
 func (vc *inputVC) hoqEligible(now int64) *flit.Flit {
@@ -639,11 +605,12 @@ func (vc *inputVC) hoqEligible(now int64) *flit.Flit {
 	return hoq
 }
 
-// grantSwitch consumes a credit (unless ejecting), latches the crossbar
-// traversal for next cycle, and — when the granted flit is the packet's
-// tail — releases the output VC at grant time, as the paper specifies
-// ("once it is granted crossbar passage, it informs the virtual-channel
-// allocator to release the reserved output VC").
+// grantSwitch consumes a credit (unless ejecting) and — when the
+// granted flit is the packet's tail — releases the output VC at grant
+// time, as the paper specifies ("once it is granted crossbar passage, it
+// informs the virtual-channel allocator to release the reserved output
+// VC"). The crossbar traversal is latched for next cycle, or happens now
+// when the plan has no register after switch allocation.
 func (r *Router) grantSwitch(in, vcIdx int, now int64) {
 	vc := &r.in[in].vcs[vcIdx]
 	op := &r.out[vc.route]
@@ -659,8 +626,12 @@ func (r *Router) grantSwitch(in, vcIdx int, now int64) {
 		// release happens when the tail actually traverses (send).
 		op.vcBusy &^= 1 << vc.outVC
 	}
-	r.next = append(r.next, stGrant{in: in, vc: vcIdx})
+	if r.plan.sast == 0 {
+		r.send(in, vcIdx, now)
+	} else {
+		r.next = append(r.next, stGrant{in: in, vc: vcIdx})
+	}
 	// Block further allocation actions for this VC until the traversal
 	// completes; body flits re-arm via vcActive state next cycle.
-	vc.readyAt = now + 1
+	vc.readyAt = now + r.plan.sast
 }

@@ -154,6 +154,69 @@ func TestSingleCycleTiming(t *testing.T) {
 	}
 }
 
+// TestHeadLatencyIsPlanDepth: on every kind, the cycles a head spends in
+// the router are the depth derived from the kind's stage plan — nothing
+// else states 3/4/3/1/1. A head buffered at cycle 1 enters its first
+// stage at cycle 2, traverses the crossbar in its last, and spends one
+// more cycle on the wire.
+func TestHeadLatencyIsPlanDepth(t *testing.T) {
+	want := map[Kind]int{Wormhole: 3, VirtualChannel: 4, SpeculativeVC: 3, SingleCycleWormhole: 1, SingleCycleVC: 1}
+	for _, kind := range Kinds() {
+		if kind.Stages() != want[kind] {
+			t.Errorf("%v: plan derives %d stages, want %d", kind, kind.Stages(), want[kind])
+		}
+		g := newRig(DefaultConfig(kind))
+		pushAll(g, g.packet(1, 99), 0)
+		g.run(12)
+		if len(g.arrivals) != 1 {
+			t.Fatalf("%v: %d flits delivered, want 1", kind, len(g.arrivals))
+		}
+		if got := int(g.arrivals[0].at) - 2; got != kind.Stages() {
+			t.Errorf("%v: head spent %d cycles in the router, plan depth is %d", kind, got, kind.Stages())
+		}
+	}
+}
+
+// TestNoDepartureWithoutCredit: on every kind, an output whose
+// downstream buffers are full passes nothing and its credit counters
+// stay at zero; one returned credit lets exactly one flit go. Granting a
+// passage with no credit is a state-machine bug, and panics.
+func TestNoDepartureWithoutCredit(t *testing.T) {
+	for _, kind := range Kinds() {
+		cfg := DefaultConfig(kind)
+		g := newRig(cfg)
+		for c := range g.r.out[1].credits {
+			g.r.out[1].credits[c] = 0
+		}
+		pushAll(g, g.packet(3, 99), 0)
+		g.run(12)
+		if len(g.arrivals) != 0 || g.r.BufferedFlits(0, 0) != 3 {
+			t.Fatalf("%v: %d flits departed with no credits, %d still buffered", kind, len(g.arrivals), g.r.BufferedFlits(0, 0))
+		}
+		for c := 0; c < cfg.VCs; c++ {
+			if got := g.r.Credits(1, c); got != 0 {
+				t.Errorf("%v: credit counter of VC %d is %d, want 0", kind, c, got)
+			}
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%v: granting a passage without a credit did not panic", kind)
+				}
+			}()
+			g.r.grantSwitch(0, 0, g.now)
+		}()
+		vc := g.r.in[0].vcs[0].outVC
+		g.r.out[1].credits[vc] = 0 // undo the underflow the forced grant left
+		g.outCred.Push(g.now, Credit{VC: vc})
+		g.run(8)
+		if len(g.arrivals) != 1 || g.r.Credits(1, int(vc)) != 0 {
+			t.Errorf("%v: %d flits departed on one returned credit (counter now %d), want 1 and 0",
+				kind, len(g.arrivals), g.r.Credits(1, int(vc)))
+		}
+	}
+}
+
 // TestVCIDRewrittenOnDeparture: the switch-traversal stage must update
 // the flit's vcid field to the allocated output VC (Section 3.1).
 func TestVCIDRewrittenOnDeparture(t *testing.T) {
@@ -433,6 +496,9 @@ func TestKindStrings(t *testing.T) {
 		}
 		if k.Stages() < 1 {
 			t.Errorf("%v: %d stages", k, k.Stages())
+		}
+		if got, ok := ParseKind(k.String()); !ok || got != k {
+			t.Errorf("%v does not parse back to itself", k)
 		}
 	}
 }

@@ -131,6 +131,9 @@ func TopologyByName(spec string, k int) (Topology, error) { return topology.New(
 // ParseRouterKind resolves a router kind from its name.
 func ParseRouterKind(s string) (RouterKind, bool) { return router.ParseKind(s) }
 
+// RouterNames lists the canonical router kind names, comma separated.
+func RouterNames() string { return harness.RouterNames() }
+
 // ---------------------------------------------------------------------
 // Experiment harness
 // ---------------------------------------------------------------------
