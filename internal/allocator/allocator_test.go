@@ -317,12 +317,6 @@ func TestVCAllocatorGrantUniqueOutVC(t *testing.T) {
 	}
 }
 
-func TestPopcountCandidates(t *testing.T) {
-	if PopcountCandidates(0b0101) != 2 {
-		t.Fatal("popcount wrong")
-	}
-}
-
 func TestSpeculativeNonSpecPriorityOnOutput(t *testing.T) {
 	s := NewSpeculativeSwitch(5, 2, nil)
 	ns := []SwitchRequest{{In: 0, VC: 0, Out: 3}}

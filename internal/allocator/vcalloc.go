@@ -2,7 +2,6 @@ package allocator
 
 import (
 	"fmt"
-	"math/bits"
 
 	"routersim/internal/arbiter"
 )
@@ -143,6 +142,3 @@ func mask64(n int) uint64 {
 	}
 	return (uint64(1) << n) - 1
 }
-
-// PopcountCandidates reports the number of candidate VCs in a mask.
-func PopcountCandidates(m uint64) int { return bits.OnesCount64(m) }

@@ -201,6 +201,42 @@ func TestStoreTruncatedEntry(t *testing.T) {
 	}
 }
 
+// TestStoreGetCases: the entry shapes at the edges of Get's read path
+// agree with os.ReadFile + Decode, including an entry larger than the
+// read buffer; a directory at the entry path is an I/O error, not
+// corruption, and a missing entry is a quiet miss.
+func TestStoreGetCases(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid := Encode([]byte("the quick brown fox"))
+	for name, data := range map[string][]byte{
+		"empty file":        {},
+		"header only":       valid[:headerSize],
+		"one trailing byte": append(append([]byte{}, valid...), 0),
+		"64 KiB payload":    Encode(bytes.Repeat([]byte{0x5A}, 64<<10)),
+	} {
+		t.Run(name, func(t *testing.T) { getMatchesReference(t, s, Key([]byte(name)), data) })
+	}
+
+	dirKey := Key([]byte("directory"))
+	if err := os.Mkdir(s.path(dirKey), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	q := s.Quarantined()
+	if _, ok, err := s.Get(dirKey); ok || err == nil {
+		t.Errorf("Get of a directory = ok=%v err=%v, want an error", ok, err)
+	}
+	if fi, err := os.Stat(s.path(dirKey)); err != nil || !fi.IsDir() || s.Quarantined() != q {
+		t.Errorf("Get of a directory quarantined it (stat %v, count %d → %d)", err, q, s.Quarantined())
+	}
+
+	if _, ok, err := s.Get(Key([]byte("missing"))); ok || err != nil || s.Quarantined() != q {
+		t.Errorf("Get of a missing entry = ok=%v err=%v, quarantined %d → %d, want a quiet miss", ok, err, q, s.Quarantined())
+	}
+}
+
 func TestOpenCreatesDir(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "a", "b")
 	s, err := Open(dir)

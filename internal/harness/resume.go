@@ -64,14 +64,16 @@ func RunResumable(m Matrix, opts Options, store *checkpoint.Store) ([]JobResult,
 	results := make([]JobResult, len(scenarios))
 	keys := make([][32]byte, len(scenarios))
 	ready := make([]bool, len(scenarios))
-	loaded := 0
 	prJSON := protocolJSON(opts.Protocol)
-	for i, sc := range scenarios {
+	// Loading is read-only per job, so it runs on the same pool as the
+	// jobs; index i writes only keys[i], results[i] and ready[i].
+	pool.Run(len(scenarios), opts.Workers, func(i int) {
+		sc := scenarios[i]
 		seed := rng.Derive(opts.Seed, uint64(i))
 		keys[i] = jobKey(sc, seed, prJSON)
 		payload, ok, err := store.Get(keys[i])
 		if err != nil || !ok {
-			continue // miss, quarantined, or unreadable: run the job
+			return // miss, quarantined, or unreadable: run the job
 		}
 		var jr JobResult
 		// Trust but verify: an entry must be in the layout this engine
@@ -80,17 +82,19 @@ func RunResumable(m Matrix, opts Options, store *checkpoint.Store) ([]JobResult,
 		// job re-runs.
 		if !decodeJobResult(payload, &jr) || jr.Error != "" || jr.Result == nil ||
 			jr.Seed != seed || jr.Scenario != sc {
-			continue
+			return
 		}
 		jr.Index = i
 		results[i] = jr
 		ready[i] = true
-		loaded++
-	}
+	})
 
+	loaded := 0
 	var pending []int
 	for i := range scenarios {
-		if !ready[i] {
+		if ready[i] {
+			loaded++
+		} else {
 			pending = append(pending, i)
 		}
 	}

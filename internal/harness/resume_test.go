@@ -2,7 +2,10 @@ package harness
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -79,30 +82,35 @@ func TestResumeIdentity(t *testing.T) {
 		}
 
 		// Interrupt simulation: drop some persisted entries, resume, and
-		// check that only the dropped jobs re-run and the bytes still match.
-		removed := removeSomeEntries(t, store.Dir(), 2)
-		var ran int
-		var mu sync.Mutex
-		o.OnResult = nil
-		o.Progress = func(done, total int, r JobResult) { mu.Lock(); ran++; mu.Unlock() }
+		// check that only the dropped jobs re-run, that OnResult still
+		// streams in index order, and that the bytes still match.
+		index := entryIndex(m, o)
+		want := map[int]bool{}
+		for _, name := range removeSomeEntries(t, store.Dir(), 2) {
+			want[index[name]] = true
+		}
+		streamed = nil
+		ran := ranJobs(&o)
 		resumed, err := RunResumable(m, o, store)
 		if err != nil {
 			t.Fatalf("workers=%d resume: %v", workers, err)
 		}
-		if ran != removed {
-			t.Errorf("workers=%d: resume ran %d jobs, want %d (the interrupted remainder)", workers, ran, removed)
+		if !maps.Equal(ran, want) {
+			t.Errorf("workers=%d: resume ran jobs %v, want %v (the interrupted remainder)", workers, ran, want)
 		}
 		gotJSON, gotCSV = render(t, resumed)
 		if !bytes.Equal(gotJSON, wantJSON) || !bytes.Equal(gotCSV, wantCSV) {
 			t.Fatalf("workers=%d: resumed output diverges from uninterrupted run", workers)
 		}
+		if sj, _ := render(t, streamed); !bytes.Equal(sj, wantJSON) {
+			t.Fatalf("workers=%d: resumed OnResult stream is not the results in index order", workers)
+		}
 	}
 }
 
 // removeSomeEntries deletes n checkpoint entries from dir, simulating
-// a sweep killed before those jobs persisted. Returns how many it
-// removed.
-func removeSomeEntries(t *testing.T, dir string, n int) int {
+// a sweep killed before those jobs persisted, and returns their names.
+func removeSomeEntries(t *testing.T, dir string, n int) []string {
 	t.Helper()
 	names := entryNames(t, dir)
 	if len(names) < n {
@@ -113,7 +121,32 @@ func removeSomeEntries(t *testing.T, dir string, n int) int {
 			t.Fatal(err)
 		}
 	}
-	return n
+	return names[:n]
+}
+
+// entryIndex maps each job's checkpoint entry name to the job's index.
+func entryIndex(m Matrix, opts Options) map[string]int {
+	prJSON := protocolJSON(opts.Protocol)
+	index := make(map[string]int)
+	for i, sc := range m.Expand() {
+		key := jobKey(sc, rng.Derive(opts.Seed, uint64(i)), prJSON)
+		index[hex.EncodeToString(key[:])+".ck"] = i
+	}
+	return index
+}
+
+// ranJobs sets o.Progress to record the index of every job that ran
+// (the harness reports no loaded job) and returns the record; read it
+// after RunResumable returns.
+func ranJobs(o *Options) map[int]bool {
+	var mu sync.Mutex
+	ran := map[int]bool{}
+	o.Progress = func(_, _ int, r JobResult) {
+		mu.Lock()
+		defer mu.Unlock()
+		ran[r.Index] = true
+	}
+	return ran
 }
 
 func entryNames(t testing.TB, dir string) []string {
@@ -457,68 +490,104 @@ func TestResumeStoreV1(t *testing.T) {
 	}
 }
 
-// TestResumeMissRule: an entry whose checksum holds but whose payload
-// is not the bytes this engine serializes for that job is a miss — the
-// job re-runs, nothing is quarantined (the file is intact), and the
-// output equals the clean run's.
+// TestResumeMissRule: a resume over a store that mixes hits with every
+// kind of miss loads exactly the hits, at any worker count. An entry
+// whose checksum holds but whose payload is not the bytes this engine
+// serializes for that job (re-indented JSON, another job's payload, a
+// null result) is a miss: the job re-runs and nothing is quarantined,
+// since the file is intact. A missing entry re-runs; a corrupt one is
+// quarantined and re-runs. Output, quarantine count and the OnResult
+// stream equal the clean run's at every worker count.
 func TestResumeMissRule(t *testing.T) {
-	reindent := func(payload, _ []byte) []byte {
+	reindent := func(payload []byte) []byte {
 		var b bytes.Buffer
 		if err := json.Indent(&b, payload, "", "  "); err != nil {
 			t.Fatal(err)
 		}
 		return b.Bytes()
 	}
-	for name, rewrite := range map[string]func(payload, other []byte) []byte{
-		"re-indented JSON":      reindent,
-		"another job's payload": func(_, other []byte) []byte { return other },
-		"null result": func(payload, _ []byte) []byte {
-			i, j := bytes.Index(payload, []byte(`"result":{`)), bytes.Index(payload, []byte(`,"delay_model"`))
-			return append(append(append([]byte(nil), payload[:i]...), `"result":null`...), payload[j:]...)
-		},
-	} {
+	nullResult := func(payload []byte) []byte {
+		i, j := bytes.Index(payload, []byte(`"result":{`)), bytes.Index(payload, []byte(`,"delay_model"`))
+		return append(append(append([]byte(nil), payload[:i]...), `"result":null`...), payload[j:]...)
+	}
+	index := entryIndex(storeV1Matrix(), storeV1Options())
+	for _, workers := range []int{1, 2, 8} {
 		store, wantJSON, wantCSV := copyStoreV1(t)
 		names := entryNames(t, store.Dir())
+		path := func(name string) string { return filepath.Join(store.Dir(), name) }
 		read := func(name string) []byte {
-			b, err := os.ReadFile(filepath.Join(store.Dir(), name))
+			b, err := os.ReadFile(path(name))
 			if err != nil {
 				t.Fatal(err)
 			}
-			payload, err := checkpoint.Decode(b)
+			return b
+		}
+		payload := func(name string) []byte {
+			p, err := checkpoint.Decode(read(name))
 			if err != nil {
 				t.Fatal(err)
 			}
-			return payload
+			return p
 		}
-		bad := rewrite(read(names[3]), read(names[7]))
-		var probe JobResult
-		if err := json.Unmarshal(bad, &probe); err != nil {
-			t.Fatalf("%s: the rewritten payload must stay valid JSON: %v", name, err)
+		write := func(name string, entry []byte) {
+			if err := os.WriteFile(path(name), entry, 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := os.WriteFile(filepath.Join(store.Dir(), names[3]), checkpoint.Encode(bad), 0o644); err != nil {
+		for name, bad := range map[string][]byte{
+			names[2]: reindent(payload(names[2])),
+			names[3]: payload(names[7]),
+			names[5]: nullResult(payload(names[5])),
+		} {
+			var probe JobResult
+			if err := json.Unmarshal(bad, &probe); err != nil {
+				t.Fatalf("the rewritten payload must stay valid JSON: %v", err)
+			}
+			write(name, checkpoint.Encode(bad))
+		}
+		corrupt := read(names[9])
+		corrupt[len(corrupt)-1] ^= 0xff
+		write(names[9], corrupt)
+		if err := os.Remove(path(names[11])); err != nil {
 			t.Fatal(err)
 		}
+		missed := []string{names[2], names[3], names[5], names[9], names[11]}
+		want := map[int]bool{}
+		for _, name := range missed {
+			want[index[name]] = true
+		}
+
 		opts := storeV1Options()
-		ran := 0
-		opts.Progress = func(int, int, JobResult) { ran++ }
+		opts.Workers = workers
+		ran := ranJobs(&opts)
+		var streamed []JobResult
+		opts.OnResult = func(r JobResult) { streamed = append(streamed, r) }
 		results, err := RunResumable(storeV1Matrix(), opts, store)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ran != 1 {
-			t.Errorf("%s: resume ran %d jobs, want 1 (the rewritten entry's)", name, ran)
+		if !maps.Equal(ran, want) {
+			t.Errorf("workers=%d: resume ran jobs %v, want %v", workers, ran, want)
 		}
-		if n := store.Quarantined(); n != 0 {
-			t.Errorf("%s: %d entries quarantined; a valid checksum is not corruption", name, n)
+		if n := store.Quarantined(); n != 1 {
+			t.Errorf("workers=%d: %d entries quarantined, want 1 (the corrupt one); a valid checksum is not corruption", workers, n)
 		}
 		gotJSON, gotCSV := render(t, results)
 		if !bytes.Equal(gotJSON, wantJSON) || !bytes.Equal(gotCSV, wantCSV) {
-			t.Errorf("%s: output diverges from the clean run", name)
+			t.Errorf("workers=%d: output diverges from the clean run", workers)
 		}
-		// The re-run job overwrote the entry with the engine's bytes.
-		var jr JobResult
-		if !decodeJobResult(read(names[3]), &jr) {
-			t.Errorf("%s: the re-run did not restore the entry", name)
+		if sj, _ := render(t, streamed); !bytes.Equal(sj, wantJSON) {
+			t.Errorf("workers=%d: OnResult stream is not the results in index order", workers)
+		}
+		// Every re-run job restored its entry with the engine's bytes.
+		for _, name := range missed {
+			entry, err := os.ReadFile(filepath.Join("testdata/store-v1", name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(read(name), entry) {
+				t.Errorf("workers=%d: the re-run did not restore entry %s", workers, name)
+			}
 		}
 	}
 }
@@ -526,24 +595,30 @@ func TestResumeMissRule(t *testing.T) {
 // BenchmarkResumeLoad times the read side of a resumed sweep: one op
 // is a fully cached RunResumable over the checked-in twelve-entry
 // store (key, read, checksum, decode and verify per job; no
-// simulation, no output), reported per loaded job.
+// simulation, no output), reported per loaded job, with the load on
+// one worker and on two.
 func BenchmarkResumeLoad(b *testing.B) {
-	store, _, _ := copyStoreV1(b)
-	m, opts := storeV1Matrix(), storeV1Options()
-	opts.Progress = func(int, int, JobResult) { b.Fatal("a job ran instead of loading") }
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	b.ResetTimer()
-	jobs := 0
-	for i := 0; i < b.N; i++ {
-		results, err := RunResumable(m, opts, store)
-		if err != nil {
-			b.Fatal(err)
-		}
-		jobs += len(results)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			store, _, _ := copyStoreV1(b)
+			m, opts := storeV1Matrix(), storeV1Options()
+			opts.Workers = workers
+			opts.Progress = func(int, int, JobResult) { b.Error("a job ran instead of loading") }
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			jobs := 0
+			for i := 0; i < b.N; i++ {
+				results, err := RunResumable(m, opts, store)
+				if err != nil {
+					b.Fatal(err)
+				}
+				jobs += len(results)
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(jobs), "ns/job")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(jobs), "B/job")
+		})
 	}
-	b.StopTimer()
-	runtime.ReadMemStats(&after)
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(jobs), "ns/job")
-	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(jobs), "B/job")
 }
