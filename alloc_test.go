@@ -87,10 +87,10 @@ func TestNetworkStepZeroAllocLowLoad(t *testing.T) {
 // TestNetworkStepZeroAllocSharded extends the invariant to the sharded
 // engine's steady state: per-shard packet pools stay balanced (a
 // finished packet returns to its source's shard), the boundary
-// outbox/inbox rings and replay buffers are presized and compacted in
+// outbox/inbox rings are presized, the replay buffers are compacted in
 // place, and the barrier posts wakes through prebuilt closures — so a
 // steady-state sharded Step, barriers included, performs zero heap
-// allocations, matching the serial engine's gate above.
+// allocations, matching the one-shard gate above.
 func TestNetworkStepZeroAllocSharded(t *testing.T) {
 	rc := router.DefaultConfig(router.SpeculativeVC)
 	cfg := network.Config{

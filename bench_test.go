@@ -332,8 +332,8 @@ func benchCycles(b *testing.B, cfg network.Config, warm int64) {
 	}
 }
 
-// BenchmarkNetworkCycle measures whole-network cycle cost (64 routers)
-// at a moderate load — the simulator's inner loop.
+// BenchmarkNetworkCycle measures whole-network cycle cost (64 routers,
+// one shard) at a moderate load — the simulator's inner loop.
 func BenchmarkNetworkCycle(b *testing.B) {
 	rc := router.DefaultConfig(router.SpeculativeVC)
 	benchCycles(b, network.Config{K: 8, Router: rc, Seed: 1, InjectionRate: 0.4 * 0.5 / 5}, 2000)
@@ -342,8 +342,9 @@ func BenchmarkNetworkCycle(b *testing.B) {
 // BenchmarkNetworkCycleAudit is the same network with the invariant
 // auditor firing every 100 cycles — the amortized cost of a
 // self-checking run. The audit-off benchmark above must stay at
-// 0 allocs/op: with auditing disabled the only hot-path residue is
-// two int64 counter increments.
+// 0 allocs/op: with auditing disabled the only hot-path residue is the
+// shard's two flit counters, bumped once per injected and per ejected
+// flit.
 func BenchmarkNetworkCycleAudit(b *testing.B) {
 	rc := router.DefaultConfig(router.SpeculativeVC)
 	benchCycles(b, network.Config{K: 8, Router: rc, Seed: 1, InjectionRate: 0.4 * 0.5 / 5, Audit: 100}, 2000)
@@ -368,16 +369,17 @@ func lowLoadCfg(tb testing.TB) network.Config {
 	}
 }
 
-// BenchmarkNetworkCycleLowLoad measures the active-set scheduler where
-// it matters: 1,024 routers, 5% load — only the few dozen routers with
+// BenchmarkNetworkCycleLowLoad measures the active-set worklists where
+// they matter: 1,024 routers, 5% load — only the few dozen routers with
 // in-flight work are visited.
 func BenchmarkNetworkCycleLowLoad(b *testing.B) {
 	benchCycles(b, lowLoadCfg(b), 4000)
 }
 
-// BenchmarkNetworkCycleLowLoadFullScan is the same network on the
-// legacy full-scan engine — the baseline the scheduler is measured
-// against (every cycle pays 1,024 idle checks and 1,024 source steps).
+// BenchmarkNetworkCycleLowLoadFullScan is the same network under the
+// scheduler's full-scan reference policy — the baseline the wake
+// worklists are measured against (every cycle pays 1,024 idle checks
+// and 1,024 source steps).
 func BenchmarkNetworkCycleLowLoadFullScan(b *testing.B) {
 	cfg := lowLoadCfg(b)
 	cfg.FullScan = true
@@ -421,8 +423,8 @@ func BenchmarkNetworkCycleSharded(b *testing.B) {
 	benchCycles(b, cfg, shardBenchWarm)
 }
 
-// BenchmarkNetworkCycleShardedBaseline is the identical network on the
-// single-range engine — the denominator of the scaling claim.
+// BenchmarkNetworkCycleShardedBaseline is the identical network as one
+// shard — the denominator of the scaling claim.
 func BenchmarkNetworkCycleShardedBaseline(b *testing.B) {
 	benchCycles(b, shardBenchCfg(b), shardBenchWarm)
 }
@@ -443,8 +445,8 @@ func BenchmarkNetworkCycleShardedLowLoad(b *testing.B) {
 // sim.Run on a 256-router mesh: at ~1 packet per source per 50,000
 // cycles the run is dominated by quiescent gaps, zero-load warm-up
 // idle, and the post-sample drain tail — exactly the spans the
-// active-set engine's NextDue fast-forward collapses to a handful of
-// stepped cycles.
+// scheduler's NextDue fast-forward collapses to a handful of stepped
+// cycles.
 func drainBench(b *testing.B, fullScan bool) {
 	b.Helper()
 	cfg := sim.Config{
@@ -473,7 +475,8 @@ func drainBench(b *testing.B, fullScan bool) {
 // drain-dominated run.
 func BenchmarkDrainTail(b *testing.B) { drainBench(b, false) }
 
-// BenchmarkDrainTailFullScan is the same run stepping every cycle.
+// BenchmarkDrainTailFullScan is the same run under the full-scan
+// policy, which steps every cycle.
 func BenchmarkDrainTailFullScan(b *testing.B) { drainBench(b, true) }
 
 // BenchmarkPipelineDesign measures the EQ-1 packer in its hot-sweep

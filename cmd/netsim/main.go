@@ -56,8 +56,8 @@ func main() {
 	routing := flag.String("routing", "", "routing policy: dor (default, the paper's deterministic dimension-order routing) or adaptive:minimal")
 	faults := flag.String("faults", "", "fault-injection spec, ';'-separated events: link:A-B@cycle=N, router:R@cycle=N, rand:links=K[,seed=S]@cycle=N, rand:routers=K[,seed=S]@cycle=N")
 	record := flag.String("record", "", "record the run's packet workload to this trace file (.jsonl/.json = JSONL, else binary)")
-	stepWorkers := flag.Int("step-workers", 0, "deterministic parallel stepper workers (0 or 1 = serial engine; results are identical for every value)")
-	shards := flag.Int("shards", 0, "lookahead-sharded engine shard count (0 or 1 = single-range engine; results are identical for every value)")
+	stepWorkers := flag.Int("step-workers", 0, "deterministic parallel stepper workers per shard (0 or 1 = none; results are identical for every value)")
+	shards := flag.Int("shards", 0, "lookahead-sharded engine shard count (0 or 1 = one shard; results are identical for every value)")
 	audit := flag.Int("audit", 0, "check engine conservation invariants every N cycles (0 = off; results are identical either way)")
 	warmup := flag.Int64("warmup", 10000, "warm-up cycles")
 	packets := flag.Int("packets", 20000, "tagged sample size")

@@ -13,22 +13,41 @@ import (
 // stack from inside network.New; the CLI must exit 1 with one line that
 // names the limit.
 func TestTooManyInputVCsExitsWithError(t *testing.T) {
+	expectOneLineError(t, "at most 64",
+		[]string{"-k", "4", "-vcs", "13"},
+		[]string{"-topo", "hypercube:64", "-vcs", "10"},
+		[]string{"-overrides", "0:vcs=33"},
+	)
+}
+
+// TestUnboundedCreditDelayExitsWithError: a credit delay past the
+// 1024-cycle cap used to presize credit wires until the process died
+// with a runtime out-of-memory fatal; the CLI must exit 1 with one line
+// that names the limit.
+func TestUnboundedCreditDelayExitsWithError(t *testing.T) {
+	expectOneLineError(t, "at most 1024",
+		[]string{"-credit-delay", "200000000", "-warmup", "10", "-packets", "10"},
+		[]string{"-credit-delay", "1025", "-probe-turnaround", "-warmup", "10", "-packets", "10"},
+	)
+}
+
+// expectOneLineError builds netsim and checks that each argument list
+// exits with status 1 and a single error line containing want.
+func expectOneLineError(t *testing.T, want string, argLists ...[]string) {
+	t.Helper()
 	bin := filepath.Join(t.TempDir(), "netsim")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	for _, args := range [][]string{
-		{"-k", "4", "-vcs", "13"},
-		{"-topo", "hypercube:64", "-vcs", "10"},
-		{"-overrides", "0:vcs=33"},
-	} {
+	for _, args := range argLists {
 		out, err := exec.Command(bin, args...).CombinedOutput()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
 			t.Errorf("netsim %v: %v, want exit status 1\n%s", args, err, out)
 		}
-		if s := string(out); !strings.Contains(s, "at most 64") || strings.Contains(s, "panic") || strings.Contains(s, "goroutine") {
-			t.Errorf("netsim %v: want one error naming the limit, got\n%s", args, s)
+		s := strings.TrimRight(string(out), "\n")
+		if !strings.Contains(s, want) || strings.Contains(s, "\n") || strings.Contains(s, "panic") || strings.Contains(s, "goroutine") {
+			t.Errorf("netsim %v: want one error line naming the limit, got\n%s", args, s)
 		}
 	}
 }

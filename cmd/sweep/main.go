@@ -61,8 +61,8 @@ func main() {
 	bufs := flag.String("bufs", "4", "comma-separated flit buffers per VC")
 	pktSizes := flag.String("packetsize", "5", "comma-separated packet sizes (flits)")
 	creditDelays := flag.String("credit-delays", "1", "comma-separated credit propagation delays (cycles)")
-	stepWorkers := flag.String("step-workers", "0", "comma-separated parallel-stepper worker counts (0/1 = serial engine; results are identical for every value)")
-	shards := flag.String("shards", "0", "comma-separated lookahead-shard counts (0/1 = single-range engine; results are identical for every value)")
+	stepWorkers := flag.String("step-workers", "0", "comma-separated parallel-stepper worker counts per shard (0/1 = none; results are identical for every value)")
+	shards := flag.String("shards", "0", "comma-separated lookahead-shard counts (0/1 = one shard; results are identical for every value)")
 	sources := flag.String("sources", "", "comma-separated injection processes: const, bernoulli, mmpp:on=X,off=Y, batch:size=N, trace:file=PATH (empty = const; a bare KEY=VALUE fragment continues the previous spec)")
 	sizes := flag.String("sizes", "", "comma-separated packet-size distributions: fixed:N, uniform:min=A,max=B, bimodal:small=S,large=L,p=P (empty = every packet is -packetsize flits)")
 	overrides := flag.String("overrides", "", "'|'-separated per-router override specs, each ';'-separated SEL:k=v groups, e.g. '0:vcs=4,buf=8;3-5:delay=2|*:buf=2' (empty list entry = uniform network)")

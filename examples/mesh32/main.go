@@ -1,8 +1,8 @@
 // Mesh32 example: the active-set scheduler at scale. A 32×32 mesh —
 // 1,024 routers, 16× the paper's evaluation network — runs a complete
 // low-load measurement (the regime of zero-load latency points and
-// sub-saturation probes) under both cycle engines and reports
-// wall-clock time. The engines are byte-identical in every result; the
+// sub-saturation probes) under both scheduling policies and reports
+// wall-clock time. The policies are byte-identical in every result; the
 // only difference is who gets visited each cycle: the full scan touches
 // all 1,024 routers and sources, the scheduler only the few hundred —
 // or few dozen — with in-flight work, and its quiescence fast-forward

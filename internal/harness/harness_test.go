@@ -211,6 +211,33 @@ func TestRunRecordsPerJobErrors(t *testing.T) {
 	}
 }
 
+// TestRunRecordsUnboundedDelayAsJobError: a credit delay past the
+// network's 1024-cycle cap used to kill the process with a runtime
+// out-of-memory fatal that panic isolation cannot catch, losing every
+// job of the sweep; it must fail its own job as an error row.
+func TestRunRecordsUnboundedDelayAsJobError(t *testing.T) {
+	m := Matrix{
+		Ks:           []int{4},
+		CreditDelays: []int{1, 200000000, 2},
+		Loads:        []float64{0.1},
+	}
+	results, err := Run(m, tinyOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 3 {
+		t.Fatalf("%d results, want 3", len(results))
+	}
+	for i, r := range results {
+		if bad := r.Scenario.CreditDelay > 1024; bad != (r.Error != "") || bad != (r.Result == nil) {
+			t.Errorf("job %d (credit delay %d): error %q, result %v", i, r.Scenario.CreditDelay, r.Error, r.Result != nil)
+		}
+	}
+	if !strings.Contains(results[1].Error, "at most 1024") {
+		t.Errorf("error row does not name the limit: %q", results[1].Error)
+	}
+}
+
 func TestRunEmptyMatrix(t *testing.T) {
 	if _, err := Run(Matrix{Loads: []float64{}, Routers: []string{}}.Normalize(), tinyOptions()); err != nil {
 		t.Errorf("normalized empty matrix should run defaults: %v", err)

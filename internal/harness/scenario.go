@@ -47,11 +47,11 @@ type Scenario struct {
 	// CreditDelay is the credit propagation delay in cycles.
 	CreditDelay int `json:"credit_delay"`
 	// StepWorkers selects the network's deterministic parallel stepper
-	// (0 or 1 = serial engine; > 1 = that many stepper workers). It is
+	// (0 or 1 = no stepper workers; > 1 = that many per shard). It is
 	// an execution axis: results are byte-identical for every value.
 	StepWorkers int `json:"step_workers"`
 	// Shards selects the network's lookahead-sharded engine (0 or 1 =
-	// single-range engines; > 1 = that many shards stepping windows
+	// one shard over every node; > 1 = that many shards stepping windows
 	// concurrently). Like StepWorkers it is an execution axis: results
 	// are byte-identical for every value, and the two compose.
 	Shards int `json:"shards"`

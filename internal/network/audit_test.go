@@ -1,6 +1,7 @@
 package network
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -64,40 +65,46 @@ func expectAuditPanic(t *testing.T, net *Network, from int64, want string) {
 	}
 }
 
+// corruptAndExpect steps a network at each shard count past warmup,
+// corrupts its state, and expects the next audit to abort with want.
+func corruptAndExpect(t *testing.T, corrupt func(*Network), want string) {
+	t.Helper()
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+			cfg := testConfig(router.SpeculativeVC, 0.4*0.5/5)
+			cfg.Audit = 8
+			cfg.Shards = shards
+			net, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer net.Close()
+			var now int64
+			for ; now < 200; now++ {
+				net.Step(now)
+			}
+			corrupt(net)
+			expectAuditPanic(t, net, now, want)
+		})
+	}
+}
+
 // TestAuditDetectsLeakedFlit corrupts the flit-conservation ledger (as
 // an engine that lost or duplicated a flit would) and expects the next
 // audit to abort with the conservation diagnostic.
 func TestAuditDetectsLeakedFlit(t *testing.T) {
-	cfg := testConfig(router.SpeculativeVC, 0.4*0.5/5)
-	cfg.Audit = 8
-	net, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var now int64
-	for ; now < 200; now++ {
-		net.Step(now)
-	}
-	net.auditInjected++ // one phantom flit that never entered the wires
-	expectAuditPanic(t, net, now, "flit conservation")
+	corruptAndExpect(t, func(net *Network) {
+		net.shards[len(net.shards)-1].injected++ // one phantom flit that never entered the wires
+	}, "flit conservation")
 }
 
 // TestAuditDetectsLostCredit steals one credit from a source (as a
 // flow-control bug dropping a credit on the floor would) and expects
 // the injection-channel credit loop to come up short.
 func TestAuditDetectsLostCredit(t *testing.T) {
-	cfg := testConfig(router.SpeculativeVC, 0.4*0.5/5)
-	cfg.Audit = 8
-	net, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var now int64
-	for ; now < 200; now++ {
-		net.Step(now)
-	}
-	net.sources[5].credits[0]--
-	expectAuditPanic(t, net, now, "injection channel")
+	corruptAndExpect(t, func(net *Network) {
+		net.sources[5].credits[0]--
+	}, "injection channel")
 }
 
 // TestAuditConfigValidation: negative intervals are rejected.

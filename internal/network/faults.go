@@ -24,10 +24,10 @@ import (
 // are masked out of the adaptive candidate sets, and destinations
 // severed from a source are marked with the router.Unroutable sentinel:
 // packets to them drain through the ejection port of the router that
-// discovered the partition and are counted, not delivered. Application
-// points are barrier-synchronized in every engine (serial, gang,
-// active-set, sharded), so a faulted run remains byte-identical across
-// engines and worker counts.
+// discovered the partition and are counted, not delivered. Faults apply
+// only between shard windows, with no shard running, so a faulted run
+// remains byte-identical across shard counts, worker counts and the
+// full-scan policy.
 
 // FaultEvent is one parsed entry of a fault plan. Exactly one of the
 // kinds is active: a named link (Link), a named router (Router >= 0), or

@@ -80,17 +80,19 @@ type Config struct {
 	// which wormhole flow control cannot provide.
 	Topo topology.Topology
 	// StepWorkers selects the deterministic parallel stepper: with a
-	// value > 1, Step runs the routers' deliver and compute phases on
-	// that many persistent workers. Results are byte-identical to the
-	// serial engine for any worker count; 0 or 1 is the serial engine.
-	// Networks using the parallel stepper must be Closed after use.
+	// value > 1, every shard runs its routers' deliver and compute
+	// phases on that many persistent workers. Results are byte-identical
+	// for any worker count; 0 or 1 steps each shard's routers on the
+	// calling goroutine. Networks using the parallel stepper must be
+	// Closed after use.
 	StepWorkers int
-	// FullScan selects the legacy stepper that scans every router and
-	// every source each cycle instead of the active-set scheduler.
+	// FullScan switches the scheduler's worklists to the reference
+	// policy: every non-idle router and every source is stepped every
+	// cycle, whatever the wake bookkeeping says, and no source parks.
 	// Results are byte-identical either way; the full scan exists as
-	// the reference engine for the scheduler's event-trace identity
-	// tests and as the benchmark baseline. It also disables NextDue's
-	// quiescence fast-forward (NextDue always answers now+1).
+	// the reference for the scheduler's event-trace identity tests and
+	// as the benchmark baseline. It also disables NextDue's quiescence
+	// fast-forward (NextDue always answers now+1), and needs one shard.
 	FullScan bool
 	// Shards splits the network into that many balanced node sets
 	// (boundary-minimizing partitions; cube-aligned slabs when those
@@ -99,11 +101,11 @@ type Config struct {
 	// neighbor pair by link delay and credit-loop slack (see
 	// shard.go) — the engine for scaling wall-clock across cores on
 	// large networks.
-	// Results are byte-identical to the serial engine for any shard
-	// count. 0 or 1 keeps the single-range engines; values > 1 require
-	// the active-set scheduler (FullScan off) and at most one shard
-	// per node, and the network must be Closed after use. Composes
-	// with StepWorkers: each shard then runs its own worker gang.
+	// Results are byte-identical for any shard count. 0 or 1 is one
+	// shard that covers every node and runs on the calling goroutine;
+	// values > 1 require FullScan off and at most one shard per node,
+	// and the network must be Closed after use. Composes with
+	// StepWorkers: each shard then runs its own worker gang.
 	Shards int
 	// Seed makes the simulation exactly reproducible.
 	Seed uint64
@@ -145,6 +147,10 @@ func (c *Config) Normalize() error {
 	if c.FlitDelay < 1 || c.CreditDelay < 1 {
 		return fmt.Errorf("network: propagation delays must be >= 1 cycle")
 	}
+	if c.FlitDelay > maxLinkDelay || c.CreditDelay > maxLinkDelay {
+		return fmt.Errorf("network: flit delay %d, credit delay %d; propagation delays must be at most %d cycles",
+			c.FlitDelay, c.CreditDelay, maxLinkDelay)
+	}
 	if c.StepWorkers < 0 {
 		return fmt.Errorf("network: negative step worker count %d", c.StepWorkers)
 	}
@@ -169,7 +175,7 @@ func (c *Config) Normalize() error {
 	}
 	if c.Shards > 1 {
 		if c.FullScan {
-			return fmt.Errorf("network: sharding requires the active-set scheduler; FullScan is the single-range reference engine")
+			return fmt.Errorf("network: sharding requires the active-set scheduler; FullScan is the one-shard reference policy")
 		}
 		if nodes := c.Topo.Nodes(); c.Shards > nodes {
 			return fmt.Errorf("network: %d shards over %d nodes; need at most one shard per node", c.Shards, nodes)
@@ -303,10 +309,6 @@ type Network struct {
 	// wheel is sized from it.
 	delayAt []int64
 
-	// pktFree is the packet pool: packets are recycled when their last
-	// flit is ejected, so a steady-state Step allocates nothing.
-	pktFree []*flit.Packet
-
 	// Fault-plan state, all nil on unfaulted networks (faults.go):
 	// routeTab[id] is router id's next-hop row, rewritten in place at
 	// engine barriers and read by the routing policies; deadOut is the
@@ -321,28 +323,18 @@ type Network struct {
 	unroutable   int64
 	droppedFlits int64
 
-	// gang and the prebuilt phase closures implement the deterministic
-	// parallel stepper. parNow carries the cycle into the closures
-	// without a per-cycle allocation; the gang's run barrier orders the
-	// write against the workers' reads.
-	gang      *pool.Gang
-	parNow    int64
-	deliverFn func(i int)
-	computeFn func(i int)
-	probed    bool
+	// probed marks a network with turnaround probes installed: its
+	// routers share one accumulator, so every shard steps its routers
+	// on the calling goroutine.
+	probed bool
 
-	// sched is the whole-network active-set scheduler (nil when
-	// cfg.FullScan or when the network is sharded): the per-cycle
-	// worklists that make Step cost O(in-flight work) instead of
-	// O(nodes). See sched.go.
-	sched *scheduler
-
-	// Sharded-engine state (cfg.Shards > 1; see shard.go): the shards
-	// and the node→shard map, the boundary wire pairs exchanged at
-	// each barrier, the global lookahead floor (the minimum directed
-	// shard-pair dependency bound — per-pair bounds live on the shards'
-	// dep lists), whether the partition's concatenation is global node
-	// order (replay fast path), and the gang that runs the shards.
+	// Engine state (see shard.go): the shards — one covering every node
+	// unless cfg.Shards > 1 — and the node→shard map (nil for one
+	// shard), the boundary wire pairs exchanged at each barrier, the
+	// global lookahead floor (the minimum directed shard-pair dependency
+	// bound — per-pair bounds live on the shards' dep lists), whether
+	// the partition's concatenation is global node order (replay fast
+	// path), and the gang that runs the shards (nil for one shard).
 	shards       []*shard
 	shardAt      []int32
 	flitXfers    []flitXfer
@@ -353,17 +345,11 @@ type Network struct {
 	shardRunFn   func(i int)
 
 	// Invariant-auditor state (audit.go). auditEvery is cfg.Audit as an
-	// int64 (0 = off): the single branch the hot path pays when the
-	// auditor is disabled. auditNextAt is the next audit deadline — a
-	// cycle number on single-clock engines, a shard-clock value on the
-	// sharded engine (MaxInt64 there when auditing is off, so the
-	// round-horizon clamp is unconditional). auditInjected/auditDrained
-	// are the single-clock engines' flit-conservation counters; the
-	// sharded engine counts per shard so the increments stay race-free.
-	auditEvery    int64
-	auditNextAt   int64
-	auditInjected int64
-	auditDrained  int64
+	// int64 (0 = off). auditNextAt is the next audit deadline as a shard
+	// clock value (MaxInt64 when auditing is off, so the round-horizon
+	// clamp is unconditional).
+	auditEvery  int64
+	auditNextAt int64
 }
 
 // New builds the network. The configuration is normalized in place.
@@ -503,14 +489,8 @@ func New(cfg Config) (*Network, error) {
 		credits link.Arena[router.Credit]
 	}
 	pools := make([]arenas, max(1, len(shardParts)))
-	shardOf := func(id int) int32 {
-		if n.shardAt == nil {
-			return 0
-		}
-		return n.shardAt[id]
-	}
 	wireNode := func(id int) {
-		r, mine := n.routers[id], &pools[shardOf(id)]
+		r, mine := n.routers[id], &pools[n.shardOf(id)]
 		inject := mine.flits.Wire(delay(id), 0)
 		for q := 1; q < cfg.Router.Ports; q++ {
 			a, pa, ok := n.topo.Neighbor(id, q)
@@ -524,7 +504,7 @@ func New(cfg Config) (*Network, error) {
 				r.SetOutputPolicy(q, vcs(a), buf(a))
 			}
 			creditCap := vcs(a)*buf(a) + cfg.CreditDelay
-			if shardOf(a) == shardOf(id) {
+			if n.shardOf(a) == n.shardOf(id) {
 				fw := mine.flits.Wire(delay(a), 0)
 				cw := mine.credits.Wire(cfg.CreditDelay, creditCap)
 				r.ConnectArrivals(q, fw, cw)
@@ -539,7 +519,7 @@ func New(cfg Config) (*Network, error) {
 			// credit-loop bound. id's shard may outrun a's by the flit
 			// delay, and by CreditDelay + creditLag on the credit wire,
 			// which id's router pops creditLag cycles late.
-			theirs := &pools[shardOf(a)]
+			theirs := &pools[n.shardOf(a)]
 			fIn := mine.flits.Wire(delay(a), xferCap)
 			cIn := mine.credits.Wire(cfg.CreditDelay, creditCap+xferCap)
 			fOut := theirs.flits.Wire(delay(a), xferCap)
@@ -550,7 +530,7 @@ func New(cfg Config) (*Network, error) {
 				n.flitXfers = append(n.flitXfers, flitXfer{out: fOut, in: fIn, dst: int32(id)})
 				n.creditXfers = append(n.creditXfers, creditXfer{out: cOut, in: cIn})
 			}
-			noteDep(shardOf(a), shardOf(id), min(int64(delay(a)), int64(cfg.CreditDelay)+r.CreditLag()))
+			noteDep(n.shardOf(a), n.shardOf(id), min(int64(delay(a)), int64(cfg.CreditDelay)+r.CreditLag()))
 		}
 		credit := mine.credits.Wire(cfg.CreditDelay, vcs(id)*buf(id)+cfg.CreditDelay)
 		r.ConnectInput(topology.PortLocal, inject, credit)
@@ -575,50 +555,22 @@ func New(cfg Config) (*Network, error) {
 		}
 	}
 
-	if cfg.Shards > 1 {
-		n.buildShards(shardParts, depBound)
-		return n, nil
-	}
-	if !cfg.FullScan {
-		n.sched = newScheduler(n, n.buildSchedTables(0), -1, nil)
-	}
-
-	if cfg.StepWorkers > 1 {
-		n.gang = pool.NewGang(cfg.StepWorkers)
-		if cfg.FullScan {
-			// In the deliver phase every router touches only its own
-			// input wires, so the full Idle check is safe; in the
-			// compute phase other routers push onto this router's input
-			// wires, so only the router-local ComputeIdle check may be
-			// used.
-			n.deliverFn = func(i int) {
-				if r := n.routers[i]; !r.Idle() {
-					r.Deliver(n.parNow)
-				}
-			}
-			n.computeFn = func(i int) {
-				if r := n.routers[i]; !r.ComputeIdle() {
-					r.Compute(n.parNow)
-				}
-			}
-		} else {
-			// The phases run over the active-list snapshot: every listed
-			// router has an arrival due or router-local work, so no idle
-			// filtering is needed.
-			n.deliverFn = func(i int) { n.routers[n.sched.active[i]].Deliver(n.parNow) }
-			n.computeFn = func(i int) { n.routers[n.sched.active[i]].Compute(n.parNow) }
-		}
-	}
+	n.buildShards(shardParts, depBound)
 	return n, nil
 }
 
-// Close releases the parallel steppers' workers. It is a no-op for
-// serial networks and must not be called twice.
-func (n *Network) Close() {
-	if n.gang != nil {
-		n.gang.Close()
-		n.gang = nil
+// shardOf returns the index of the shard that owns node id.
+func (n *Network) shardOf(id int) int32 {
+	if n.shardAt == nil {
+		return 0
 	}
+	return n.shardAt[id]
+}
+
+// Close releases the parallel steppers' workers. It is a no-op on a
+// network that started none (one shard, StepWorkers 0 or 1), and safe
+// to call more than once.
+func (n *Network) Close() {
 	if n.shardGang != nil {
 		n.shardGang.Close()
 		n.shardGang = nil
@@ -660,7 +612,8 @@ func (n *Network) Unroutable() int64 { return n.unroutable }
 func (n *Network) DroppedFlits() int64 { return n.droppedFlits }
 
 // SetProbes installs buffer-turnaround probes on every router. Probes
-// share one accumulator, so a probed network always steps serially.
+// share one accumulator, so a probed network steps its shards and their
+// routers one at a time on the calling goroutine.
 func (n *Network) SetProbes(t *stats.Turnaround) {
 	n.probed = true
 	for _, r := range n.routers {
@@ -668,117 +621,19 @@ func (n *Network) SetProbes(t *stats.Turnaround) {
 	}
 }
 
-// Step advances the whole network one cycle. Routers exchange all state
+// Step advances the network through cycle now, then fires cycle now's
+// packet creations and flit ejections on the callbacks. Every shard
+// steps in barrier rounds until its clock has passed now (shard.go), and
+// the buffered events replay in node order — ejections, then creations —
+// so callback order, packet IDs, and all derived measurement are
+// identical for any shard and worker count. Routers exchange all state
 // through ≥1-cycle wires, so the visit order within a cycle is
 // immaterial — which is also what makes the two-phase parallel stepper
-// exact: every Deliver only consumes items pushed in earlier cycles,
-// and every Compute only pushes items deliverable in later cycles.
-// Ejection callbacks and traffic sources always run serially, in node
-// order, so callback order (and thus all derived measurement) is
-// identical for any worker count.
+// exact: every Deliver only consumes items pushed in earlier cycles, and
+// every Compute only pushes items deliverable in later cycles.
 func (n *Network) Step(now int64) {
-	if n.shards != nil {
-		n.stepSharded(now) // applies faults and audits at its shard barriers
-		return
+	if n.minShardClock() <= now {
+		n.advanceShards(now)
 	}
-	if n.faults != nil {
-		// Single-clock engines apply faults lazily at the next executed
-		// cycle: a quiescence fast-forward can only skip cycles with no
-		// routing decisions, so applying on arrival is observationally
-		// identical to applying exactly on the fault cycle.
-		n.applyFaults(now)
-	}
-	if n.sched != nil {
-		n.stepActive(now)
-	} else {
-		n.stepFullScan(now)
-	}
-	// Audit deadlines are absolute cycle numbers (not now%K) so the
-	// sim layer's quiescence fast-forward advances toward the next
-	// deadline instead of hopping over every multiple of K forever.
-	if n.auditEvery > 0 && now >= n.auditNextAt {
-		n.runAudit(now)
-		n.auditNextAt = now + n.auditEvery
-	}
-}
-
-func (n *Network) stepFullScan(now int64) {
-	if n.gang != nil && !n.probed {
-		n.parNow = now
-		n.gang.Run(len(n.routers), n.deliverFn)
-		n.gang.Run(len(n.routers), n.computeFn)
-	} else {
-		for _, r := range n.routers {
-			// Skip routers with no buffered flits, latched grants, or
-			// in-flight wire traffic: stepping them is a no-op.
-			if r.Idle() {
-				continue
-			}
-			r.Step(now)
-		}
-	}
-	for id, r := range n.routers {
-		ejected := r.Ejected()
-		if len(ejected) == 0 {
-			continue
-		}
-		for _, f := range ejected {
-			n.handleEject(id, f, now)
-		}
-		r.ClearEjected()
-	}
-	for _, s := range n.sources {
-		s.step(now)
-	}
-	// (Router flit-push masks are wake bookkeeping for the active-set
-	// engine; the full scan visits everyone anyway and never reads
-	// them, so the stale bits are simply ignored.)
-}
-
-func (n *Network) handleEject(at int, f flit.Flit, now int64) {
-	n.auditDrained++ // every ejected flit — delivered or dropped — has left the network
-	if f.Pkt.Dst != at {
-		if !f.Pkt.Dropped {
-			panic(fmt.Sprintf("network: flit of packet %d (dst %d) ejected at node %d", f.Pkt.ID, f.Pkt.Dst, at))
-		}
-		// Unroutable drain: a fault severed the destination, so the
-		// packet drained through this router's ejection port. Its flits
-		// count as dropped, not delivered (OnFlitEjected stays silent so
-		// throughput excludes them); completion still fires OnPacketDone
-		// so the measurement layer can retire tagged packets.
-		n.droppedFlits++
-		if f.Pkt.Done() {
-			n.unroutable++
-			if n.OnPacketDone != nil {
-				n.OnPacketDone(f.Pkt, now)
-			}
-			n.freePacket(f.Pkt)
-		}
-		return
-	}
-	if n.OnFlitEjected != nil {
-		n.OnFlitEjected(f, now)
-	}
-	if f.Pkt.Done() {
-		if n.OnPacketDone != nil {
-			n.OnPacketDone(f.Pkt, now)
-		}
-		n.freePacket(f.Pkt)
-	}
-}
-
-// allocPacket takes a zeroed packet from the pool (or allocates one).
-func (n *Network) allocPacket() *flit.Packet {
-	if len(n.pktFree) == 0 {
-		return &flit.Packet{}
-	}
-	p := n.pktFree[len(n.pktFree)-1]
-	n.pktFree = n.pktFree[:len(n.pktFree)-1]
-	return p
-}
-
-// freePacket recycles a fully ejected packet.
-func (n *Network) freePacket(p *flit.Packet) {
-	p.Reset()
-	n.pktFree = append(n.pktFree, p)
+	n.replay(now)
 }

@@ -2,6 +2,8 @@ package network
 
 import (
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 
 	"routersim/internal/flit"
@@ -174,6 +176,47 @@ func TestNormalizeDefaultsAndErrors(t *testing.T) {
 		if err := b.Normalize(); err == nil {
 			t.Errorf("bad config %d validated: %+v", i, b)
 		}
+	}
+
+	// Credit wires are presized to the credit delay, so an unbounded
+	// delay used to die in the arena allocator with a runtime fatal no
+	// caller can recover from; it must be an error naming the limit.
+	for _, c := range []Config{
+		{K: 8, FlitDelay: maxLinkDelay + 1, Router: router.DefaultConfig(router.Wormhole)},
+		{K: 8, CreditDelay: 200000000, Router: router.DefaultConfig(router.Wormhole)},
+	} {
+		if err := c.Normalize(); err == nil || !strings.Contains(err.Error(), "at most 1024") {
+			t.Errorf("flit delay %d, credit delay %d: err %v, want one naming the 1024-cycle limit", c.FlitDelay, c.CreditDelay, err)
+		}
+	}
+	ok := Config{K: 8, FlitDelay: maxLinkDelay, CreditDelay: maxLinkDelay, Router: router.DefaultConfig(router.Wormhole)}
+	if err := ok.Normalize(); err != nil {
+		t.Errorf("delays at the limit rejected: %v", err)
+	}
+}
+
+// TestOneShardStartsNoGoroutine: with Shards 0 or 1 and no step
+// workers the network steps on the calling goroutine — New starts
+// nothing to release — and Close is a safe no-op, twice over.
+func TestOneShardStartsNoGoroutine(t *testing.T) {
+	for _, shards := range []int{0, 1} {
+		before := runtime.NumGoroutine()
+		cfg := testConfig(router.SpeculativeVC, 0.1)
+		cfg.Shards = shards
+		net, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for now := int64(0); now < 100; now++ {
+			net.Step(now)
+		}
+		// Workers of gangs closed by earlier tests may still be exiting,
+		// so only growth is a failure.
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("shards=%d: %d goroutines after New and 100 steps, %d before", shards, after, before)
+		}
+		net.Close()
+		net.Close()
 	}
 }
 

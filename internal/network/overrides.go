@@ -21,8 +21,10 @@ type RouterOverride struct {
 	LinkDelay int
 }
 
-// maxLinkDelay bounds per-router link delays: the active-set
-// scheduler's wake wheel has one slot per delay cycle.
+// maxLinkDelay bounds every propagation delay (Config.FlitDelay,
+// Config.CreditDelay, per-router overrides): the wake wheel has one
+// slot per delay cycle, and credit wires are presized to hold a credit
+// for each cycle of the delay.
 const maxLinkDelay = 1024
 
 // overridesForm renders the override grammar for error messages.

@@ -1,21 +1,22 @@
 package network
 
 import (
-	"math"
 	"math/bits"
+
+	"routersim/internal/router"
 )
 
-// This file implements the active-set scheduler: the default stepper
-// whose per-cycle cost is O(in-flight work) instead of O(nodes).
+// This file implements the active-set scheduler: each shard's worklists
+// (shard.go), which make a stepped cycle cost O(in-flight work) instead
+// of O(nodes).
 //
 // Routers are stepped only while they can possibly act. The invariant
 // is maintained by two wake rules:
 //
 //  1. arrival wakes — whoever pushes a flit onto a router's input wire
-//     at cycle t schedules that router for cycle t+FlitDelay, the exact
-//     cycle the flit becomes deliverable. All flit wires share one
-//     constant delay, so pending wakes live in a FlitDelay-slot wheel
-//     of node bitmaps indexed by due-cycle mod FlitDelay.
+//     at cycle t schedules that router for cycle t+delay, the exact
+//     cycle the flit becomes deliverable. Pending wakes live in a wheel
+//     of node bitmaps indexed by due-cycle mod the wheel size.
 //  2. self-sustain — a router that finishes a step with router-local
 //     work left (occupied input VCs or latched switch grants, i.e.
 //     !ComputeIdle) carries itself onto the next cycle's bitmap.
@@ -31,9 +32,8 @@ import (
 //
 // The worklists are bitmaps, one bit per node: a wake is a single
 // or-into-word, duplicates coalesce for free, and materializing the
-// cycle's list walks set bits in ascending node order — the exact order
-// the full scan visits routers in, which pins the ejection-callback
-// order and therefore every derived measurement.
+// cycle's list walks set bits in ascending node order, which pins the
+// ejection-callback order and therefore every derived measurement.
 //
 // Sources have their own list: a source stays active while its queue or
 // an in-flight packet stream needs per-cycle attention, and otherwise
@@ -42,20 +42,25 @@ import (
 // and therefore never parks, keeping its random stream untouched). A
 // woken source applies the skipped injector ticks in one batch —
 // replaying the identical floating-point accumulator sequence — so the
-// injection schedule is bit-identical to the full-scan engine's.
+// injection schedule is bit-identical to per-cycle stepping.
 //
 // When the carry bitmap, the wake wheel, and the source worklist agree
 // that nothing can happen before cycle T, NextDue reports T and the sim
 // run loop fast-forwards straight to it (quiescence fast-forward).
 //
-// The sharded engine (shard.go) instantiates one scheduler per shard
-// over an arbitrary node set: a contiguous range [base, base+count)
-// keeps the bitmaps range-local (bit = id - base) with pure arithmetic
-// index mapping, while a non-contiguous set (the boundary-minimizing
-// partitioner, shard.go) carries an explicit local→global table (idOf)
-// and shares the global→local table (tab.loc). The read-only link
-// tables are shared through schedTables. The whole-network scheduler is
-// the base=0, count=nodes special case.
+// Config.FullScan is the reference policy of the same scheduler: the
+// router list is every non-Idle router, read from the routers
+// themselves, and every source stays on the source list every cycle, so
+// nothing parks and NextDue answers now+1. The wake bookkeeping still
+// runs but is cleared unread.
+//
+// A scheduler covers one shard's node set: a contiguous range [base,
+// base+count) keeps the bitmaps range-local (bit = id - base) with pure
+// arithmetic index mapping, while a non-contiguous set (the
+// boundary-minimizing partitioner, shard.go) carries an explicit
+// local→global table (idOf) and shares the global→local table
+// (tab.loc). The read-only link tables are shared through schedTables.
+// A one-shard network is the base=0, count=nodes case.
 
 // schedTables holds the read-only link structure every scheduler range
 // of a network shares: built once at network.New, safe for concurrent
@@ -66,13 +71,12 @@ type schedTables struct {
 	outDst []int32
 	ports  int
 	// delay[id] is the propagation delay of every link driven by router
-	// id. wheelSize is the largest delay — or, on sharded networks, at
-	// least maxPairBound+maxDelay, because barrier-transferred arrivals
-	// can land that far ahead of a lagging shard's clock (shard.go) —
-	// and every wake wheel is sized to it. wheelMask is wheelSize-1 when
-	// the size is a power of two (the uniform-delay common case, usually
-	// 1), -1 otherwise: the slot computation runs on every flit push,
-	// and an AND is far cheaper than an int64 division.
+	// id. wheelSize is a power of two of at least maxPairBound+maxDelay,
+	// because barrier-transferred arrivals can land that far ahead of a
+	// lagging shard's clock (shard.go) — of at least the largest delay on
+	// a one-shard network — and every wake wheel is sized to it.
+	// wheelMask is wheelSize-1: the slot computation runs on every flit
+	// push, and an AND is far cheaper than an int64 division.
 	delay     []int64
 	wheelSize int64
 	wheelMask int64
@@ -81,31 +85,17 @@ type schedTables struct {
 	loc []int32
 }
 
-// buildSchedTables precomputes the shared downstream and delay tables.
-// minWheel, when positive, raises the wake-wheel size above the largest
-// link delay (the sharded engine's transfer-lead bound); 0 keeps the
-// plain delay-sized wheel.
-func (n *Network) buildSchedTables(minWheel int64) *schedTables {
+// buildSchedTables precomputes the shared downstream and delay tables
+// for wake wheels of wheelSize slots (a power of two).
+func (n *Network) buildSchedTables(wheelSize int64) *schedTables {
 	nodes := n.topo.Nodes()
 	ports := n.cfg.Router.Ports
-	d := int64(n.cfg.FlitDelay)
-	for _, pd := range n.delayAt {
-		if pd > d {
-			d = pd
-		}
-	}
-	if minWheel > d {
-		d = minWheel
-	}
 	tab := &schedTables{
 		outDst:    make([]int32, nodes*ports),
 		ports:     ports,
 		delay:     n.delayAt,
-		wheelSize: d,
-		wheelMask: -1,
-	}
-	if d&(d-1) == 0 {
-		tab.wheelMask = d - 1
+		wheelSize: wheelSize,
+		wheelMask: wheelSize - 1,
 	}
 	if tab.delay == nil {
 		tab.delay = make([]int64, nodes)
@@ -136,10 +126,13 @@ type scheduler struct {
 	words int   // ceil(count / 64)
 
 	// Sharded-network ownership: self is the owning shard's index into
-	// shardAt (the network's node→shard map); both nil/-1 on unsharded
-	// networks, where ownership is the base/count range check.
+	// shardAt (the network's node→shard map); shardAt is nil on a
+	// one-shard network, where ownership is the base/count range check.
 	self    int32
 	shardAt []int32
+	// scan is the full-scan policy's router list (Config.FullScan; the
+	// network's routers, indexed by id), nil under the wake worklists.
+	scan []*router.Router
 	// idOf, for non-contiguous node sets, maps local bitmap index →
 	// global node id (ascending); loc aliases tab.loc for the reverse
 	// map. Both nil for contiguous sets: the arithmetic fast path.
@@ -152,7 +145,6 @@ type scheduler struct {
 	outDst    []int32
 	delay     []int64
 	ports     int
-	wheelSize int64
 	wheelMask int64
 
 	// active is this cycle's materialized router worklist, ascending by
@@ -195,12 +187,12 @@ func wakeLess(a, b srcWake) bool {
 }
 
 // newScheduler builds the scheduler of a freshly wired network over
-// shard self's node set part (ascending), or over every node for the
-// unsharded engine (self -1, part nil). A contiguous set keeps the
-// arithmetic index mapping; anything else installs the explicit
-// local↔global maps (tab.loc must already cover every node). Every
-// source in the set is either parked at its first injection cycle or,
-// if its injector has no exact schedule, active from cycle 0.
+// shard self's node set part (ascending), or over every node (part
+// nil). A contiguous set keeps the arithmetic index mapping; anything
+// else installs the explicit local↔global maps (tab.loc must already
+// cover every node). Every source in the set is either parked at its
+// first injection cycle or, if its injector has no exact schedule (or
+// the full-scan policy is on), active from cycle 0.
 func newScheduler(n *Network, tab *schedTables, self int, part []int32) *scheduler {
 	base, count := int32(0), n.topo.Nodes()
 	if part != nil {
@@ -217,7 +209,6 @@ func newScheduler(n *Network, tab *schedTables, self int, part []int32) *schedul
 		outDst:     tab.outDst,
 		delay:      tab.delay,
 		ports:      tab.ports,
-		wheelSize:  tab.wheelSize,
 		wheelMask:  tab.wheelMask,
 		carryBits:  make([]uint64, words),
 		wheelBits:  make([][]uint64, tab.wheelSize),
@@ -227,6 +218,9 @@ func newScheduler(n *Network, tab *schedTables, self int, part []int32) *schedul
 	if part != nil && int(part[count-1]-base) != count-1 {
 		sc.idOf = part
 		sc.loc = tab.loc
+	}
+	if n.cfg.FullScan {
+		sc.scan = n.routers
 	}
 	for i := range sc.wheelBits {
 		sc.wheelBits[i] = make([]uint64, words)
@@ -240,7 +234,7 @@ func (sc *scheduler) parkSources(n *Network) {
 	for li := 0; li < sc.count; li++ {
 		id := sc.global(int32(li))
 		s := n.sources[id]
-		if s.adv == nil {
+		if s.adv == nil || sc.scan != nil {
 			sc.srcBits[li>>6] |= 1 << (uint(li) & 63)
 			sc.srcCount++
 			continue
@@ -294,12 +288,7 @@ func (sc *scheduler) busy() bool {
 // boundary arrivals (pushed at most wheelSize-1 cycles before their
 // due, at or after the receiving shard's current cycle).
 func (sc *scheduler) wakeAt(id int32, due int64) {
-	si := due
-	if sc.wheelMask >= 0 {
-		si &= sc.wheelMask
-	} else {
-		si %= sc.wheelSize
-	}
+	si := due & sc.wheelMask
 	slot := sc.wheelBits[si]
 	li := sc.local(id)
 	w, b := int(li)>>6, uint64(1)<<(uint(li)&63)
@@ -322,34 +311,23 @@ func (sc *scheduler) carry(id int32) {
 	sc.carryCount++
 }
 
-// wakeRouter is the network-facing wake hook (used by sources when they
-// inject — the injection channel has the driving node's link delay); it
-// is a no-op on full-scan networks. The source and its router share a
-// node, so on sharded networks the wake stays within the stepping
-// shard's own scheduler.
-func (n *Network) wakeRouter(id int32) {
-	if n.sched != nil {
-		n.sched.wake(id, n.sched.delay[id])
-	} else if n.shards != nil {
-		sc := n.shards[n.shardAt[id]].sc
-		sc.wake(id, sc.delay[id])
-	}
-}
-
 // buildActive assembles this cycle's router worklist: the carried-over
 // routers or-merged with the wheel slot due now, walked in ascending
-// node order.
+// node order — or, under the full-scan policy, every non-Idle router.
 func (sc *scheduler) buildActive(now int64) {
 	sc.now = now
-	slot := now
-	if sc.wheelMask >= 0 {
-		slot &= sc.wheelMask
-	} else {
-		slot %= sc.wheelSize
-	}
+	slot := now & sc.wheelMask
 	wb := sc.wheelBits[slot]
 	sc.active = sc.active[:0]
-	if sc.idOf == nil {
+	if sc.scan != nil {
+		clear(sc.carryBits)
+		clear(wb)
+		for id, r := range sc.scan {
+			if !r.Idle() {
+				sc.active = append(sc.active, int32(id))
+			}
+		}
+	} else if sc.idOf == nil {
 		for w := 0; w < sc.words; w++ {
 			m := sc.carryBits[w] | wb[w]
 			sc.carryBits[w] = 0
@@ -378,75 +356,20 @@ func (sc *scheduler) buildActive(now int64) {
 	sc.wheelCount[slot] = 0
 }
 
-// stepActive advances the network one cycle under the active-set
-// scheduler. Routers exchange all state through >= 1-cycle wires, so
-// only listed routers can act this cycle; everything else is untouched.
-func (n *Network) stepActive(now int64) {
-	sc := n.sched
-	sc.buildActive(now)
-	if n.gang != nil && !n.probed {
-		// Parallel: the two phases run over the active-list snapshot;
-		// ejection callbacks, wake collection, and carry decisions run
-		// serially afterwards, in node order, exactly like the serial
-		// walk below — so the event trace is identical for any worker
-		// count.
-		n.parNow = now
-		n.gang.Run(len(sc.active), n.deliverFn)
-		n.gang.Run(len(sc.active), n.computeFn)
-		for _, id := range sc.active {
-			n.finishRouter(int(id), now)
-		}
-	} else {
-		for _, id := range sc.active {
-			n.routers[id].Step(now)
-			n.finishRouter(int(id), now)
-		}
-	}
-	n.stepActiveSources(now)
-}
-
-// ActiveRouters returns how many routers the last Step stepped (0 on
-// the full-scan and sharded engines: no single active list).
+// ActiveRouters returns how many routers the last stepped cycle of a
+// one-shard network visited (0 on sharded networks, whose shards step
+// ahead in windows).
 func (n *Network) ActiveRouters() int {
-	if n.sched == nil {
+	if len(n.shards) > 1 {
 		return 0
 	}
-	return len(n.sched.active)
+	return len(n.shards[0].sc.active)
 }
 
-// finishRouter completes one stepped router's cycle: drain its ejected
-// flits onto the network's callbacks, convert its flit pushes into
-// arrival wakes for the downstream routers, and carry it to the next
-// cycle if it still has router-local work.
-func (n *Network) finishRouter(id int, now int64) {
-	sc := n.sched
-	r := n.routers[id]
-	if ejected := r.Ejected(); len(ejected) > 0 {
-		for _, f := range ejected {
-			n.handleEject(id, f, now)
-		}
-		r.ClearEjected()
-	}
-	for m := r.TakeFlitPushes(); m != 0; m &= m - 1 {
-		port := bits.TrailingZeros64(m)
-		if dst := sc.outDst[id*sc.ports+port]; dst >= 0 {
-			sc.wake(dst, sc.delay[id])
-		}
-	}
-	if !r.ComputeIdle() {
-		sc.carry(int32(id))
-	}
-}
-
-// stepActiveSources steps the sources that can act this cycle — the
+// stepSources steps the sources that can act this cycle — the
 // carried-over busy sources plus the parked sources whose injection is
 // due now — in node order. A source that goes idle parks at its exact
-// next injection cycle.
-func (n *Network) stepActiveSources(now int64) {
-	n.sched.stepSources(n, now)
-}
-
-// stepSources is stepActiveSources over one scheduler's node range.
+// next injection cycle; under the full-scan policy none ever parks.
 func (sc *scheduler) stepSources(n *Network, now int64) {
 	for len(sc.srcHeap) > 0 && sc.srcHeap[0].at <= now {
 		w := sc.heapPop()
@@ -488,7 +411,7 @@ func (sc *scheduler) stepSources(n *Network, now int64) {
 	for _, id := range sc.srcActive {
 		s := n.sources[id]
 		s.step(now)
-		if s.adv == nil || s.qlen > 0 || s.inFlight > 0 {
+		if sc.scan != nil || s.adv == nil || s.qlen > 0 || s.inFlight > 0 {
 			li := sc.local(id)
 			sc.srcBits[li>>6] |= 1 << (uint(li) & 63)
 			sc.srcCount++
@@ -500,33 +423,6 @@ func (sc *scheduler) stepSources(n *Network, now int64) {
 		// Parked forever (zero rate): the source never injects again;
 		// leave it off every list.
 	}
-}
-
-// NextDue returns the earliest future cycle at which stepping the
-// network can have any observable effect. While any router or source
-// worklist entry exists (or an arrival wake is pending) it answers
-// now+1; when the network is fully quiescent it answers the earliest
-// parked injection, or math.MaxInt64 if no source will ever inject
-// again. The sim run loop uses it to fast-forward over quiescent spans.
-// It must be called after Step(now) (the worklists describe now+1), and
-// always answers now+1 on full-scan networks. On sharded networks it
-// composes the per-shard due times with the buffered window events (see
-// shard.go).
-func (n *Network) NextDue(now int64) int64 {
-	if n.shards != nil {
-		return n.nextDueSharded(now)
-	}
-	sc := n.sched
-	if sc == nil || sc.busy() {
-		return now + 1
-	}
-	if len(sc.srcHeap) == 0 {
-		return math.MaxInt64
-	}
-	if t := sc.srcHeap[0].at; t > now {
-		return t
-	}
-	return now + 1
 }
 
 // heapPush / heapPop implement a plain slice min-heap over srcWake

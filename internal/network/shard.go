@@ -13,10 +13,16 @@ import (
 	"routersim/internal/topology"
 )
 
-// This file implements the lookahead-sharded engine: the network is
-// split into node sets (shards) that step many cycles independently —
-// one goroutine each — between barriers, instead of synchronizing every
-// cycle like the two-phase parallel stepper.
+// This file implements the network's one engine, the shard round: the
+// network is split into node sets (shards) that step many cycles
+// independently — one goroutine each — between barriers, instead of
+// synchronizing every cycle like the two-phase parallel stepper.
+//
+// Config.Shards 0 or 1 is one shard that covers every node. It has no
+// boundary and no dependency edge, so its rounds skip the horizon
+// computation, the barrier and the idle jump (advanceShards): it steps
+// straight through the cycle Step asked for, on the calling goroutine
+// (no shard gang), and never runs ahead of the network's callers.
 //
 // Each directed shard pair (a→b) with at least one boundary link gets
 // its own conservative lookahead bound B(a→b) = min over those links of
@@ -56,24 +62,24 @@ import (
 // moved flit was pushed at t ∈ [t_a, h_a) and is due at t+d, and the
 // receiver's clock can lag the sender's horizon by at most B(b→a), so
 // due − b.clock ≤ maxPairBound + maxDelay: the wake wheels are sized to
-// that bound (buildSchedTables' minWheel), so an absolute-due wake
-// never aliases another slot. Dues stay monotone per link across
-// rounds (push cycles only grow), so the inbox stays due-ordered.
+// that bound (buildShards), so an absolute-due wake never aliases
+// another slot. Dues stay monotone per link across rounds (push cycles
+// only grow), so the inbox stays due-ordered.
 //
-// Observable effects are replayed serially so the engine is
-// byte-identical to the serial one. During its window each shard only
+// Observable effects are replayed serially so every shard count is
+// byte-identical to one shard. During its window each shard only
 // buffers its ejections (with a packet-done flag captured at the
 // ejection cycle, before later window cycles advance the count) and
 // its packet creations; Step(now) then replays the buffered events of
-// cycle `now` across shards. With contiguous slab partitions the
-// ascending-shard concatenation is already global node order; with the
-// boundary-minimizing partitioner's arbitrary node sets the replay
-// k-way merges the per-shard buffers on node id instead (each shard
-// buffers per cycle in ascending node order, so the merge reproduces
-// the serial engine's exact callback sequence). Packet IDs are
-// assigned at replay — the only global counter — so creation order,
-// IDs, and every derived measurement match the serial engine bit for
-// bit.
+// cycle `now` across shards. With contiguous slab partitions (and with
+// one shard) the ascending-shard concatenation is already global node
+// order; with the boundary-minimizing partitioner's arbitrary node
+// sets the replay k-way merges the per-shard buffers on node id
+// instead (each shard buffers per cycle in ascending node order, so
+// the merge reproduces one shard's exact callback sequence). Packet
+// IDs are assigned at replay — the only global counter — so creation
+// order, IDs, and every derived measurement are the same for any shard
+// count.
 
 // ejectEvent is one buffered flit ejection. done is whether this flit
 // completed its packet, captured at ejection time (the packet's
@@ -83,7 +89,7 @@ type ejectEvent struct {
 	f flit.Flit
 	// at is the ejecting node: the destination for delivered flits, the
 	// dropping router for unroutable drains. The replay merge orders on
-	// it, matching the serial engine's ascending-node ejection order.
+	// it, matching one shard's ascending-node ejection order.
 	at   int32
 	done bool
 }
@@ -490,11 +496,15 @@ func sortInt32(s []int32) {
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }
 
-// buildShards finishes sharded-engine construction once routers, wires,
-// and sources exist: per-shard schedulers over the shared tables, the
+// buildShards finishes engine construction once routers, wires, and
+// sources exist: per-shard schedulers over the shared tables, the
 // dependency bounds collected during wiring, boundary wake closures,
-// gangs, and the global lookahead floor.
+// gangs, and the global lookahead floor. parts nil is one shard over
+// every node.
 func (n *Network) buildShards(parts [][]int32, depBound map[[2]int32]int64) {
+	if parts == nil {
+		parts = [][]int32{nil}
+	}
 	// The wake wheels must absorb barrier transfers landing up to
 	// maxPairBound+maxDelay cycles ahead of a lagging receiver's clock;
 	// rounding to a power of two keeps the slot computation an AND.
@@ -515,15 +525,14 @@ func (n *Network) buildShards(parts [][]int32, depBound map[[2]int32]int64) {
 		}
 	}
 	if len(depBound) == 0 {
-		// No boundary at all (disconnected shards): any positive floor
-		// works; keep the old single-window pace.
-		n.lookahead = int64(n.cfg.CreditDelay)
+		// No dependency edge: one shard, which never runs ahead.
+		n.lookahead = 1
 	}
-	minWheel := int64(1)
-	for minWheel < maxBound+maxDelay {
-		minWheel <<= 1
+	wheel := int64(1)
+	for wheel < maxBound+maxDelay {
+		wheel <<= 1
 	}
-	tab := n.buildSchedTables(minWheel)
+	tab := n.buildSchedTables(wheel)
 
 	// partsOrdered: ascending concatenation of the parts is exactly
 	// 0..nodes-1, so the replay can concatenate instead of merging.
@@ -550,8 +559,6 @@ func (n *Network) buildShards(parts [][]int32, depBound map[[2]int32]int64) {
 	for i := range n.shards {
 		sh := &shard{net: n, idx: i}
 		sh.sc = newScheduler(n, tab, i, parts[i])
-		sh.ejects = make([]ejectEvent, 0, 64)
-		sh.creates = make([]createEvent, 0, 64)
 		if n.cfg.StepWorkers > 1 {
 			sh.gang = pool.NewGang(n.cfg.StepWorkers)
 			sh.deliverFn = func(i int) { n.routers[sh.sc.active[i]].Deliver(sh.parNow) }
@@ -574,7 +581,7 @@ func (n *Network) buildShards(parts [][]int32, depBound map[[2]int32]int64) {
 	}
 
 	for id := range n.sources {
-		n.sources[id].sh = n.shards[n.shardAt[id]]
+		n.sources[id].sh = n.shards[n.shardOf(id)]
 	}
 	for i := range n.flitXfers {
 		x := &n.flitXfers[i]
@@ -582,25 +589,26 @@ func (n *Network) buildShards(parts [][]int32, depBound map[[2]int32]int64) {
 		dst := x.dst
 		x.wake = func(due int64) { sc.wakeAt(dst, due) }
 	}
-	n.shardGang = pool.NewGang(len(n.shards))
-	n.shardRunFn = func(i int) {
-		sh := n.shards[i]
-		sh.run(sh.now, sh.horizon)
+	if len(n.shards) > 1 {
+		n.shardGang = pool.NewGang(len(n.shards))
+		n.shardRunFn = func(i int) {
+			sh := n.shards[i]
+			sh.run(sh.now, sh.horizon)
+		}
 	}
-	// Audit deadlines on the sharded engine are shard-clock values; the
-	// round-horizon clamp in runRound is unconditional, so a disabled
-	// auditor parks the deadline at infinity like an exhausted fault
-	// plan.
+	// Audit deadlines are shard-clock values; the round-horizon clamp in
+	// runRound is unconditional, so a disabled auditor parks the deadline
+	// at infinity like an exhausted fault plan.
 	n.auditNextAt = math.MaxInt64
 	if n.auditEvery > 0 {
 		n.auditNextAt = n.auditEvery
 	}
 }
 
-// Lookahead returns the sharded engine's global window floor in cycles
-// (0 on unsharded networks): the minimum dependency bound over every
-// directed shard pair — each round advances the slowest shard by at
-// least this much. Individual pairs may tolerate more; see
+// Lookahead returns the engine's global window floor in cycles: the
+// minimum dependency bound over every directed shard pair — each round
+// advances the slowest shard by at least this much — or 1 on a
+// one-shard network. Individual pairs may tolerate more; see
 // PairLookahead.
 func (n *Network) Lookahead() int64 { return n.lookahead }
 
@@ -616,17 +624,6 @@ func (n *Network) PairLookahead(from, to int) int64 {
 		}
 	}
 	return 0
-}
-
-// stepSharded advances the sharded engine to cycle now: rounds run
-// until every shard's clock has passed now (with a quiescence
-// fast-forward jumping the clocks over dead air), then cycle now's
-// buffered events replay serially.
-func (n *Network) stepSharded(now int64) {
-	if n.minShardClock() <= now {
-		n.advanceShards(now)
-	}
-	n.replaySharded(now)
 }
 
 // minShardClock is the global completion point: every cycle strictly
@@ -647,7 +644,29 @@ func (n *Network) minShardClock() int64 {
 // past now), skipping the empty rounds; NextDue guarantees the run
 // loop never steps past buffered events, and stepping a quiescent
 // shard is a no-op regardless of them.
+//
+// One shard needs none of that: with no barrier partner its window
+// runs straight through now (run skips quiescent spans itself), cut
+// only at an unapplied fault cycle, and its state is converged after
+// every window, so it audits as soon as its clock passes the deadline
+// instead of clamping its window to it.
 func (n *Network) advanceShards(now int64) {
+	if len(n.shards) == 1 {
+		sh := n.shards[0]
+		for sh.now <= now {
+			if n.faults != nil {
+				n.applyFaults(sh.now)
+			}
+			end := min(now+1, n.faults.nextFaultCycle())
+			sh.run(sh.now, end)
+			sh.now = end
+		}
+		if n.auditEvery > 0 && now >= n.auditNextAt {
+			n.runAudit(now)
+			n.auditNextAt = now + n.auditEvery
+		}
+		return
+	}
 	idle := true
 	for _, sh := range n.shards {
 		if sh.sc.busy() {
@@ -723,9 +742,9 @@ func (n *Network) runRound() {
 		}
 		sh.horizon = h
 	}
-	if n.probed {
-		// Probes share one accumulator across routers; a probed network
-		// steps its shards serially, like the unsharded steppers.
+	if n.shardGang == nil || n.probed {
+		// One shard runs on the calling goroutine; so do a probed
+		// network's shards, whose routers share one probe accumulator.
 		for _, sh := range n.shards {
 			sh.run(sh.now, sh.horizon)
 		}
@@ -766,10 +785,10 @@ func (n *Network) runRound() {
 	}
 }
 
-// run steps one shard through the window [start, end): the per-shard
-// clone of stepActive, with ejections buffered instead of delivered,
-// cross-shard pushes left for the barrier, and shard-local quiescent
-// gaps skipped to the next parked injection.
+// run steps one shard through the window [start, end): the active-set
+// worklists drive each cycle, ejections are buffered for the replay,
+// cross-shard pushes are left for the barrier, and shard-local
+// quiescent gaps are skipped to the next parked injection.
 func (sh *shard) run(start, end int64) {
 	if end <= start {
 		return
@@ -826,15 +845,18 @@ func (sh *shard) compact() {
 
 // finishRouter completes one stepped router's cycle inside a window:
 // ejections are buffered with their done flag, in-shard pushes wake the
-// downstream router, and cross-shard pushes stay in their boundary
-// outbox for the barrier to deliver and wake.
+// downstream router, cross-shard pushes stay in their boundary outbox
+// for the barrier to deliver and wake, and the router carries itself to
+// the next cycle if it still has router-local work.
 func (sh *shard) finishRouter(id int, now int64) {
 	sc := sh.sc
 	r := sh.net.routers[id]
 	if ejected := r.Ejected(); len(ejected) > 0 {
 		for _, f := range ejected {
+			// Only a packet a fault left unroutable may drain away from
+			// its destination (fireEject counts it as dropped).
 			if f.Pkt.Dst != id && !f.Pkt.Dropped {
-				panic(fmt.Sprintf("network: flit of packet to %d ejected at node %d", f.Pkt.Dst, id))
+				panic(fmt.Sprintf("network: flit of packet %d→%d ejected at node %d", f.Pkt.Src, f.Pkt.Dst, id))
 			}
 			sh.ejects = append(sh.ejects, ejectEvent{t: now, f: f, at: int32(id), done: f.Pkt.Done()})
 			sh.drained++ // counted at ejection, not replay: the flit left the wires here
@@ -857,9 +879,12 @@ func (sh *shard) finishRouter(id int, now int64) {
 // shard is read before Reset zeroes the packet.
 func (n *Network) fireEject(e *ejectEvent, now int64) {
 	if e.f.Pkt.Dropped {
-		// Unroutable drain: counted, not delivered — OnFlitEjected stays
-		// silent so throughput excludes the flits, mirroring the serial
-		// engine's handleEject.
+		// Unroutable drain: a fault severed the destination, so the
+		// packet drained through the ejection port of the router that
+		// found it unroutable. Its flits are counted, not delivered —
+		// OnFlitEjected stays silent so throughput excludes them — and
+		// completion still fires OnPacketDone so the measurement layer
+		// can retire tagged packets.
 		n.droppedFlits++
 		if !e.done {
 			return
@@ -873,7 +898,7 @@ func (n *Network) fireEject(e *ejectEvent, now int64) {
 		if n.OnPacketDone != nil {
 			n.OnPacketDone(p, now)
 		}
-		home := n.shards[n.shardAt[p.Src]]
+		home := n.sources[p.Src].sh
 		p.Reset()
 		home.pktFree = append(home.pktFree, p)
 	}
@@ -889,14 +914,13 @@ func (n *Network) fireCreate(e *createEvent, now int64) {
 	}
 }
 
-// replaySharded fires cycle now's buffered events on the network's
-// callbacks in the serial engine's exact per-cycle order: every
-// ejection in ascending node order, then every creation. With ordered
-// (contiguous slab) partitions, ascending shard order is ascending
-// node order and the replay concatenates; otherwise the per-shard
-// buffers — each already ascending by node within the cycle — k-way
-// merge on node id.
-func (n *Network) replaySharded(now int64) {
+// replay fires cycle now's buffered events on the network's callbacks
+// in one fixed per-cycle order: every ejection in ascending node order,
+// then every creation. With ordered (contiguous slab, or one shard)
+// partitions, ascending shard order is ascending node order and the
+// replay concatenates; otherwise the per-shard buffers — each already
+// ascending by node within the cycle — k-way merge on node id.
+func (n *Network) replay(now int64) {
 	if n.partsOrdered {
 		for _, sh := range n.shards {
 			for sh.ejCur < len(sh.ejects) {
@@ -978,12 +1002,16 @@ func (n *Network) replaySharded(now int64) {
 	}
 }
 
-// nextDueSharded composes quiescence fast-forward with the per-shard
-// clocks: the earliest unreplayed buffered event, else the earliest
-// busy shard's next-unexecuted cycle (pending wakes cover
-// barrier-transferred boundary flits), else the earliest parked
-// injection across shards.
-func (n *Network) nextDueSharded(now int64) int64 {
+// NextDue returns the earliest future cycle at which stepping the
+// network can have any observable effect: the earliest unreplayed
+// buffered event, else the earliest busy shard's next-unexecuted cycle
+// (pending wakes cover barrier-transferred boundary flits), else the
+// earliest parked injection across shards, or math.MaxInt64 if no
+// source will ever inject again. The sim run loop uses it to
+// fast-forward over quiescent spans. It must be called after Step(now).
+// A one-shard network that is busy answers now+1, as does every
+// full-scan network (its sources never leave the worklist).
+func (n *Network) NextDue(now int64) int64 {
 	due := int64(math.MaxInt64)
 	for _, sh := range n.shards {
 		if sh.ejCur < len(sh.ejects) && sh.ejects[sh.ejCur].t < due {

@@ -20,9 +20,8 @@ type source struct {
 	node int
 	inj  traffic.Injector
 	rng  *rng.RNG
-	// sh is the owning shard on sharded networks (nil otherwise):
-	// packets then come from the shard-local pool and creation events
-	// are buffered for the serial barrier replay, which assigns the
+	// sh is the owning shard: packets come from its pool and creation
+	// events are buffered for the serial replay, which assigns the
 	// global packet ID (see shard.go).
 	sh *shard
 
@@ -186,16 +185,15 @@ func (s *source) step(now int64) {
 		f := st.flits[st.next]
 		f.VC = int8(vc)
 		s.flitOut.Push(now, f)
-		s.net.wakeRouter(int32(s.node))
+		// The injection channel has the node's own link delay, and the
+		// source and its router share a shard.
+		sc := s.sh.sc
+		sc.wake(int32(s.node), sc.delay[s.node])
 		s.credits[vc]--
 		// Flit-conservation census (audit.go): count at the push, the
-		// moment the flit enters the network's wires. Sharded sources
-		// count on their own shard to keep the increment race-free.
-		if sh := s.sh; sh != nil {
-			sh.injected++
-		} else {
-			s.net.auditInjected++
-		}
+		// moment the flit enters the network's wires, on the source's own
+		// shard to keep the increment race-free.
+		s.sh.injected++
 		st.next++
 		if st.next == len(st.flits) {
 			s.busy[vc] = false
@@ -229,10 +227,11 @@ func (s *source) park() int64 {
 	return s.pendingAt
 }
 
-// generate creates one packet (from the network's pool) and appends it
-// to the source queue. Trace replay dictates the destination and size;
-// live workloads draw the destination from the pattern and, when a size
-// distribution is configured, the size from the source's RNG stream.
+// generate creates one packet (from the shard's pool), appends it to
+// the source queue, and buffers its creation for the replay. Trace
+// replay dictates the destination and size; live workloads draw the
+// destination from the pattern and, when a size distribution is
+// configured, the size from the source's RNG stream.
 func (s *source) generate(now int64) {
 	var dst, size int
 	if s.draw != nil {
@@ -245,25 +244,12 @@ func (s *source) generate(now int64) {
 			size = s.net.cfg.PacketSize
 		}
 	}
-	if sh := s.sh; sh != nil {
-		p := sh.allocPacket()
-		p.Src = s.node
-		p.Dst = dst
-		p.Size = size
-		p.CreatedAt = now
-		sh.creates = append(sh.creates, createEvent{t: now, p: p})
-		s.pushQueue(p)
-		return
-	}
-	p := s.net.allocPacket()
-	p.ID = s.net.nextPacketID
+	sh := s.sh
+	p := sh.allocPacket()
 	p.Src = s.node
 	p.Dst = dst
 	p.Size = size
 	p.CreatedAt = now
-	s.net.nextPacketID++
-	if cb := s.net.OnPacketCreated; cb != nil {
-		cb(p, now)
-	}
+	sh.creates = append(sh.creates, createEvent{t: now, p: p})
 	s.pushQueue(p)
 }

@@ -292,20 +292,22 @@ type SimConfig struct {
 	Faults string
 
 	// StepWorkers selects the deterministic parallel network stepper
-	// (0 or 1 = serial engine; > 1 = that many workers). Results are
-	// byte-identical for every value; see PERF.md.
+	// (0 or 1 = each shard steps its routers on one goroutine; > 1 =
+	// that many workers per shard). Results are byte-identical for
+	// every value; see PERF.md.
 	StepWorkers int
 
-	// Shards selects the lookahead-sharded engine (0 or 1 = single
-	// range; > 1 = that many shards stepping windows concurrently
-	// between boundary barriers). Results are byte-identical for every
+	// Shards selects the lookahead-sharded engine (0 or 1 = one shard
+	// over every node; > 1 = that many shards stepping windows
+	// concurrently between boundary barriers). Results are byte-identical for every
 	// value, and Shards composes with StepWorkers; see PERF.md.
 	Shards int
 
-	// FullScan selects the legacy cycle engine that visits every router
-	// and source each cycle instead of the active-set scheduler.
-	// Results are byte-identical; it exists as the reference engine for
-	// identity tests and as the benchmark baseline (see PERF.md).
+	// FullScan switches the scheduler to its reference policy, which
+	// visits every non-idle router and every source each cycle instead
+	// of following the wake worklists. Results are byte-identical; it
+	// exists as the reference for identity tests and as the benchmark
+	// baseline (see PERF.md).
 	FullScan bool
 
 	// Measurement protocol.
