@@ -2,11 +2,41 @@ package main
 
 import (
 	"errors"
+	"flag"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// TestFlagSurface pins every flag's name and default. The axis flags
+// are generated from the harness axis table; this list was taken from
+// the hand-written flags they replaced.
+func TestFlagSurface(t *testing.T) {
+	want := map[string]string{
+		"audit": "0", "buf": "0", "ci-target": "0", "credit-delay": "1", "exact": "false", "faults": "",
+		"json": "false", "k": "8", "load": "0.4", "overrides": "", "packets": "20000", "packetsize": "5",
+		"pattern": "uniform", "probe-turnaround": "false", "record": "", "router": "spec-vc", "routing": "",
+		"seed": "1", "shards": "0", "sizes": "", "source": "", "step-workers": "0", "topo": "mesh",
+		"vcs": "0", "warmup": "10000",
+	}
+	got := map[string]string{}
+	flag.VisitAll(func(f *flag.Flag) {
+		if !strings.HasPrefix(f.Name, "test.") {
+			got[f.Name] = f.DefValue
+		}
+	})
+	for name, def := range want {
+		if g, ok := got[name]; !ok || g != def {
+			t.Errorf("-%s: default %q (defined %v), want %q", name, g, ok, def)
+		}
+	}
+	for name := range got {
+		if _, ok := want[name]; !ok {
+			t.Errorf("unexpected flag -%s", name)
+		}
+	}
+}
 
 // TestTooManyInputVCsExitsWithError: configurations whose routers would
 // need more than 64 input VCs (Ports×VCs) used to die with a panic

@@ -32,71 +32,57 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
-	"strings"
 	"sync"
 	"syscall"
 
 	"routersim"
-	"routersim/internal/topology"
+	"routersim/internal/harness"
 )
 
-func main() {
+var (
 	// Figure mode.
-	figure := flag.String("figure", "", "figure to regenerate: 13, 14, 15, 17, or 18")
-	all := flag.Bool("all", false, "regenerate every simulated figure")
-	full := flag.Bool("full", false, "use the paper's full protocol (10k warmup, 100k packets)")
-
-	// Matrix axes.
-	routers := flag.String("routers", "spec-vc", "comma-separated router kinds: "+routersim.RouterNames())
-	topos := flag.String("topos", "mesh", "comma-separated topology specs: mesh, torus, ring, hypercube, parameterized as mesh:k=8, torus:k=4:n=3, hypercube:64, ring:16 (k=/n= params may separate with ':' or ',')")
-	ks := flag.String("k", "8", "comma-separated network sizes: radix for mesh/torus, node count for ring/hypercube")
-	patterns := flag.String("patterns", "uniform", "comma-separated traffic patterns: uniform, transpose, bit-reversal, bit-complement, hotspot[:NODE:FRAC]")
-	vcs := flag.String("vcs", "2", "comma-separated VC counts per port")
-	bufs := flag.String("bufs", "4", "comma-separated flit buffers per VC")
-	pktSizes := flag.String("packetsize", "5", "comma-separated packet sizes (flits)")
-	creditDelays := flag.String("credit-delays", "1", "comma-separated credit propagation delays (cycles)")
-	stepWorkers := flag.String("step-workers", "0", "comma-separated parallel-stepper worker counts per shard (0/1 = none; results are identical for every value)")
-	shards := flag.String("shards", "0", "comma-separated lookahead-shard counts (0/1 = one shard; results are identical for every value)")
-	sources := flag.String("sources", "", "comma-separated injection processes: const, bernoulli, mmpp:on=X,off=Y, batch:size=N, trace:file=PATH (empty = const; a bare KEY=VALUE fragment continues the previous spec)")
-	sizes := flag.String("sizes", "", "comma-separated packet-size distributions: fixed:N, uniform:min=A,max=B, bimodal:small=S,large=L,p=P (empty = every packet is -packetsize flits)")
-	overrides := flag.String("overrides", "", "'|'-separated per-router override specs, each ';'-separated SEL:k=v groups, e.g. '0:vcs=4,buf=8;3-5:delay=2|*:buf=2' (empty list entry = uniform network)")
-	routing := flag.String("routing", "", "comma-separated routing policies: dor, adaptive:minimal (empty = dor, the paper's deterministic dimension-order routing)")
-	faults := flag.String("faults", "", "'|'-separated fault-injection specs, each ';'-separated events like 'link:3-7@cycle=1000;router:12@cycle=2000' or 'rand:links=2,seed=9@cycle=500' (empty list entry = fault-free network)")
-	loads := flag.String("loads", "0.2", "loads as fractions of capacity: comma list or lo:hi:step range")
+	figure = flag.String("figure", "", "figure to regenerate: 13, 14, 15, 17, or 18")
+	all    = flag.Bool("all", false, "regenerate every simulated figure")
+	full   = flag.Bool("full", false, "use the paper's full protocol (10k warmup, 100k packets)")
 
 	// Saturation-search mode: replace the loads axis with an adaptive
 	// bisection per scenario.
-	saturation := flag.Bool("saturation", false, "find each scenario's saturation load by adaptive bisection instead of sweeping -loads; emits one row per scenario")
-	satTol := flag.Float64("sat-tol", 0.01, "load resolution of the -saturation bisection (fraction of capacity)")
+	saturation = flag.Bool("saturation", false, "find each scenario's saturation load by adaptive bisection instead of sweeping the load axis; emits one row per scenario")
+	satTol     = flag.Float64("sat-tol", 0.01, "load resolution of the -saturation bisection (fraction of capacity)")
 
 	// Crash safety: checkpoint/resume, invariant auditing, panic retry.
-	ckptDir := flag.String("checkpoint", "", "persist each completed job to this directory (atomic, content-addressed); a killed sweep resumes with -resume")
-	resume := flag.Bool("resume", false, "load completed jobs from the -checkpoint directory and run only the remainder (output stays byte-identical to an uninterrupted run)")
-	audit := flag.Int("audit", 0, "check engine conservation invariants every N cycles in every job (0 = off; results are identical either way)")
-	retries := flag.Int("retries", 0, "retry budget for panicking jobs (0 = one retry, negative = none); errors are never retried")
+	ckptDir = flag.String("checkpoint", "", "persist each completed job to this directory (atomic, content-addressed); a killed sweep resumes with -resume")
+	resume  = flag.Bool("resume", false, "load completed jobs from the -checkpoint directory and run only the remainder (output stays byte-identical to an uninterrupted run)")
+	audit   = flag.Int("audit", 0, "check engine conservation invariants every N cycles in every job (0 = off; results are identical either way)")
+	retries = flag.Int("retries", 0, "retry budget for panicking jobs (0 = one retry, negative = none); errors are never retried")
 
 	// Profiling: hot-path investigation without ad-hoc harness hacking.
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
-	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file (go tool pprof)")
+	cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+	memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file (go tool pprof)")
 
 	// Protocol and execution.
-	warmup := flag.Int64("warmup", 2000, "warm-up cycles per job")
-	packets := flag.Int("packets", 1500, "tagged sample size per job")
-	exact := flag.Bool("exact", false, "store every latency sample for exact percentiles (default streams with O(1) memory per job)")
-	ciTarget := flag.Float64("ci-target", 0, "end each job early once the relative 95% CI half-width of mean latency reaches this (0 = run the full sample)")
-	seed := flag.Uint64("seed", 1, "base seed; each job derives its own seed from it")
-	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS); never affects results")
-	jsonPath := flag.String("json", "", "write results as JSON to this file ('-' for stdout)")
-	csvPath := flag.String("csv", "", "write results as CSV to this file ('-' for stdout)")
-	quiet := flag.Bool("quiet", false, "suppress per-job progress lines on stderr")
-	flag.Parse()
+	warmup   = flag.Int64("warmup", 2000, "warm-up cycles per job")
+	packets  = flag.Int("packets", 1500, "tagged sample size per job")
+	exact    = flag.Bool("exact", false, "store every latency sample for exact percentiles (default streams with O(1) memory per job)")
+	ciTarget = flag.Float64("ci-target", 0, "end each job early once the relative 95% CI half-width of mean latency reaches this (0 = run the full sample)")
+	seed     = flag.Uint64("seed", 1, "base seed; each job derives its own seed from it")
+	workers  = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS); never affects results")
+	jsonPath = flag.String("json", "", "write results as JSON to this file ('-' for stdout)")
+	csvPath  = flag.String("csv", "", "write results as CSV to this file ('-' for stdout)")
+	quiet    = flag.Bool("quiet", false, "suppress per-job progress lines on stderr")
 
+	// The matrix: one list flag per scenario axis, from the axis table.
+	matrix routersim.ScenarioMatrix
+)
+
+func init() { harness.AddMatrixFlags(flag.CommandLine, &matrix) }
+
+func main() {
+	flag.Parse()
 	startProfiles(*cpuProfile, *memProfile)
 	defer stopProfiles()
 	handleSignals()
@@ -110,17 +96,13 @@ func main() {
 		// axes don't apply there. Reject explicitly-set matrix-only
 		// flags rather than silently ignoring them.
 		matrixOnly := map[string]bool{
-			"routers": true, "topos": true, "k": true, "patterns": true,
-			"vcs": true, "bufs": true, "packetsize": true, "credit-delays": true,
-			"step-workers": true, "shards": true, "sources": true, "sizes": true, "overrides": true,
-			"routing": true, "faults": true,
-			"loads": true, "warmup": true, "packets": true,
+			"warmup": true, "packets": true,
 			"workers": true, "json": true, "quiet": true,
 			"saturation": true, "sat-tol": true, "exact": true, "ci-target": true,
 			"checkpoint": true, "resume": true, "audit": true, "retries": true,
 		}
 		flag.Visit(func(f *flag.Flag) {
-			if matrixOnly[f.Name] {
+			if matrixOnly[f.Name] || harness.IsAxisFlag(f) {
 				fatal(fmt.Errorf("-%s applies to matrix mode only, not -figure/-all (figure mode supports -full, -seed, -csv)", f.Name))
 			}
 		})
@@ -128,24 +110,6 @@ func main() {
 		return
 	}
 
-	matrix := routersim.ScenarioMatrix{
-		Routers:      splitList(*routers),
-		Topologies:   splitSpecList(*topos),
-		Ks:           parseInts("k", *ks),
-		Patterns:     splitList(*patterns),
-		VCs:          parseInts("vcs", *vcs),
-		BufsPerVC:    parseInts("bufs", *bufs),
-		PacketSizes:  parseInts("packetsize", *pktSizes),
-		CreditDelays: parseInts("credit-delays", *creditDelays),
-		StepWorkers:  parseInts("step-workers", *stepWorkers),
-		Shards:       parseInts("shards", *shards),
-		Sources:      splitWorkloadList(*sources),
-		Sizes:        splitWorkloadList(*sizes),
-		Overrides:    splitPipeList(*overrides),
-		Routings:     splitList(*routing),
-		Faults:       splitPipeList(*faults),
-		Loads:        parseLoads(*loads),
-	}
 	opts := routersim.MatrixOptions{
 		Workers: *workers,
 		Seed:    *seed,
@@ -158,22 +122,16 @@ func main() {
 	}
 
 	if *saturation {
-		// The search owns the load axis; an explicit grid is a mode mix,
-		// and a trace dictates its own rate, leaving nothing to bisect.
+		// The search owns the load axis; an explicit grid is a mode mix.
 		// Checkpointing covers matrix jobs, not bisection probes.
 		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "loads" {
-				fatal(fmt.Errorf("-loads does not apply to -saturation (the bisection owns the load axis)"))
+			if harness.IsLoadFlag(f) {
+				fatal(fmt.Errorf("-%s does not apply to -saturation (the bisection owns the load axis)", f.Name))
 			}
 			if f.Name == "checkpoint" || f.Name == "resume" {
 				fatal(fmt.Errorf("-%s applies to matrix mode only, not -saturation (search probes are not checkpointed)", f.Name))
 			}
 		})
-		for _, src := range matrix.Sources {
-			if strings.HasPrefix(strings.TrimSpace(src), "trace") {
-				fatal(fmt.Errorf("-saturation does not apply to trace sources (the trace dictates the injection rate; there is no load axis to bisect)"))
-			}
-		}
 		runSaturation(matrix, opts, *satTol, *jsonPath, *csvPath, *quiet)
 		return
 	}
@@ -182,13 +140,7 @@ func main() {
 	// records them per job, so one incompatible combination (say,
 	// wormhole × torus in a routers × topologies sweep) doesn't discard
 	// the rest of the matrix. Failures are summarized on stderr below.
-	requested := len(matrix.Routers) * len(matrix.Topologies) * len(matrix.Ks) *
-		len(matrix.Patterns) * len(matrix.VCs) * len(matrix.BufsPerVC) *
-		len(matrix.PacketSizes) * len(matrix.CreditDelays) * len(matrix.StepWorkers) *
-		len(matrix.Shards) *
-		axisLen(matrix.Sources) * axisLen(matrix.Sizes) * axisLen(matrix.Overrides) *
-		axisLen(matrix.Routings) * axisLen(matrix.Faults) *
-		len(matrix.Loads)
+	requested := matrix.Cells()
 	jobs := matrix.Size()
 	if jobs < requested {
 		fmt.Fprintf(os.Stderr, "note: %d duplicate scenario(s) collapsed (axes overlap after canonicalization)\n",
@@ -335,146 +287,6 @@ func runFigures(figure string, all, full bool, seed uint64, csvPath string) {
 		})
 	}
 }
-
-func splitList(s string) []string {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// axisLen is an axis's contribution to the requested-job count: an
-// empty axis normalizes to one default value.
-func axisLen(vals []string) int {
-	if len(vals) == 0 {
-		return 1
-	}
-	return len(vals)
-}
-
-// splitWorkloadList splits a comma-separated list of workload specs
-// (injection processes, size distributions) whose parameters themselves
-// contain commas ("mmpp:on=20,off=60,batch:size=4"): a bare KEY=VALUE
-// fragment continues the previous spec rather than starting a new one.
-func splitWorkloadList(s string) []string {
-	var out []string
-	for _, f := range splitList(s) {
-		if len(out) > 0 && strings.Contains(f, "=") && !strings.Contains(f, ":") {
-			out[len(out)-1] += "," + f
-			continue
-		}
-		out = append(out, f)
-	}
-	return out
-}
-
-// splitPipeList splits a '|'-separated list (per-router override specs
-// use ',' and ';' internally), preserving empty entries so a sweep can
-// cross a uniform network with override sets ("|0:vcs=4"). An all-empty
-// flag value means the axis was not stated.
-func splitPipeList(s string) []string {
-	if strings.TrimSpace(s) == "" {
-		return nil
-	}
-	fields := strings.Split(s, "|")
-	out := make([]string, len(fields))
-	for i, f := range fields {
-		out[i] = strings.TrimSpace(f)
-	}
-	return out
-}
-
-// splitSpecList splits a comma-separated list of topology specs whose
-// parameters may themselves contain commas ("torus:k=4,n=3,ring:16"):
-// a fragment the spec grammar recognizes as pure parameters (k=4, n=3,
-// or a bare integer) continues the previous spec rather than starting a
-// new one.
-func splitSpecList(s string) []string {
-	var out []string
-	for _, f := range splitList(s) {
-		if len(out) > 0 && topology.IsParamFragment(f) {
-			out[len(out)-1] += "," + f
-			continue
-		}
-		out = append(out, f)
-	}
-	return out
-}
-
-func parseInts(name, s string) []int {
-	var out []int
-	for _, f := range splitList(s) {
-		v, err := strconv.Atoi(f)
-		if err != nil {
-			fatal(fmt.Errorf("-%s: %v", name, err))
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
-// parseLoads accepts a comma list ("0.1,0.2,0.3") or an inclusive range
-// with step ("0.1:0.9:0.05").
-func parseLoads(s string) []float64 {
-	if lo, hi, step, ok := parseRange(s); ok {
-		var out []float64
-		// Walk an integer grid to dodge float accumulation drift.
-		for i := 0; ; i++ {
-			l := lo + float64(i)*step
-			if l > hi+step/2 {
-				break
-			}
-			out = append(out, roundLoad(l))
-		}
-		return out
-	}
-	var out []float64
-	for _, f := range splitList(s) {
-		v, err := parseLoad(f)
-		if err != nil {
-			fatal(fmt.Errorf("-loads: %v", err))
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
-func parseRange(s string) (lo, hi, step float64, ok bool) {
-	fields := strings.Split(s, ":")
-	if len(fields) != 3 {
-		return 0, 0, 0, false
-	}
-	var vals [3]float64
-	for i, f := range fields {
-		v, err := parseLoad(strings.TrimSpace(f))
-		if err != nil {
-			fatal(fmt.Errorf("-loads range %q: %v", s, err))
-		}
-		vals[i] = v
-	}
-	if vals[2] <= 0 || vals[1] < vals[0] {
-		fatal(fmt.Errorf("-loads range %q: want lo:hi:step with step > 0", s))
-	}
-	return vals[0], vals[1], vals[2], true
-}
-
-// parseLoad parses one -loads number. ParseFloat accepts "NaN" and
-// "Inf", which no load can be: as a range bound they would make the
-// grid walk above never end.
-func parseLoad(f string) (float64, error) {
-	v, err := strconv.ParseFloat(f, 64)
-	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
-		err = fmt.Errorf("%q is not a finite number", f)
-	}
-	return v, err
-}
-
-// roundLoad snaps a swept load to 4 decimals so range-generated grids
-// serialize cleanly.
-func roundLoad(l float64) float64 { return float64(int(l*10000+0.5)) / 10000 }
 
 func writeTo(path string, fn func(*os.File) error) {
 	if path == "-" {

@@ -1,0 +1,68 @@
+package main
+
+import (
+	"errors"
+	"flag"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestFlagSurface pins every flag's name and default. The axis flags
+// are generated from the harness axis table; this list was taken from
+// the hand-written flags they replaced.
+func TestFlagSurface(t *testing.T) {
+	want := map[string]string{
+		"all": "false", "audit": "0", "bufs": "4", "checkpoint": "", "ci-target": "0", "cpuprofile": "",
+		"credit-delays": "1", "csv": "", "exact": "false", "faults": "", "figure": "", "full": "false",
+		"json": "", "k": "8", "loads": "0.2", "memprofile": "", "overrides": "", "packets": "1500",
+		"packetsize": "5", "patterns": "uniform", "quiet": "false", "resume": "false", "retries": "0",
+		"routers": "spec-vc", "routing": "", "sat-tol": "0.01", "saturation": "false", "seed": "1",
+		"shards": "0", "sizes": "", "sources": "", "step-workers": "0", "topos": "mesh", "vcs": "2",
+		"warmup": "2000", "workers": "0",
+	}
+	got := map[string]string{}
+	flag.VisitAll(func(f *flag.Flag) {
+		if !strings.HasPrefix(f.Name, "test.") {
+			got[f.Name] = f.DefValue
+		}
+	})
+	for name, def := range want {
+		if g, ok := got[name]; !ok || g != def {
+			t.Errorf("-%s: default %q (defined %v), want %q", name, g, ok, def)
+		}
+	}
+	for name := range got {
+		if _, ok := want[name]; !ok {
+			t.Errorf("unexpected flag -%s", name)
+		}
+	}
+}
+
+// TestMalformedAxisExitsBeforeRunning: a value an axis's parser rejects
+// stops the command during flag parsing — non-zero, naming the flag —
+// before any job runs.
+func TestMalformedAxisExitsBeforeRunning(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "sweep")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, args := range [][]string{
+		{"-k", "4,x"},
+		{"-loads", "0.1,NaN"},
+		{"-loads", "0:Inf:0.1"},
+		{"-loads", "0.1:0.5:0"},
+		{"-vcs", "two"},
+	} {
+		out, err := exec.Command(bin, append(args, "-warmup", "10", "-packets", "10")...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+			t.Errorf("sweep %v: %v, want a non-zero exit\n%s", args, err, out)
+		}
+		s := string(out)
+		if !strings.Contains(s, "flag "+args[0]) || strings.Contains(s, "matrix:") {
+			t.Errorf("sweep %v: want an error naming %s before any job, got\n%s", args, args[0], s)
+		}
+	}
+}

@@ -20,7 +20,7 @@ import (
 func run(load float64, fullScan bool) (routersim.SimResult, time.Duration) {
 	cfg := routersim.DefaultSimConfig(routersim.SpecVCRouter)
 	cfg.Topology = "mesh:k=32"
-	cfg.LoadFraction = load
+	cfg.Load = load
 	cfg.WarmupCycles = 5000
 	cfg.MeasurePackets = 2000
 	cfg.FullScan = fullScan

@@ -26,7 +26,7 @@ func main() {
 	// 2. Simulator: run the prescribed 3-stage speculative router on an
 	// 8x8 mesh at 40% of capacity with uniform traffic.
 	cfg := routersim.DefaultSimConfig(routersim.SpecVCRouter)
-	cfg.LoadFraction = 0.40
+	cfg.Load = 0.40
 	cfg.WarmupCycles = 3000
 	cfg.MeasurePackets = 5000
 	res, err := routersim.Simulate(cfg)
@@ -34,7 +34,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("Simulated %d-stage speculative VC router on an 8x8 mesh at %.0f%% capacity:\n",
-		pipe.Depth(), 100*cfg.LoadFraction)
+		pipe.Depth(), 100*cfg.Load)
 	fmt.Printf("  mean latency    %.1f cycles\n", res.Latency.MeanLatency)
 	fmt.Printf("  p95 latency     %d cycles\n", res.Latency.P95)
 	fmt.Printf("  accepted load   %.2f of capacity\n", res.AcceptedLoad)

@@ -18,7 +18,7 @@ import (
 func run(topo string, load float64) routersim.SimResult {
 	cfg := routersim.DefaultSimConfig(routersim.SpecVCRouter)
 	cfg.Topology = topo
-	cfg.LoadFraction = load
+	cfg.Load = load
 	cfg.WarmupCycles = 2000
 	cfg.MeasurePackets = 4000
 	res, err := routersim.Simulate(cfg)

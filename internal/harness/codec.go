@@ -53,9 +53,10 @@ type codec struct {
 
 var errRejected = errors.New("harness: payload is not in the serialized form")
 
-// jobResult, scenario and result are the schema: each field's serialized
-// key, in order. A leading '?' marks omitempty: a zero value is left out
-// when encoding, and the field is optional when decoding.
+// jobResult, result and the axis table (for the scenario) are the schema:
+// each field's serialized key, in order. A leading '?' marks omitempty: a
+// zero value is left out when encoding, and the field is optional when
+// decoding.
 
 func (c *codec) jobResult(r *JobResult) {
 	c.int(`{"index":`, &r.Index)
@@ -92,22 +93,17 @@ func (c *codec) jobResult(r *JobResult) {
 }
 
 func (c *codec) scenario(sc *Scenario) {
-	c.str(`{"router":`, &sc.Router)
-	c.str(`,"topology":`, &sc.Topology)
-	c.int(`,"k":`, &sc.K)
-	c.str(`,"pattern":`, &sc.Pattern)
-	c.int(`,"vcs":`, &sc.VCs)
-	c.int(`,"buf_per_vc":`, &sc.BufPerVC)
-	c.int(`,"packet_size":`, &sc.PacketSize)
-	c.int(`,"credit_delay":`, &sc.CreditDelay)
-	c.int(`,"step_workers":`, &sc.StepWorkers)
-	c.int(`,"shards":`, &sc.Shards)
-	c.str(`?,"source":`, &sc.Source)
-	c.str(`?,"sizes":`, &sc.Sizes)
-	c.str(`?,"overrides":`, &sc.Overrides)
-	c.str(`?,"routing":`, &sc.Routing)
-	c.str(`?,"faults":`, &sc.Faults)
-	c.float(`,"load":`, &sc.Load)
+	fields := sc.fields()
+	for i := range fields { // not "i, field": that copies the array
+		switch f := fields[i].(type) {
+		case *string:
+			c.str(axes[i].jsonKey, f)
+		case *int:
+			c.int(axes[i].jsonKey, f)
+		case *float64:
+			c.float(axes[i].jsonKey, f)
+		}
+	}
 	c.field("}", false)
 }
 

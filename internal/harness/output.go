@@ -67,11 +67,12 @@ func (s *JSONStream) Close() error {
 	return s.err
 }
 
-// CSVHeader is the column set of WriteCSV, one row per job. censored
-// counts tagged packets the cycle cap cut off (nonzero ⇒ the latency
-// columns are lower bounds, not measurements); mean_ci and accepted_ci
-// are 95% batch-means confidence half-widths.
-const CSVHeader = "index,router,topology,k,pattern,vcs,buf_per_vc,packet_size,credit_delay,step_workers,shards,source,sizes,overrides,routing,faults,load,seed," +
+// CSVHeader is the column set of WriteCSV, one row per job: the index,
+// one column per axis, then the seed and the results. censored counts
+// tagged packets the cycle cap cut off (nonzero ⇒ the latency columns
+// are lower bounds, not measurements); mean_ci and accepted_ci are 95%
+// batch-means confidence half-widths.
+var CSVHeader = "index," + axisColumns("") + ",seed," +
 	"ports,model_stages,offered,accepted,accepted_ci,mean_latency,mean_ci,p50,p95,max_latency,packets,censored,unroutable,dropped_flits,cycles,saturated,error"
 
 // WriteCSV serializes results as CSV in job-index order, with the same
@@ -104,24 +105,9 @@ func appendCSVRow(dst []byte, r *JobResult) []byte {
 	if r.Model != nil {
 		model = *r.Model
 	}
-	sc, lat := &r.Scenario, &res.Latency
+	lat := &res.Latency
 	dst = csvInt(dst, int64(r.Index))
-	dst = csvString(dst, sc.Router)
-	dst = csvString(dst, sc.Topology)
-	dst = csvInt(dst, int64(sc.K))
-	dst = csvString(dst, sc.Pattern)
-	dst = csvInt(dst, int64(sc.VCs))
-	dst = csvInt(dst, int64(sc.BufPerVC))
-	dst = csvInt(dst, int64(sc.PacketSize))
-	dst = csvInt(dst, int64(sc.CreditDelay))
-	dst = csvInt(dst, int64(sc.StepWorkers))
-	dst = csvInt(dst, int64(sc.Shards))
-	dst = csvString(dst, sc.Source)
-	dst = csvString(dst, sc.Sizes)
-	dst = csvString(dst, sc.Overrides)
-	dst = csvString(dst, sc.Routing)
-	dst = csvString(dst, sc.Faults)
-	dst = csvFloat(dst, sc.Load)
+	dst = appendAxes(dst, &r.Scenario, "")
 	dst = append(strconv.AppendUint(dst, r.Seed, 10), ',')
 	dst = csvInt(dst, int64(model.Ports))
 	dst = csvInt(dst, int64(model.Stages))

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 
 	"routersim/internal/pool"
 	"routersim/internal/rng"
 	"routersim/internal/sim"
+	"routersim/internal/traffic"
 )
 
 // SearchOptions parameterize the adaptive saturation search.
@@ -102,6 +104,9 @@ func FindSaturation(sc Scenario, opts Options, so SearchOptions) (SaturationResu
 	if _, err := sc.SimConfig(1, Protocol{Warmup: 1, Packets: 1}); err != nil {
 		return SaturationResult{}, fmt.Errorf("harness: %s: %w", sc.Label(), err)
 	}
+	if err := searchable(sc); err != nil {
+		return SaturationResult{}, err
+	}
 	so = so.normalized()
 	if so.Lo < 0 || so.Hi <= so.Lo || so.Step <= 0 {
 		return SaturationResult{}, fmt.Errorf("harness: bad search bracket [%v, %v] step %v", so.Lo, so.Hi, so.Step)
@@ -153,6 +158,15 @@ func findSaturation(index int, sc Scenario, opts Options, so SearchOptions) Satu
 	return sr
 }
 
+// searchable rejects a trace source: the trace dictates its own
+// injection rate, so there is no load axis to bisect.
+func searchable(sc Scenario) error {
+	if spec, err := traffic.ParseSource(sc.Source); err == nil && spec.Kind == "trace" {
+		return fmt.Errorf("harness: %s: a saturation search does not apply to trace sources (the trace dictates the injection rate; there is no load axis to bisect)", sc.Label())
+	}
+	return nil
+}
+
 // snapLoad rounds a load onto the Step grid (and to 4 decimals, so
 // serialized probe loads stay clean like the sweep CLI's grids).
 func snapLoad(load, step float64) float64 {
@@ -172,6 +186,11 @@ func FindSaturations(m Matrix, opts Options, so SearchOptions) ([]SaturationResu
 	if len(scenarios) == 0 {
 		return nil, fmt.Errorf("harness: empty matrix")
 	}
+	for _, sc := range scenarios {
+		if err := searchable(sc); err != nil {
+			return nil, err
+		}
+	}
 	so = so.normalized()
 	if so.Lo < 0 || so.Hi <= so.Lo || so.Step <= 0 {
 		return nil, fmt.Errorf("harness: bad search bracket [%v, %v] step %v", so.Lo, so.Hi, so.Step)
@@ -185,25 +204,32 @@ func FindSaturations(m Matrix, opts Options, so SearchOptions) ([]SaturationResu
 	return results, nil
 }
 
-// SaturationCSVHeader is the column set of WriteSaturationCSV.
-const SaturationCSVHeader = "index,router,topology,k,pattern,vcs,buf_per_vc,packet_size,credit_delay,step_workers,shards,routing,faults,seed," +
+// SaturationCSVHeader is the column set of WriteSaturationCSV: the
+// index, every axis but the load the search owns, then the seed and the
+// knee.
+var SaturationCSVHeader = "index," + axisColumns(loadKey) + ",seed," +
 	"saturation_load,upper_bound,throughput,probes,cycles,error"
 
 // WriteSaturationCSV serializes saturation-search results as CSV, one
 // row per scenario, with the same determinism guarantee as WriteCSV.
 func WriteSaturationCSV(w io.Writer, results []SaturationResult) error {
-	if _, err := fmt.Fprintln(w, SaturationCSVHeader); err != nil {
+	if _, err := io.WriteString(w, SaturationCSVHeader+"\n"); err != nil {
 		return err
 	}
-	for _, r := range results {
-		sc := r.Scenario
-		_, err := fmt.Fprintf(w, "%d,%s,%s,%d,%s,%d,%d,%d,%d,%d,%d,%s,%s,%d,%s,%s,%s,%d,%d,%s\n",
-			r.Index, csvEscape(sc.Router), csvEscape(sc.Topology), sc.K, csvEscape(sc.Pattern),
-			sc.VCs, sc.BufPerVC, sc.PacketSize, sc.CreditDelay, sc.StepWorkers, sc.Shards,
-			csvEscape(sc.Routing), csvEscape(sc.Faults), r.Seed,
-			appendFloat(nil, r.Load), appendFloat(nil, r.Upper), appendFloat(nil, r.Throughput),
-			len(r.Probes), r.Cycles, csvEscape(r.Error))
-		if err != nil {
+	var row []byte
+	for i := range results {
+		r := &results[i]
+		row = csvInt(row[:0], int64(r.Index))
+		row = appendAxes(row, &r.Scenario, loadKey)
+		row = append(strconv.AppendUint(row, r.Seed, 10), ',')
+		row = csvFloat(row, r.Load)
+		row = csvFloat(row, r.Upper)
+		row = csvFloat(row, r.Throughput)
+		row = csvInt(row, int64(len(r.Probes)))
+		row = csvInt(row, r.Cycles)
+		row = csvString(row, r.Error)
+		row[len(row)-1] = '\n'
+		if _, err := w.Write(row); err != nil {
 			return err
 		}
 	}

@@ -118,6 +118,9 @@ func TestFindSaturationRejectsBadInput(t *testing.T) {
 	if _, err := FindSaturations(Matrix{Routers: []string{"spec-vc"}}, opts, SearchOptions{Lo: -1}); err == nil {
 		t.Error("negative Lo should be rejected")
 	}
+	if _, err := FindSaturations(Matrix{Sources: []string{"", "trace:file=run.trace"}}, opts, SearchOptions{}); err == nil || !strings.Contains(err.Error(), "trace") {
+		t.Errorf("a trace source sets its own rate, leaving no load to bisect; got %v", err)
+	}
 }
 
 // TestFindSaturationsMatrix: the matrix form searches every scenario,

@@ -113,57 +113,12 @@ type Matrix struct {
 	Loads        []float64 `json:"loads"`
 }
 
-// Normalize fills empty axes with the paper's evaluation defaults:
-// speculative VC router, 8×8 mesh, uniform traffic, 2 VCs × 4 buffers,
-// 5-flit packets, 1-cycle credits, 20% load.
+// Normalize fills empty axes with the paper's evaluation defaults (the
+// axis table's): speculative VC router, 8×8 mesh, uniform traffic,
+// 2 VCs × 4 buffers, 5-flit packets, 1-cycle credits, 20% load.
 func (m Matrix) Normalize() Matrix {
-	if len(m.Routers) == 0 {
-		m.Routers = []string{router.SpeculativeVC.String()}
-	}
-	if len(m.Topologies) == 0 {
-		m.Topologies = []string{"mesh"}
-	}
-	if len(m.Ks) == 0 {
-		m.Ks = []int{8}
-	}
-	if len(m.Patterns) == 0 {
-		m.Patterns = []string{"uniform"}
-	}
-	if len(m.VCs) == 0 {
-		m.VCs = []int{2}
-	}
-	if len(m.BufsPerVC) == 0 {
-		m.BufsPerVC = []int{4}
-	}
-	if len(m.PacketSizes) == 0 {
-		m.PacketSizes = []int{5}
-	}
-	if len(m.CreditDelays) == 0 {
-		m.CreditDelays = []int{1}
-	}
-	if len(m.StepWorkers) == 0 {
-		m.StepWorkers = []int{0}
-	}
-	if len(m.Shards) == 0 {
-		m.Shards = []int{0}
-	}
-	if len(m.Sources) == 0 {
-		m.Sources = []string{""}
-	}
-	if len(m.Sizes) == 0 {
-		m.Sizes = []string{""}
-	}
-	if len(m.Overrides) == 0 {
-		m.Overrides = []string{""}
-	}
-	if len(m.Routings) == 0 {
-		m.Routings = []string{""}
-	}
-	if len(m.Faults) == 0 {
-		m.Faults = []string{""}
-	}
-	if len(m.Loads) == 0 {
-		m.Loads = []float64{0.2}
+	for i, slice := range m.slices() {
+		fill(slice, axes[i].defVal)
 	}
 	return m
 }
@@ -171,6 +126,24 @@ func (m Matrix) Normalize() Matrix {
 // Size returns the number of jobs the matrix expands to (after
 // canonicalization and deduplication).
 func (m Matrix) Size() int { return len(m.Expand()) }
+
+// Cells returns the size of the (normalized) cross product before
+// canonicalization collapses duplicates.
+func (m Matrix) Cells() int {
+	m = m.Normalize()
+	_, total := m.lens()
+	return total
+}
+
+// lens returns each axis's value count and their product.
+func (m *Matrix) lens() (n [len(axes)]int, total int) {
+	total = 1
+	for a, slice := range m.slices() {
+		n[a] = sliceLen(slice)
+		total *= n[a]
+	}
+	return n, total
+}
 
 // Expand enumerates every scenario of the (normalized) matrix in the
 // fixed axis order. Scenarios are canonicalized — a non-VC router kind
@@ -180,43 +153,23 @@ func (m Matrix) Size() int { return len(m.Expand()) }
 // router crossed with several VC counts) appear once.
 func (m Matrix) Expand() []Scenario {
 	m = m.Normalize()
-	// One odometer digit per axis, routers outermost, loads innermost —
-	// the same fixed expansion order the nested loops always had, so job
-	// indices, derived seeds, and serialized output are unchanged.
-	axes := []int{
-		len(m.Routers), len(m.Topologies), len(m.Ks), len(m.Patterns),
-		len(m.VCs), len(m.BufsPerVC), len(m.PacketSizes), len(m.CreditDelays),
-		len(m.StepWorkers), len(m.Shards), len(m.Sources), len(m.Sizes),
-		len(m.Overrides), len(m.Routings), len(m.Faults), len(m.Loads),
-	}
-	total := 1
-	for _, n := range axes {
-		total *= n
+	// One odometer digit per axis, in table order: routers outermost,
+	// loads innermost, so job indices, derived seeds and serialized
+	// output follow one fixed expansion order. raw holds the digits'
+	// values; a turning digit rewrites only its own field.
+	lens, total := m.lens()
+	lists := m.slices()
+	var raw Scenario
+	fields := raw.fields()
+	for a := range fields {
+		pick(fields[a], lists[a], 0)
 	}
 	// total bounds both: deduplication only ever removes jobs.
 	out := make([]Scenario, 0, total)
 	seen := make(map[Scenario]bool, total)
-	idx := make([]int, len(axes))
+	var idx [len(axes)]int
 	for j := 0; j < total; j++ {
-		sc := Scenario{
-			Router:      m.Routers[idx[0]],
-			Topology:    m.Topologies[idx[1]],
-			K:           m.Ks[idx[2]],
-			Pattern:     m.Patterns[idx[3]],
-			VCs:         m.VCs[idx[4]],
-			BufPerVC:    m.BufsPerVC[idx[5]],
-			PacketSize:  m.PacketSizes[idx[6]],
-			CreditDelay: m.CreditDelays[idx[7]],
-			StepWorkers: m.StepWorkers[idx[8]],
-			Shards:      m.Shards[idx[9]],
-			Source:      m.Sources[idx[10]],
-			Sizes:       m.Sizes[idx[11]],
-			Overrides:   m.Overrides[idx[12]],
-			Routing:     m.Routings[idx[13]],
-			Faults:      m.Faults[idx[14]],
-			Load:        m.Loads[idx[15]],
-		}
-		sc = sc.canonical()
+		sc := raw.canonical()
 		// The VCs axis does not apply to non-VC kinds: pin to 1 so the
 		// label is truthful (a hand-built Scenario skips this and is
 		// rejected by SimConfig instead).
@@ -228,10 +181,13 @@ func (m Matrix) Expand() []Scenario {
 			out = append(out, sc)
 		}
 		for a := len(idx) - 1; a >= 0; a-- {
-			if idx[a]++; idx[a] < axes[a] {
+			if idx[a]++; idx[a] == lens[a] {
+				idx[a] = 0
+			}
+			pick(fields[a], lists[a], idx[a])
+			if idx[a] != 0 {
 				break
 			}
-			idx[a] = 0
 		}
 	}
 	return out
@@ -330,37 +286,34 @@ func (s Scenario) canonical() Scenario {
 
 // Matrix returns the one-element matrix containing exactly this
 // scenario — the bridge from single-run callers (netsim, Curve) to the
-// matrix engine, keeping the axis list in one place.
+// matrix engine.
 func (s Scenario) Matrix() Matrix {
-	return Matrix{
-		Routers:      []string{s.Router},
-		Topologies:   []string{s.Topology},
-		Ks:           []int{s.K},
-		Patterns:     []string{s.Pattern},
-		VCs:          []int{s.VCs},
-		BufsPerVC:    []int{s.BufPerVC},
-		PacketSizes:  []int{s.PacketSize},
-		CreditDelays: []int{s.CreditDelay},
-		StepWorkers:  []int{s.StepWorkers},
-		Shards:       []int{s.Shards},
-		Sources:      []string{s.Source},
-		Sizes:        []string{s.Sizes},
-		Overrides:    []string{s.Overrides},
-		Routings:     []string{s.Routing},
-		Faults:       []string{s.Faults},
-		Loads:        []float64{s.Load},
+	var m Matrix
+	lists := m.slices()
+	for i, field := range s.fields() {
+		axes[i].parse.wrap(lists[i], field)
 	}
+	return m
 }
 
 // Label returns a compact human-readable scenario identifier for
-// progress lines and error messages.
+// progress lines and error messages. It states every axis off its
+// canonical default (step workers and shards from 2 up: 0 and 1 run
+// alike), so the scenarios of a matrix have distinct labels, up to the
+// load's two decimals.
 func (s Scenario) Label() string {
-	stepper := ""
+	tuning := ""
+	if s.PacketSize != 0 && s.PacketSize != 5 {
+		tuning = fmt.Sprintf("/pkt%d", s.PacketSize)
+	}
+	if s.CreditDelay != 0 && s.CreditDelay != 1 {
+		tuning += fmt.Sprintf("/credit%d", s.CreditDelay)
+	}
 	if s.StepWorkers > 1 {
-		stepper = fmt.Sprintf("/par%d", s.StepWorkers)
+		tuning += fmt.Sprintf("/par%d", s.StepWorkers)
 	}
 	if s.Shards > 1 {
-		stepper += fmt.Sprintf("/sh%d", s.Shards)
+		tuning += fmt.Sprintf("/sh%d", s.Shards)
 	}
 	// Canonical specs never pin their own size (canonical() factors it
 	// into K), but a hand-built scenario might; only size-unpinned specs
@@ -391,7 +344,7 @@ func (s Scenario) Label() string {
 		extra += "/faults[" + s.Faults + "]"
 	}
 	return fmt.Sprintf("%s/%s/%s/%dvcs×%dbuf%s%s/load=%.2f",
-		s.Router, topo, s.Pattern, s.VCs, s.BufPerVC, stepper, extra, s.Load)
+		s.Router, topo, s.Pattern, s.VCs, s.BufPerVC, tuning, extra, s.Load)
 }
 
 // SimConfig lowers the scenario to a runnable simulation configuration

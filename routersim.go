@@ -20,19 +20,17 @@
 //	fmt.Print(pipe)                      // 3-stage speculative pipeline
 //
 //	cfg := routersim.DefaultSimConfig(routersim.SpecVCRouter)
-//	cfg.LoadFraction = 0.4               // 40% of network capacity
+//	cfg.Load = 0.4                       // 40% of network capacity
 //	res, _ := routersim.Simulate(cfg)
 //	fmt.Println(res.Latency.MeanLatency) // ≈ 35 cycles
 package routersim
 
 import (
-	"fmt"
 	"io"
 
 	"routersim/internal/checkpoint"
 	"routersim/internal/core"
 	"routersim/internal/harness"
-	"routersim/internal/network"
 	"routersim/internal/router"
 	"routersim/internal/sim"
 	"routersim/internal/topology"
@@ -264,44 +262,13 @@ func WriteSaturationJSON(w io.Writer, results []SaturationResult) error {
 	return harness.WriteSaturationJSON(w, results)
 }
 
-// SimConfig parameterizes one network simulation.
+// SimConfig parameterizes one network simulation: a Scenario (router,
+// topology, traffic, resources, load; see the harness axis table) plus
+// the measurement protocol and facade-only engine knobs. Scenario fields
+// other than Router take their canonical defaults when zero, as in a
+// matrix job; DefaultSimConfig fills them all.
 type SimConfig struct {
-	// Router microarchitecture and resources.
-	Kind     RouterKind
-	VCs      int // virtual channels per physical channel
-	BufPerVC int // flit buffers per VC (per port for wormhole)
-
-	// Network parameters.
-	Topology     string  // topology spec (empty = "mesh"; see TopologyByName)
-	MeshRadix    int     // radix k for mesh/torus, node count for ring/hypercube (paper: 8)
-	PacketSize   int     // flits per packet (paper: 5)
-	CreditDelay  int     // credit propagation delay in cycles (paper: 1)
-	LoadFraction float64 // offered load as a fraction of capacity
-
-	// Traffic (nil = uniform random, the paper's workload).
-	Pattern TrafficPattern
-
-	// Routing is the routing-policy spec: empty or "dor" for the paper's
-	// deterministic dimension-order routing, "adaptive:minimal" for
-	// minimal-adaptive routing over escape VCs.
-	Routing string
-
-	// Faults is the deterministic fault-injection spec: ';'-separated
-	// events such as "link:3-7@cycle=1000", "router:12@cycle=0", or
-	// "rand:links=2,seed=9@cycle=500". Empty means no faults.
-	Faults string
-
-	// StepWorkers selects the deterministic parallel network stepper
-	// (0 or 1 = each shard steps its routers on one goroutine; > 1 =
-	// that many workers per shard). Results are byte-identical for
-	// every value; see PERF.md.
-	StepWorkers int
-
-	// Shards selects the lookahead-sharded engine (0 or 1 = one shard
-	// over every node; > 1 = that many shards stepping windows
-	// concurrently between boundary barriers). Results are byte-identical for every
-	// value, and Shards composes with StepWorkers; see PERF.md.
-	Shards int
+	Scenario
 
 	// FullScan switches the scheduler to its reference policy, which
 	// visits every non-idle router and every source each cycle instead
@@ -341,17 +308,20 @@ type SimConfig struct {
 }
 
 // DefaultSimConfig returns the paper's configuration for a router kind
-// (Figure 13 buffering: 8 flit buffers per input port).
+// (Figure 13 buffering: 8 flit buffers per input port) on the 8×8 mesh
+// at 20% load.
 func DefaultSimConfig(kind RouterKind) SimConfig {
 	rc := router.DefaultConfig(kind)
 	return SimConfig{
-		Kind:           kind,
-		VCs:            rc.VCs,
-		BufPerVC:       rc.BufPerVC,
-		MeshRadix:      8,
-		PacketSize:     5,
-		CreditDelay:    1,
-		LoadFraction:   0.2,
+		Scenario: Scenario{
+			Router:      kind.String(),
+			K:           8,
+			VCs:         rc.VCs,
+			BufPerVC:    rc.BufPerVC,
+			PacketSize:  5,
+			CreditDelay: 1,
+			Load:        0.2,
+		},
 		WarmupCycles:   10000,
 		MeasurePackets: 100000,
 		Seed:           1,
@@ -364,53 +334,17 @@ type SimResult = sim.Result
 // LoadPoint is one point of a latency-throughput curve.
 type LoadPoint = sim.LoadPoint
 
+// lower is the scenario's one lowering, plus the facade-only knobs.
 func (c SimConfig) lower() (sim.Config, error) {
-	rc := router.DefaultConfig(c.Kind)
-	if c.VCs > 0 {
-		rc.VCs = c.VCs
-	}
-	if c.BufPerVC > 0 {
-		rc.BufPerVC = c.BufPerVC
-	}
-	k := c.MeshRadix
-	if k == 0 {
-		k = 8
-	}
-	size := c.PacketSize
-	if size == 0 {
-		size = 5
-	}
-	if c.LoadFraction < 0 {
-		return sim.Config{}, fmt.Errorf("routersim: negative load fraction")
-	}
-	topo, err := topology.New(c.Topology, k)
+	low, err := c.Scenario.SimConfig(c.Seed, harness.Protocol{
+		Warmup: c.WarmupCycles, Packets: c.MeasurePackets,
+		Exact: c.ExactLatency, CITarget: c.CITarget,
+	})
 	if err != nil {
 		return sim.Config{}, err
 	}
-	ncfg := network.Config{
-		K:           k,
-		Topo:        topo,
-		Router:      rc,
-		PacketSize:  size,
-		Pattern:     c.Pattern,
-		CreditDelay: c.CreditDelay,
-		StepWorkers: c.StepWorkers,
-		Shards:      c.Shards,
-		FullScan:    c.FullScan,
-		Routing:     c.Routing,
-		Faults:      c.Faults,
-		Seed:        c.Seed,
-		Audit:       c.Audit,
-	}
-	ncfg.InjectionRate = sim.RateForLoad(c.LoadFraction, ncfg)
-	return sim.Config{
-		Net:            ncfg,
-		WarmupCycles:   c.WarmupCycles,
-		MeasurePackets: c.MeasurePackets,
-		StallCycles:    c.StallCycles,
-		ExactLatency:   c.ExactLatency,
-		CITarget:       c.CITarget,
-	}, nil
+	low.Net.FullScan, low.Net.Audit, low.StallCycles = c.FullScan, c.Audit, c.StallCycles
+	return low, nil
 }
 
 // Simulate runs one simulation with the paper's measurement protocol:

@@ -47,7 +47,7 @@ func TestFacadeDesignPipeline(t *testing.T) {
 
 func TestFacadeSimulate(t *testing.T) {
 	cfg := routersim.DefaultSimConfig(routersim.SpecVCRouter)
-	cfg.LoadFraction = 0.2
+	cfg.Load = 0.2
 	cfg.WarmupCycles = 1500
 	cfg.MeasurePackets = 800
 	res, err := routersim.Simulate(cfg)
@@ -61,7 +61,7 @@ func TestFacadeSimulate(t *testing.T) {
 		t.Errorf("latency %.1f out of plausible range", res.Latency.MeanLatency)
 	}
 
-	cfg.LoadFraction = -1
+	cfg.Load = -1
 	if _, err := routersim.Simulate(cfg); err == nil {
 		t.Error("negative load should error")
 	}
@@ -122,7 +122,7 @@ func TestFacadeReproduceFigure18(t *testing.T) {
 
 func TestFacadeTurnaroundProbe(t *testing.T) {
 	cfg := routersim.DefaultSimConfig(routersim.VCRouter)
-	cfg.LoadFraction = 0.9
+	cfg.Load = 0.9
 	cfg.WarmupCycles = 500
 	cfg.MeasurePackets = 500
 	res, err := routersim.SimulateWithTurnaroundProbe(cfg)
