@@ -394,3 +394,52 @@ func TestResumedSweepAllocs(t *testing.T) {
 		t.Errorf("a cached pass allocates %.2f KB per loaded job, want <= 2.5", kb)
 	}
 }
+
+// TestReusedJobAllocs bounds what a sweep job costs once its worker's
+// network exists: harness.Run lends each job an idle network of its
+// shape, reset in place, so only the first job of a one-shape sweep
+// builds one. Jobs 2–8 each allocate at most 15% of job 1's bytes:
+// the run's own measurement state, injectors and RNG streams, and the
+// packets a higher load needs beyond the pool the earlier jobs left
+// warm. The loads stop at spec-vc's knee (0.6 on the 8×8 mesh): past
+// it a run's source queues grow without bound, and the backlog's
+// packets are the workload's cost, paid on a new network too (load
+// 0.8 adds ~250 KB here).
+func TestReusedJobAllocs(t *testing.T) {
+	m := harness.Matrix{
+		Routers: []string{"spec-vc"},
+		Loads:   []float64{0.1, 0.2, 0.3, 0.4, 0.45, 0.5, 0.55, 0.6},
+	}
+	var (
+		ms    runtime.MemStats
+		prev  uint64
+		bytes []uint64
+	)
+	opts := harness.Options{
+		Workers:  1,
+		Seed:     1,
+		Protocol: harness.Protocol{Warmup: 1000, Packets: 1000},
+		Progress: func(int, int, harness.JobResult) {
+			runtime.ReadMemStats(&ms)
+			bytes = append(bytes, ms.TotalAlloc-prev)
+			prev = ms.TotalAlloc
+		},
+	}
+	runtime.ReadMemStats(&ms)
+	prev = ms.TotalAlloc
+	results, err := harness.Run(m, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range results {
+		if r.Error != "" {
+			t.Fatalf("%s: %s", r.Scenario.Label(), r.Error)
+		}
+	}
+	for i, b := range bytes {
+		t.Logf("job %d (load %.2f): %.1f KB", i+1, m.Loads[i], float64(b)/1000)
+		if i > 0 && float64(b) > 0.15*float64(bytes[0]) {
+			t.Errorf("job %d allocates %.1f KB, %.0f%% of job 1's %.1f KB; want <= 15%%", i+1, float64(b)/1000, 100*float64(b)/float64(bytes[0]), float64(bytes[0])/1000)
+		}
+	}
+}

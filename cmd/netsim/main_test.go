@@ -81,3 +81,15 @@ func expectOneLineError(t *testing.T, want string, argLists ...[]string) {
 		}
 	}
 }
+
+// TestNegativeProtocolExitsWithError: a negative warm-up or sample size
+// used to run (30,075 cycles measuring nothing, or 51 cycles); netsim
+// must exit 1 with one line naming the field.
+func TestNegativeProtocolExitsWithError(t *testing.T) {
+	expectOneLineError(t, "WarmupCycles -5",
+		[]string{"-warmup", "-5", "-packets", "50"},
+		[]string{"-warmup", "-5", "-packets", "50", "-probe-turnaround"},
+	)
+	expectOneLineError(t, "MeasurePackets -3", []string{"-packets", "-3"})
+	expectOneLineError(t, "CITarget", []string{"-ci-target", "-0.5", "-warmup", "10", "-packets", "10"})
+}

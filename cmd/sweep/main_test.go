@@ -66,3 +66,37 @@ func TestMalformedAxisExitsBeforeRunning(t *testing.T) {
 		}
 	}
 }
+
+// TestNegativeProtocolExitsBeforeRunning: a negative protocol value
+// used to run every job and emit bogus saturated rows (which -checkpoint
+// would persist); the sweep must exit non-zero, naming the field, before
+// any job runs.
+func TestNegativeProtocolExitsBeforeRunning(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "sweep")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, tc := range []struct {
+		field string
+		args  []string
+	}{
+		{"WarmupCycles", []string{"-warmup", "-5", "-packets", "50"}},
+		{"MeasurePackets", []string{"-warmup", "10", "-packets", "-3"}},
+		{"WarmupCycles", []string{"-warmup", "-5", "-packets", "50", "-saturation"}},
+	} {
+		ck := filepath.Join(t.TempDir(), "ck")
+		args := append([]string{"-routers", "vc", "-k", "4", "-loads", "0.1", "-json", "-", "-checkpoint", ck}, tc.args...)
+		if tc.args[len(tc.args)-1] == "-saturation" {
+			args = append([]string{"-routers", "vc", "-k", "4", "-sat-tol", "0.25", "-json", "-"}, tc.args...)
+		}
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+			t.Errorf("sweep %v: %v, want a non-zero exit\n%s", args, err, out)
+		}
+		s := string(out)
+		if !strings.Contains(s, tc.field) || strings.Contains(s, "[1/") || strings.Contains(s, `"index"`) {
+			t.Errorf("sweep %v: want an error naming %s before any job, got\n%s", args, tc.field, s)
+		}
+	}
+}

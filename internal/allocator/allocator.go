@@ -72,6 +72,13 @@ func (s *SeparableSwitch) init(p, v int, factory arbiter.Factory) {
 	}
 }
 
+// Reset returns both arbiter stages to their initial priority (the
+// scratch needs none: Allocate rewrites every entry it reads).
+func (s *SeparableSwitch) Reset() {
+	s.inputArbs.Reset()
+	s.outputArbs.Reset()
+}
+
 // Allocate performs one allocation cycle over the given requests and
 // returns the grants. At most one request per (In, VC) pair and one Out
 // per (In, VC) may be submitted; duplicate (In, VC) submissions panic,

@@ -37,6 +37,12 @@ func NewSpeculativeSwitch(p, v int, factory arbiter.Factory) *SpeculativeSwitch 
 	return s
 }
 
+// Reset returns both separable allocators to their initial priority.
+func (s *SpeculativeSwitch) Reset() {
+	s.nonspec.Reset()
+	s.spec.Reset()
+}
+
 // resetTaken clears the per-port conflict scratch.
 func (s *SpeculativeSwitch) resetTaken() {
 	for i := range s.outTaken {

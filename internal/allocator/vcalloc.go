@@ -59,6 +59,15 @@ func NewVCAllocator(p, v int, factory arbiter.Factory) *VCAllocator {
 	return a
 }
 
+// Reset returns both arbiter stages to their initial priority and
+// clears the bid scratch.
+func (a *VCAllocator) Reset() {
+	a.stage1.Reset()
+	a.stage2.Reset()
+	clear(a.bids)
+	clear(a.hasBidder)
+}
+
 func (a *VCAllocator) ivc(in, vc int) int { return in*a.v + vc }
 func (a *VCAllocator) ovc(out, w int) int { return out*a.v + w }
 

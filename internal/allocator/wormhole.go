@@ -32,10 +32,17 @@ func NewWormholeSwitch(p int, factory arbiter.Factory) *WormholeSwitch {
 		holder:  make([]int, p),
 		reqBits: make([]uint64, p),
 	}
+	w.Reset()
+	return w
+}
+
+// Reset frees every output port and returns the arbiters to their
+// initial priority.
+func (w *WormholeSwitch) Reset() {
+	w.arbs.Reset()
 	for i := range w.holder {
 		w.holder[i] = -1
 	}
-	return w
 }
 
 // Holder returns the input port currently holding output out, or -1.

@@ -22,6 +22,8 @@ type Arbiter interface {
 	Grant(requests uint64) (winner int, ok bool)
 	// N returns the number of requestor slots.
 	N() int
+	// Reset restores the arbiter's initial priority state.
+	Reset()
 }
 
 func checkN(n int) {
@@ -57,6 +59,23 @@ func mask(n int) uint64 {
 
 // N returns the number of requestor slots.
 func (m *Matrix) N() int { return m.n }
+
+// Reset implements Arbiter.
+func (m *Matrix) Reset() { initRows(m.beats, m.n, m.mask) }
+
+// initRows writes the initial order into back-to-back n-row priority
+// matrices: requestor i beats every j > i (upper triangular).
+func initRows(rows []uint64, n int, mask uint64) {
+	if len(rows) == 0 {
+		return
+	}
+	for i := range rows[:n] {
+		rows[i] = (^uint64(0) << (i + 1)) & mask
+	}
+	for k := n; k < len(rows); k += n {
+		copy(rows[k:k+n], rows[:n])
+	}
+}
 
 // Grant implements Arbiter.
 func (m *Matrix) Grant(requests uint64) (int, bool) {
@@ -114,11 +133,16 @@ func NewBank(count, n int, factory Factory) Bank {
 		return b
 	}
 	b.rows = make([]uint64, count*n)
-	for i := range b.rows {
-		// Requestor i%n beats all j > i%n initially (upper triangular).
-		b.rows[i] = (^uint64(0) << (i%n + 1)) & b.mask
-	}
+	b.Reset()
 	return b
+}
+
+// Reset returns every arbiter of the bank to its initial priority.
+func (b *Bank) Reset() {
+	for _, a := range b.arbs {
+		a.Reset()
+	}
+	initRows(b.rows, b.n, b.mask)
 }
 
 // Grant is Arbiter.Grant on arbiter k of the bank.
@@ -144,6 +168,9 @@ func NewRoundRobin(n int) *RoundRobin {
 
 // N returns the number of requestor slots.
 func (r *RoundRobin) N() int { return r.n }
+
+// Reset implements Arbiter.
+func (r *RoundRobin) Reset() { r.next = 0 }
 
 // Grant implements Arbiter.
 func (r *RoundRobin) Grant(requests uint64) (int, bool) {
@@ -174,6 +201,9 @@ func NewFixed(n int) *Fixed {
 
 // N returns the number of requestor slots.
 func (f *Fixed) N() int { return f.n }
+
+// Reset implements Arbiter.
+func (f *Fixed) Reset() {}
 
 // Grant implements Arbiter.
 func (f *Fixed) Grant(requests uint64) (int, bool) {

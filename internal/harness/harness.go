@@ -29,6 +29,12 @@ type Protocol struct {
 	CITarget float64 `json:"ci_target,omitempty"`
 }
 
+// validate refuses, before any job runs, a protocol every job would.
+func (pr Protocol) validate() error {
+	cfg := sim.Config{WarmupCycles: pr.Warmup, MeasurePackets: pr.Packets, CITarget: pr.CITarget}
+	return cfg.Validate()
+}
+
 // QuickProtocol is a scaled-down protocol for smoke runs and tests.
 func QuickProtocol() Protocol { return Protocol{Warmup: 2000, Packets: 1500} }
 
@@ -101,15 +107,21 @@ type JobResult struct {
 }
 
 // Run expands the matrix and executes every job on a bounded worker
-// pool. Results are returned in job-index order. Job failures are
-// recorded per job, not returned: a bad scenario must not discard the
-// rest of a large matrix. Run itself fails only on an empty matrix.
+// pool, jobs of one network shape sharing networks (shelf). Results are
+// returned in job-index order. Job failures are recorded per job, not
+// returned: a bad scenario must not discard the rest of a large matrix.
+// Run itself fails only on an empty matrix or an invalid protocol.
 func Run(m Matrix, opts Options) ([]JobResult, error) {
+	if err := opts.Protocol.validate(); err != nil {
+		return nil, err
+	}
 	scenarios := m.Expand()
 	if len(scenarios) == 0 {
 		return nil, fmt.Errorf("harness: empty matrix")
 	}
 	results := make([]JobResult, len(scenarios))
+	sh := newShelf(opts.Workers)
+	defer sh.close()
 
 	var (
 		mu     sync.Mutex
@@ -118,7 +130,7 @@ func Run(m Matrix, opts Options) ([]JobResult, error) {
 		cursor int
 	)
 	pool.Run(len(scenarios), opts.Workers, func(i int) {
-		results[i] = executeJob(i, scenarios[i], opts)
+		results[i] = executeJob(i, scenarios[i], opts, sh)
 		if opts.Progress == nil && opts.OnResult == nil {
 			return
 		}
@@ -190,8 +202,8 @@ func RunScenarioRecorded(sc Scenario, opts Options, path string) (JobResult, err
 	return jr, nil
 }
 
-// runJob executes one scenario with its derived seed.
-func runJob(i int, sc Scenario, opts Options) (jr JobResult) {
+// job executes one scenario with its derived seed on a shelved network.
+func (s *shelf) job(i int, sc Scenario, opts Options) (jr JobResult) {
 	seed := rng.Derive(opts.Seed, uint64(i))
 	jr = JobResult{Index: i, Scenario: sc, Seed: seed}
 	start := time.Now()
@@ -203,7 +215,7 @@ func runJob(i int, sc Scenario, opts Options) (jr JobResult) {
 		return jr
 	}
 	cfg.Net.Audit = opts.Audit
-	res, err := sim.NewRunner(cfg).Run()
+	res, err := s.run(cfg)
 	if err != nil {
 		jr.Error = err.Error()
 		return jr

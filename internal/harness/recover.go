@@ -45,10 +45,10 @@ func retryBackoff(n int) time.Duration {
 // capped backoff (transient failures — OOM-killed cgroup neighbors,
 // flaky disk — deserve a second chance; deterministic panics fail
 // identically and land in the result row).
-func executeJob(i int, sc Scenario, opts Options) JobResult {
+func executeJob(i int, sc Scenario, opts Options, sh *shelf) JobResult {
 	run := opts.runFn
 	if run == nil {
-		run = runJob
+		run = sh.job
 	}
 	retries := opts.Retries
 	switch {

@@ -57,6 +57,9 @@ func protocolJSON(pr Protocol) []byte {
 // returned alongside the complete results: the sweep's numbers are
 // good even when the disk is not.
 func RunResumable(m Matrix, opts Options, store *checkpoint.Store) ([]JobResult, error) {
+	if err := opts.Protocol.validate(); err != nil {
+		return nil, err
+	}
 	scenarios := m.Expand()
 	if len(scenarios) == 0 {
 		return nil, fmt.Errorf("harness: empty matrix")
@@ -112,9 +115,11 @@ func RunResumable(m Matrix, opts Options, store *checkpoint.Store) ([]JobResult,
 		}
 	}
 	flush() // loaded prefix streams before any job runs
+	sh := newShelf(opts.Workers)
+	defer sh.close()
 	pool.Run(len(pending), opts.Workers, func(pi int) {
 		i := pending[pi]
-		results[i] = executeJob(i, scenarios[i], opts)
+		results[i] = executeJob(i, scenarios[i], opts, sh)
 		var perr error
 		if results[i].Error == "" && results[i].Result != nil {
 			payload, err := appendJobResult(nil, &results[i])

@@ -101,6 +101,9 @@ type SaturationResult struct {
 // latency cap) and halves the bracket. Each probe derives its own seed
 // from opts.Seed, so the search is deterministic end to end.
 func FindSaturation(sc Scenario, opts Options, so SearchOptions) (SaturationResult, error) {
+	if err := opts.Protocol.validate(); err != nil {
+		return SaturationResult{}, err
+	}
 	if _, err := sc.SimConfig(1, Protocol{Warmup: 1, Packets: 1}); err != nil {
 		return SaturationResult{}, fmt.Errorf("harness: %s: %w", sc.Label(), err)
 	}
@@ -111,12 +114,15 @@ func FindSaturation(sc Scenario, opts Options, so SearchOptions) (SaturationResu
 	if so.Lo < 0 || so.Hi <= so.Lo || so.Step <= 0 {
 		return SaturationResult{}, fmt.Errorf("harness: bad search bracket [%v, %v] step %v", so.Lo, so.Hi, so.Step)
 	}
-	return findSaturation(0, sc, opts, so), nil
+	sh := newShelf(1)
+	defer sh.close()
+	return findSaturation(0, sc, opts, so, sh), nil
 }
 
 // findSaturation is the per-scenario search core; scenario validity was
 // checked by the caller, so failures land in SaturationResult.Error.
-func findSaturation(index int, sc Scenario, opts Options, so SearchOptions) SaturationResult {
+// Its probes share one network shape, so they run on shelved networks.
+func findSaturation(index int, sc Scenario, opts Options, so SearchOptions, sh *shelf) SaturationResult {
 	sr := SaturationResult{
 		Index:    index,
 		Scenario: sc.canonical(),
@@ -139,7 +145,7 @@ func findSaturation(index int, sc Scenario, opts Options, so SearchOptions) Satu
 			return sr
 		}
 		cfg.Net.Audit = opts.Audit
-		res, err := sim.NewRunner(cfg).Run()
+		res, err := sh.run(cfg)
 		if err != nil {
 			sr.Error = err.Error()
 			return sr
@@ -181,6 +187,9 @@ func snapLoad(load, step float64) float64 {
 // every scenario derives an independent seed chain from opts.Seed —
 // the same determinism contract as Run.
 func FindSaturations(m Matrix, opts Options, so SearchOptions) ([]SaturationResult, error) {
+	if err := opts.Protocol.validate(); err != nil {
+		return nil, err
+	}
 	m.Loads = []float64{0} // collapse the unused axis to one placeholder
 	scenarios := m.Expand()
 	if len(scenarios) == 0 {
@@ -196,10 +205,12 @@ func FindSaturations(m Matrix, opts Options, so SearchOptions) ([]SaturationResu
 		return nil, fmt.Errorf("harness: bad search bracket [%v, %v] step %v", so.Lo, so.Hi, so.Step)
 	}
 	results := make([]SaturationResult, len(scenarios))
+	sh := newShelf(opts.Workers)
+	defer sh.close()
 	pool.Run(len(scenarios), opts.Workers, func(i int) {
 		scOpts := opts
 		scOpts.Seed = rng.Derive(opts.Seed, uint64(i))
-		results[i] = findSaturation(i, scenarios[i], scOpts, so)
+		results[i] = findSaturation(i, scenarios[i], scOpts, so, sh)
 	})
 	return results, nil
 }

@@ -57,7 +57,19 @@ func NewWireCap[T any](delay, minCapacity int) *Wire[T] {
 }
 
 func (w *Wire[T]) init(delay int, ring []entry[T]) {
-	*w = Wire[T]{due: NeverDue, delay: int64(delay), buf: ring}
+	w.delay, w.buf = int64(delay), ring
+	w.Reset(nil)
+}
+
+// Reset empties the wire, handing each in-flight item to drop (when
+// non-nil) in FIFO order. The ring, grown or not, is kept.
+func (w *Wire[T]) Reset(drop func(v T)) {
+	for w.n > 0 {
+		if v := w.pop(); drop != nil {
+			drop(v)
+		}
+	}
+	w.due = NeverDue
 }
 
 // ringCap is the ring size of a wire: at one push per cycle, at most
@@ -105,6 +117,13 @@ func (a *Arena[T]) Alloc() {
 	a.wires = make([]Wire[T], a.nw+2)
 	a.ring = make([]entry[T], a.nr)
 	a.nw, a.nr = 0, 0
+}
+
+// Reset is Wire.Reset on every wire the arena has carved.
+func (a *Arena[T]) Reset(drop func(v T)) {
+	for i := range a.wires[:a.nw] {
+		a.wires[i].Reset(drop)
+	}
 }
 
 // Delay returns the propagation delay in cycles.

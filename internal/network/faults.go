@@ -371,27 +371,30 @@ func resolveFaults(fp *FaultPlan, topo topology.Topology, netSeed uint64) (*faul
 	return fs, nil
 }
 
-// initFaults resolves the plan and builds the state only a faulted
-// network has: the dead-port masks and the next-hop tables (one slab,
-// row id = router id's dimension-order routes until the first fault).
-func (n *Network) initFaults() error {
-	fs, err := resolveFaults(n.cfg.faultPlan, n.topo, n.cfg.Seed)
-	if err != nil {
-		return fmt.Errorf("network: %w", err)
-	}
+// buildFaults allocates the tables only a faulted network has: the
+// dead-port masks and the next-hop tables (one slab, row id = router
+// id's). resetFaults fills them.
+func (n *Network) buildFaults() {
 	nodes := n.topo.Nodes()
-	n.faults = fs
 	n.deadOut = make([]uint64, nodes)
 	n.routeTab = make([][]uint8, nodes)
 	slab := make([]uint8, nodes*nodes)
 	for id := range n.routeTab {
-		row := slab[id*nodes : (id+1)*nodes : (id+1)*nodes]
+		n.routeTab[id] = slab[id*nodes : (id+1)*nodes : (id+1)*nodes]
+	}
+}
+
+// resetFaults rewinds a faulted network to before its first fault: the
+// plan's events (resolved for this run's seed) unapplied, every port
+// live, each table row the dimension-order routes.
+func (n *Network) resetFaults(fs *faultState) {
+	n.faults = fs
+	clear(n.deadOut)
+	for id, row := range n.routeTab {
 		for dst := range row {
 			row[dst] = uint8(n.topo.Route(id, dst))
 		}
-		n.routeTab[id] = row
 	}
-	return nil
 }
 
 // applyFaults applies every fault event due at or before now: dead

@@ -10,6 +10,7 @@ package network
 import (
 	"fmt"
 	"math"
+	"reflect"
 
 	"routersim/internal/flit"
 	"routersim/internal/link"
@@ -225,6 +226,10 @@ func (c *Config) Normalize() error {
 		if c.Replay != nil {
 			return fmt.Errorf("network: Replay is set but the source is %q, not a trace", c.Source.String())
 		}
+		// The load must be one the arrival process can deliver.
+		if _, err := c.Source.NewInjector(c.InjectionRate, rng.New(c.Seed)); err != nil {
+			return fmt.Errorf("network: %w", err)
+		}
 	case "trace":
 		if c.Replay == nil {
 			return fmt.Errorf("network: trace source needs a loaded trace in Config.Replay")
@@ -291,6 +296,14 @@ type Network struct {
 	topo    topology.Topology
 	routers []*router.Router
 	sources []*source
+	// policies are the routing policies installRouting built, one per
+	// router; Reset reinstalls them over anything installed since.
+	policies []router.RoutingPolicy
+	// wires are the arenas every flit and credit wire was carved from,
+	// one pair per shard (Reset empties them).
+	wires []wireArenas
+	// fresh marks a network no reset has armed yet.
+	fresh bool
 
 	// OnPacketCreated is called when a source generates a packet
 	// (before queueing); the simulator uses it to tag the sample space.
@@ -352,15 +365,68 @@ type Network struct {
 	auditNextAt int64
 }
 
-// New builds the network. The configuration is normalized in place.
+// wireArenas are one shard's wire slabs (see New's wiring).
+type wireArenas struct {
+	flits   link.Arena[flit.Flit]
+	credits link.Arena[router.Credit]
+}
+
+// New builds the network and resets it to cfg: build allocates what the
+// structural fields determine, and reset writes every piece of per-run
+// state, so a reused network starts where a new one does.
 func New(cfg Config) (*Network, error) {
 	if err := cfg.Normalize(); err != nil {
 		return nil, err
 	}
-	n := &Network{cfg: cfg, topo: cfg.Topo}
-	n.auditEvery = int64(cfg.Audit)
+	n := build(cfg)
+	if err := n.reset(cfg); err != nil {
+		n.Close()
+		return nil, err
+	}
+	return n, nil
+}
+
+// Reset rewinds the network in place to the state New(cfg) returns,
+// keeping capacity: in-flight and queued packets go back to the packet
+// pools, grown queues and rings stay grown. cfg may differ from the
+// network's configuration only in the per-run fields — Seed,
+// InjectionRate, Pattern, Bernoulli, Source, Sizes, PacketSize, Replay,
+// Audit; any other difference (see Fits), or a cfg New would reject,
+// returns an error and leaves the network untouched.
+func (n *Network) Reset(cfg Config) error {
+	if err := n.fits(&cfg); err != nil {
+		return err
+	}
+	return n.reset(cfg)
+}
+
+// Fits reports whether Reset(cfg) would accept cfg. A network built with
+// an arbiter factory (router.Config.Arb, a func) fits no configuration.
+func (n *Network) Fits(cfg Config) error { return n.fits(&cfg) }
+
+// fits normalizes cfg in place and compares its structure: everything
+// but the per-run fields.
+func (n *Network) fits(cfg *Config) error {
+	if err := cfg.Normalize(); err != nil {
+		return err
+	}
+	shape := func(c Config) Config {
+		c.Seed, c.InjectionRate, c.Pattern, c.Bernoulli = 0, 0, nil, false
+		c.Source, c.Sizes, c.PacketSize, c.Replay, c.Audit = traffic.SourceSpec{}, nil, 0, nil, 0
+		return c
+	}
+	if !reflect.DeepEqual(shape(n.cfg), shape(*cfg)) {
+		return fmt.Errorf("network: the configuration's structure differs from the network's; it needs a new network, not a Reset")
+	}
+	return nil
+}
+
+// build allocates the network cfg's structural fields determine:
+// routers, wires, sources, routing policies, fault tables, shards and
+// their schedulers. Nothing in it is armed; reset does that.
+func build(cfg Config) *Network {
+	n := &Network{cfg: cfg, topo: cfg.Topo, fresh: true}
 	nodes := n.topo.Nodes()
-	master := rng.New(cfg.Seed)
 
 	// Per-router parameters: nil slices mean the fully uniform network
 	// (the common case — every wiring decision below then reads the
@@ -393,14 +459,11 @@ func New(cfg Config) (*Network, error) {
 		rcfg.BufPerVC = buf(id)
 		n.routers[id] = router.New(id, rcfg, nil)
 	}
-	// Fault plans resolve against the concrete topology before any
-	// engine state exists, and bring the only per-destination tables a
-	// network ever builds (faults.go); routing reads them through the
-	// same policies that otherwise call the topology (routing.go).
+	// Fault plans bring the only per-destination tables a network ever
+	// builds (faults.go); routing reads them through the same policies
+	// that otherwise call the topology (routing.go).
 	if cfg.faultPlan != nil {
-		if err := n.initFaults(); err != nil {
-			return nil, err
-		}
+		n.buildFaults()
 	}
 	n.installRouting()
 
@@ -448,25 +511,8 @@ func New(cfg Config) (*Network, error) {
 	// through an injection channel with the same propagation delays
 	// (wired below, with everything else).
 	n.sources = make([]*source, nodes)
-	for id := 0; id < nodes; id++ {
-		// Every source owns one RNG stream split off the master; which
-		// draws it makes (and in what order) is part of the schedule
-		// contract, so the const path keeps its historical phase draw.
-		nodeRNG := master.Split(uint64(id))
-		var inj traffic.Injector
-		switch cfg.Source.Kind {
-		case "", "const":
-			inj = traffic.NewConstantRate(cfg.InjectionRate, nodeRNG.Float64())
-		case "trace":
-			inj = trace.NewReplayer(cfg.Replay, id)
-		default:
-			var err error
-			inj, err = cfg.Source.NewInjector(cfg.InjectionRate, nodeRNG.Split(1))
-			if err != nil {
-				return nil, fmt.Errorf("network: %w", err)
-			}
-		}
-		n.sources[id] = newSource(n, id, inj, nodeRNG, vcs(id), buf(id))
+	for id := range n.sources {
+		n.sources[id] = newSource(n, id, vcs(id), buf(id))
 	}
 
 	// Wires: every link is a flit wire and a credit wire in the
@@ -484,13 +530,9 @@ func New(cfg Config) (*Network, error) {
 	// arenas, which also hold the outboxes its routers push: two shards
 	// never write one cache line. The wiring runs twice; the first pass
 	// only sizes the arenas (Arena.Wire returns nil until Alloc).
-	type arenas struct {
-		flits   link.Arena[flit.Flit]
-		credits link.Arena[router.Credit]
-	}
-	pools := make([]arenas, max(1, len(shardParts)))
+	n.wires = make([]wireArenas, max(1, len(shardParts)))
 	wireNode := func(id int) {
-		r, mine := n.routers[id], &pools[n.shardOf(id)]
+		r, mine := n.routers[id], &n.wires[n.shardOf(id)]
 		inject := mine.flits.Wire(delay(id), 0)
 		for q := 1; q < cfg.Router.Ports; q++ {
 			a, pa, ok := n.topo.Neighbor(id, q)
@@ -519,7 +561,7 @@ func New(cfg Config) (*Network, error) {
 			// credit-loop bound. id's shard may outrun a's by the flit
 			// delay, and by CreditDelay + creditLag on the credit wire,
 			// which id's router pops creditLag cycles late.
-			theirs := &pools[n.shardOf(a)]
+			theirs := &n.wires[n.shardOf(a)]
 			fIn := mine.flits.Wire(delay(a), xferCap)
 			cIn := mine.credits.Wire(cfg.CreditDelay, creditCap+xferCap)
 			fOut := theirs.flits.Wire(delay(a), xferCap)
@@ -548,15 +590,99 @@ func New(cfg Config) (*Network, error) {
 			}
 		}
 		if pass == 0 {
-			for i := range pools {
-				pools[i].flits.Alloc()
-				pools[i].credits.Alloc()
+			for i := range n.wires {
+				n.wires[i].flits.Alloc()
+				n.wires[i].credits.Alloc()
 			}
 		}
 	}
 
 	n.buildShards(shardParts, depBound)
-	return n, nil
+	return n
+}
+
+// reset arms a built network for cfg (normalized, of the network's
+// structure). Only fault resolution can fail, and it runs first.
+func (n *Network) reset(cfg Config) error {
+	var faults *faultState
+	if cfg.faultPlan != nil {
+		var err error
+		if faults, err = resolveFaults(cfg.faultPlan, n.topo, cfg.Seed); err != nil {
+			return fmt.Errorf("network: %w", err)
+		}
+	}
+	// Everything still in flight goes back to the packet pools. Routers
+	// and wires fresh from build are in their reset state already (their
+	// constructors reset them), with nothing to take back.
+	if !n.fresh {
+		dropFlit := func(f flit.Flit) { n.reclaim(f.Pkt) }
+		for _, r := range n.routers {
+			r.Reset(dropFlit)
+		}
+		for i := range n.wires {
+			n.wires[i].flits.Reset(dropFlit)
+			n.wires[i].credits.Reset(nil)
+		}
+		for _, sh := range n.shards {
+			for _, e := range sh.ejects[sh.ejCur:] {
+				n.reclaim(e.f.Pkt)
+			}
+			for _, e := range sh.creates[sh.crCur:] {
+				n.reclaim(e.p)
+			}
+		}
+	}
+	n.fresh = false
+	for id, r := range n.routers {
+		r.SetRoutingPolicy(n.policies[id])
+	}
+	// Every source owns one RNG stream split off the master; which draws
+	// it makes (and in what order) is part of the schedule contract, so
+	// the const path keeps its historical phase draw.
+	master := rng.New(cfg.Seed)
+	for id, s := range n.sources {
+		nodeRNG := master.Split(uint64(id))
+		var inj traffic.Injector
+		switch cfg.Source.Kind {
+		case "", "const":
+			inj = traffic.NewConstantRate(cfg.InjectionRate, nodeRNG.Float64())
+		case "trace":
+			inj = trace.NewReplayer(cfg.Replay, id)
+		default: // Normalize has checked the parameters
+			inj, _ = cfg.Source.NewInjector(cfg.InjectionRate, nodeRNG.Split(1))
+		}
+		s.reset(inj, nodeRNG, n.reclaim)
+	}
+
+	n.cfg = cfg
+	n.OnPacketCreated, n.OnFlitEjected, n.OnPacketDone = nil, nil, nil
+	n.nextPacketID, n.unroutable, n.droppedFlits, n.probed = 0, 0, 0, false
+	if faults != nil {
+		n.resetFaults(faults)
+	}
+	for _, sh := range n.shards {
+		sh.reset()
+	}
+	// Audit deadlines are shard-clock values; the round-horizon clamp in
+	// runRound is unconditional, so a disabled auditor parks the deadline
+	// at infinity like an exhausted fault plan.
+	n.auditEvery, n.auditNextAt = int64(cfg.Audit), math.MaxInt64
+	if n.auditEvery > 0 {
+		n.auditNextAt = n.auditEvery
+	}
+	return nil
+}
+
+// reclaim returns a live packet to its source shard's pool. Pooled
+// packets are zeroed and live ones have Size >= 1, so a packet reached
+// through several of its flits is returned once.
+func (n *Network) reclaim(p *flit.Packet) {
+	if p.Size == 0 {
+		return
+	}
+	home := n.sources[p.Src].sh
+	p.Reset()
+	home.pktFree = append(home.pktFree, p)
 }
 
 // shardOf returns the index of the shard that owns node id.

@@ -186,10 +186,12 @@ func (ap *adaptivePolicy) Route(r *router.Router, p *flit.Packet, attempt int) (
 	return best, mask
 }
 
-// installRouting gives every router its policy, carved from one slab
-// per network: dimension-order routing, or the adaptive policy over it.
-// On a network with a fault plan the policies read routeTab's rows.
+// installRouting builds every router's policy, carved from one slab per
+// network: dimension-order routing, or the adaptive policy over it.
+// Reset installs them. On a network with a fault plan the policies read
+// routeTab's rows.
 func (n *Network) installRouting() {
+	n.policies = make([]router.RoutingPolicy, len(n.routers))
 	classes := n.topo.VCClasses()
 	dor := func(id, vcs int) dorPolicy {
 		dp := dorPolicy{topo: n.topo, id: id, vcs: vcs}
@@ -203,7 +205,7 @@ func (n *Network) installRouting() {
 		slab := make([]adaptivePolicy, len(n.routers))
 		for id := range slab {
 			slab[id] = adaptivePolicy{esc: dor(id, classes), n: n, adaptMask: adaptMask}
-			n.routers[id].SetRoutingPolicy(&slab[id])
+			n.policies[id] = &slab[id]
 		}
 		return
 	}
@@ -216,6 +218,6 @@ func (n *Network) installRouting() {
 	slab := make([]dorPolicy, len(n.routers))
 	for id := range slab {
 		slab[id] = dor(id, vcs)
-		n.routers[id].SetRoutingPolicy(&slab[id])
+		n.policies[id] = &slab[id]
 	}
 }

@@ -190,9 +190,7 @@ func wakeLess(a, b srcWake) bool {
 // shard self's node set part (ascending), or over every node (part
 // nil). A contiguous set keeps the arithmetic index mapping; anything
 // else installs the explicit local↔global maps (tab.loc must already
-// cover every node). Every source in the set is either parked at its
-// first injection cycle or, if its injector has no exact schedule (or
-// the full-scan policy is on), active from cycle 0.
+// cover every node). The worklists start empty; reset fills them.
 func newScheduler(n *Network, tab *schedTables, self int, part []int32) *scheduler {
 	base, count := int32(0), n.topo.Nodes()
 	if part != nil {
@@ -225,12 +223,23 @@ func newScheduler(n *Network, tab *schedTables, self int, part []int32) *schedul
 	for i := range sc.wheelBits {
 		sc.wheelBits[i] = make([]uint64, words)
 	}
-	sc.parkSources(n)
 	return sc
 }
 
-// parkSources seeds the source worklist at construction.
-func (sc *scheduler) parkSources(n *Network) {
+// reset empties every worklist and the wake wheel, then seeds the
+// source worklist from the (already reset) sources: every source in
+// the set is either parked at its first injection cycle or, if its
+// injector has no exact schedule (or the full-scan policy is on),
+// active from cycle 0.
+func (sc *scheduler) reset(n *Network) {
+	sc.now, sc.carryCount, sc.wakeCount, sc.srcCount = 0, 0, 0, 0
+	sc.active, sc.srcActive, sc.srcHeap = sc.active[:0], sc.srcActive[:0], sc.srcHeap[:0]
+	for _, slot := range sc.wheelBits {
+		clear(slot)
+	}
+	clear(sc.wheelCount)
+	clear(sc.carryBits)
+	clear(sc.srcBits)
 	for li := 0; li < sc.count; li++ {
 		id := sc.global(int32(li))
 		s := n.sources[id]

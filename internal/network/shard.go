@@ -500,7 +500,7 @@ func sortInt32(s []int32) {
 // sources exist: per-shard schedulers over the shared tables, the
 // dependency bounds collected during wiring, boundary wake closures,
 // gangs, and the global lookahead floor. parts nil is one shard over
-// every node.
+// every node. The shards start at no cycle; Reset arms them.
 func (n *Network) buildShards(parts [][]int32, depBound map[[2]int32]int64) {
 	if parts == nil {
 		parts = [][]int32{nil}
@@ -596,13 +596,17 @@ func (n *Network) buildShards(parts [][]int32, depBound map[[2]int32]int64) {
 			sh.run(sh.now, sh.horizon)
 		}
 	}
-	// Audit deadlines are shard-clock values; the round-horizon clamp in
-	// runRound is unconditional, so a disabled auditor parks the deadline
-	// at infinity like an exhausted fault plan.
-	n.auditNextAt = math.MaxInt64
-	if n.auditEvery > 0 {
-		n.auditNextAt = n.auditEvery
-	}
+}
+
+// reset rewinds the shard to cycle 0: clock, empty event buffers and
+// worklists, zeroed audit counters. The packet pool is kept; the
+// network has already reclaimed every packet the buffers referenced.
+func (sh *shard) reset() {
+	sh.now, sh.horizon, sh.parNow = 0, 0, 0
+	sh.ejects, sh.ejCur = sh.ejects[:0], 0
+	sh.creates, sh.crCur = sh.creates[:0], 0
+	sh.injected, sh.drained = 0, 0
+	sh.sc.reset(sh.net)
 }
 
 // Lookahead returns the engine's global window floor in cycles: the

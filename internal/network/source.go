@@ -52,6 +52,7 @@ type source struct {
 
 	flitOut  *link.Wire[flit.Flit]
 	creditIn *link.Wire[router.Credit]
+	bufPerVC int // the router's local input buffer depth per VC
 	credits  []int
 	busy     []bool // VC assigned to an in-flight packet stream
 	inFlight int    // number of busy VCs (skip the injection scan at 0)
@@ -72,23 +73,37 @@ type stream struct {
 	next  int
 }
 
-// newSource returns node's source; network.New wires flitOut/creditIn.
-func newSource(net *Network, node int, inj traffic.Injector, r *rng.RNG, vcs, bufPerVC int) *source {
-	s := &source{
-		net: net, node: node, inj: inj, rng: r,
-		tickedTo: -1, pendingAt: -1,
+// newSource allocates node's source; network.New wires flitOut/creditIn
+// and reset arms it.
+func newSource(net *Network, node int, vcs, bufPerVC int) *source {
+	return &source{
+		net: net, node: node, bufPerVC: bufPerVC,
 		credits: make([]int, vcs),
 		busy:    make([]bool, vcs),
 		streams: make([]stream, vcs),
 		queue:   make([]*flit.Packet, 8),
 	}
+}
+
+// reset arms the source with a fresh injector and RNG stream: full
+// credits, no VC busy, an empty queue (its ring kept). Each packet the
+// source still holds, queued or mid-stream, is handed to drop.
+func (s *source) reset(inj traffic.Injector, r *rng.RNG, drop func(p *flit.Packet)) {
+	for s.qlen > 0 {
+		drop(s.popQueue())
+	}
+	for vc := range s.busy {
+		if s.busy[vc] {
+			drop(s.streams[vc].flits[0].Pkt)
+		}
+		s.busy[vc], s.streams[vc].next, s.credits[vc] = false, 0, s.bufPerVC
+	}
+	s.inFlight, s.rrNext = 0, 0
+	s.inj, s.rng = inj, r
+	s.tickedTo, s.pendingAt, s.pendingN = -1, -1, 0
 	s.adv, _ = inj.(interface{ AdvanceToInjection() int64 })
 	s.cnt, _ = inj.(interface{ PendingCount() int })
 	s.draw, _ = inj.(interface{ NextPacket() (dst, size int) })
-	for i := range s.credits {
-		s.credits[i] = bufPerVC
-	}
-	return s
 }
 
 func (s *source) queueLen() int { return s.qlen }

@@ -52,7 +52,18 @@ func (q *FIFO) Init(capacity int, ring []flit.Flit) {
 	if len(ring) != RingSize(capacity) {
 		panic("queue: FIFO ring is not RingSize(capacity) long")
 	}
-	*q = FIFO{buf: ring, cap: int32(capacity)}
+	q.buf, q.cap = ring, int32(capacity)
+	q.Reset(nil)
+}
+
+// Reset empties the FIFO, handing each buffered flit to drop (when
+// non-nil), head first.
+func (q *FIFO) Reset(drop func(f flit.Flit)) {
+	for f, ok := q.Pop(); ok; f, ok = q.Pop() {
+		if drop != nil {
+			drop(f)
+		}
+	}
 }
 
 // Cap returns the FIFO capacity in flits.

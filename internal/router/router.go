@@ -125,7 +125,16 @@ type outputPort struct {
 	credits  []int                 // per downstream VC
 	vcBusy   uint64                // outvc_state bitmask: VC allocated to a packet
 	vcMask   uint64                // allocatable VCs on this port (downstream may have fewer)
+	downBuf  int32                 // downstream buffer depth: each allocatable VC's initial credits
 	ejection bool                  // local port: infinite buffering, immediate ejection
+}
+
+// resetCredits gives each allocatable VC a full downstream buffer of
+// credits, and every other VC none.
+func (op *outputPort) resetCredits() {
+	for c := range op.credits {
+		op.credits[c] = int(op.downBuf) * int(op.vcMask>>c&1)
+	}
 }
 
 // stGrant is a latched switch grant: the head-of-queue flit of (in, vc)
@@ -224,13 +233,12 @@ func New(id int, cfg Config, routes []uint8) *Router {
 	credits := make([]int, p*v)
 	for i := range vcs {
 		vcs[i].fifo.Init(cfg.BufPerVC, slots[i*ring:(i+1)*ring:(i+1)*ring])
-		vcs[i].outVC = -1
-		credits[i] = cfg.BufPerVC
 	}
 	for i := 0; i < p; i++ {
 		r.in[i].vcs = vcs[i*v : (i+1)*v : (i+1)*v]
 		r.out[i].credits = credits[i*v : (i+1)*v : (i+1)*v]
 		r.out[i].vcMask = r.vcMaskAll
+		r.out[i].downBuf = int32(cfg.BufPerVC)
 	}
 	// The credit-processing pipeline of depth d (a credit received at t
 	// is visible at t+d) is implemented by draining the credit wires d
@@ -262,7 +270,52 @@ func New(id int, cfg Config, routes []uint8) *Router {
 		r.pending = make([]stGrant, 0, p)
 		r.next = make([]stGrant, 0, p)
 	}
+	r.clear(nil)
 	return r
+}
+
+// Reset returns the router to its state before the first Step, probes
+// removed; what was installed — wires, routing policy, output policies
+// — is kept. Each flit the router holds, buffered or ejected but not
+// yet collected, is handed to drop (when non-nil).
+func (r *Router) Reset(drop func(f flit.Flit)) {
+	r.clear(drop)
+	switch {
+	case !r.plan.vcs:
+		r.whArb.Reset()
+	case r.plan.spec:
+		r.vcAlloc.Reset()
+		r.specAlloc.Reset()
+	default:
+		r.vcAlloc.Reset()
+		r.swAlloc.Reset()
+	}
+}
+
+// clear is Reset without the allocators (New's are fresh).
+func (r *Router) clear(drop func(f flit.Flit)) {
+	for p := range r.in {
+		ip := &r.in[p]
+		for c := range ip.vcs {
+			vc := &ip.vcs[c]
+			vc.fifo.Reset(drop)
+			*vc = inputVC{fifo: vc.fifo, outVC: -1}
+		}
+		ip.occ = 0
+	}
+	for o := range r.out {
+		r.out[o].resetCredits()
+		r.out[o].vcBusy = 0
+	}
+	r.occPorts = 0
+	if drop != nil {
+		for _, f := range r.ejected {
+			drop(f)
+		}
+	}
+	r.ejected = r.ejected[:0]
+	r.flitPushes = 0
+	r.pending, r.next, r.whReleases = r.pending[:0], r.next[:0], r.whReleases[:0]
 }
 
 // ID returns the router's node id.
@@ -347,7 +400,8 @@ func (r *Router) vaCandidates(vc *inputVC) uint64 {
 // min(local VCs, downVCs) and each carries downBufPerVC credits — the
 // downstream input buffer it actually drains into. With matching
 // parameters this reproduces New's defaults exactly, so uniform
-// networks are unaffected. It must be called before the first Step.
+// networks are unaffected. It must be called before the first Step;
+// Reset keeps the policy.
 func (r *Router) SetOutputPolicy(port, downVCs, downBufPerVC int) {
 	if downVCs < 1 || downBufPerVC < 1 {
 		panic(fmt.Sprintf("router %d: output %d policy %d VCs × %d buffers; need >= 1", r.id, port, downVCs, downBufPerVC))
@@ -358,13 +412,8 @@ func (r *Router) SetOutputPolicy(port, downVCs, downBufPerVC int) {
 		eff = r.cfg.VCs
 	}
 	op.vcMask = (uint64(1) << eff) - 1
-	for c := range op.credits {
-		if c < eff {
-			op.credits[c] = downBufPerVC
-		} else {
-			op.credits[c] = 0
-		}
-	}
+	op.downBuf = int32(downBufPerVC)
+	op.resetCredits()
 }
 
 // SetProbe installs a buffer-turnaround probe on the directional input

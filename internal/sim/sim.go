@@ -17,6 +17,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"routersim/internal/flit"
 	"routersim/internal/network"
@@ -72,10 +73,10 @@ type Config struct {
 	// any configuration that can drain at all); a negative value
 	// disables the watchdog.
 	StallCycles int64
-	// NetHook, when non-nil, observes the freshly built network before
-	// the run starts — a seam for tests to install custom routing
-	// policies or inspect engine state. It must not retain the network
-	// past the run.
+	// NetHook, when non-nil, observes the network — freshly built, or
+	// reset by RunOn — before the run starts: a seam for tests to install
+	// custom routing policies or inspect engine state. It must not
+	// retain the network past the run.
 	NetHook func(*network.Network)
 }
 
@@ -121,7 +122,7 @@ type Result struct {
 // reusable execution core shared by Run, SweepLoads, and the experiment
 // harness: construct once, then Run as many times as needed (each Run
 // builds a fresh network, so a Runner is safe to reuse; distinct Runners
-// are safe to drive concurrently).
+// are safe to drive concurrently; RunOn reuses a caller's network).
 type Runner struct {
 	cfg Config
 }
@@ -181,8 +182,51 @@ func (e *LivelockError) Error() string {
 		e.Cycle-e.LastProgress, e.Cycle, e.LastProgress, e.Outstanding, e.Snapshot)
 }
 
-// Run executes one simulation to completion.
+// Validate rejects a protocol no run can honour: a negative warm-up,
+// sample size or cycle cap, or a negative or non-finite CITarget (a
+// negative StallCycles disables the watchdog). Run and RunOn call it.
+func (c *Config) Validate() error {
+	switch {
+	case c.WarmupCycles < 0:
+		return fmt.Errorf("sim: WarmupCycles %d is negative", c.WarmupCycles)
+	case c.MeasurePackets < 0:
+		return fmt.Errorf("sim: MeasurePackets %d is negative", c.MeasurePackets)
+	case c.MaxCycles < 0:
+		return fmt.Errorf("sim: MaxCycles %d is negative", c.MaxCycles)
+	case !(c.CITarget >= 0) || math.IsInf(c.CITarget, 1):
+		return fmt.Errorf("sim: CITarget %v; need a finite value >= 0", c.CITarget)
+	}
+	return nil
+}
+
+// Run executes one simulation to completion on a fresh network.
 func (r *Runner) Run() (Result, error) {
+	if err := r.cfg.Validate(); err != nil {
+		return Result{}, err
+	}
+	net, err := network.New(r.cfg.Net)
+	if err != nil {
+		return Result{}, err
+	}
+	defer net.Close()
+	return r.run(net)
+}
+
+// RunOn is Run on net, reset in place to the Runner's network
+// configuration (network.Reset, whose error it returns): same result,
+// no construction. The caller keeps net, and closes it.
+func (r *Runner) RunOn(net *network.Network) (Result, error) {
+	if err := r.cfg.Validate(); err != nil {
+		return Result{}, err
+	}
+	if err := net.Reset(r.cfg.Net); err != nil {
+		return Result{}, err
+	}
+	return r.run(net)
+}
+
+// run is the measurement loop over a freshly reset network.
+func (r *Runner) run(net *network.Network) (Result, error) {
 	cfg := r.cfg
 	if cfg.WarmupCycles == 0 {
 		cfg.WarmupCycles = 10000
@@ -190,11 +234,6 @@ func (r *Runner) Run() (Result, error) {
 	if cfg.MeasurePackets == 0 {
 		cfg.MeasurePackets = 100000
 	}
-	net, err := network.New(cfg.Net)
-	if err != nil {
-		return Result{}, err
-	}
-	defer net.Close()
 	ncfg := net.Config()
 	if cfg.NetHook != nil {
 		cfg.NetHook(net)
