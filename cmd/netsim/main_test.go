@@ -61,6 +61,19 @@ func TestUnboundedCreditDelayExitsWithError(t *testing.T) {
 	)
 }
 
+// TestOversizedBufferOrPacketExitsWithError: a buffer depth or packet
+// size past what the int32 FIFO and wire indices are sized for used to
+// allocate until the runtime died (-buf 2000000000) or the kernel
+// killed the process (-packetsize 1000000000); the CLI must exit 1 with
+// one line that names the field.
+func TestOversizedBufferOrPacketExitsWithError(t *testing.T) {
+	expectOneLineError(t, "BufPerVC",
+		[]string{"-router", "spec-vc", "-k", "4", "-buf", "2000000000", "-warmup", "10", "-packets", "10"},
+		[]string{"-k", "4", "-overrides", "3:buf=5000", "-warmup", "10", "-packets", "10"},
+	)
+	expectOneLineError(t, "PacketSize", []string{"-k", "4", "-packetsize", "1000000000", "-warmup", "10", "-packets", "10"})
+}
+
 // expectOneLineError builds netsim and checks that each argument list
 // exits with status 1 and a single error line containing want.
 func expectOneLineError(t *testing.T, want string, argLists ...[]string) {

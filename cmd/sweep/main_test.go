@@ -100,3 +100,33 @@ func TestNegativeProtocolExitsBeforeRunning(t *testing.T) {
 		}
 	}
 }
+
+// TestOversizedBufferOrPacketExits: a buffer depth or packet size past
+// what the int32 FIFO and wire indices are sized for used to allocate
+// until the runtime died; the sweep must exit 1, each such job's error
+// naming the field.
+func TestOversizedBufferOrPacketExits(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "sweep")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, tc := range []struct {
+		field string
+		args  []string
+	}{
+		{"BufPerVC", []string{"-bufs", "2000000000"}},
+		{"BufPerVC", []string{"-overrides", "3:buf=5000"}},
+		{"PacketSize", []string{"-packetsize", "1000000000"}},
+	} {
+		args := append([]string{"-routers", "vc", "-k", "4", "-loads", "0.1", "-warmup", "10", "-packets", "10", "-quiet", "-json", "-"}, tc.args...)
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("sweep %v: %v, want exit status 1\n%s", args, err, out)
+		}
+		s := string(out)
+		if !strings.Contains(s, tc.field) || strings.Contains(s, "panic") || strings.Contains(s, "fatal error") {
+			t.Errorf("sweep %v: want a job error naming %s, got\n%s", args, tc.field, s)
+		}
+	}
+}

@@ -22,14 +22,15 @@ import (
 )
 
 // SwitchRequest asks for one flit's passage from input port In (virtual
-// channel VC) to output port Out.
+// channel VC) to output port Out. Ports and VCs number at most 64 each,
+// so a request is three bytes.
 type SwitchRequest struct {
-	In, VC, Out int
+	In, VC, Out int8
 }
 
 // SwitchGrant reports a won switch passage.
 type SwitchGrant struct {
-	In, VC, Out int
+	In, VC, Out int8
 }
 
 // SeparableSwitch is the input-first separable switch allocator of a
@@ -43,9 +44,9 @@ type SeparableSwitch struct {
 
 	// scratch, reused across Allocate calls
 	inReqs   []uint64
-	inWinner []int // winning VC per input port, -1 if none
+	inWinner []int8 // winning VC per input port
 	outReqs  []uint64
-	reqOut   []int // requested output by flattened (in, vc) index
+	reqOut   []int8 // requested output by flattened (in, vc) index
 	grants   []SwitchGrant
 }
 
@@ -66,9 +67,9 @@ func (s *SeparableSwitch) init(p, v int, factory arbiter.Factory) {
 		inputArbs:  arbiter.NewBank(p, v, factory),
 		outputArbs: arbiter.NewBank(p, p, factory),
 		inReqs:     make([]uint64, p),
-		inWinner:   make([]int, p),
+		inWinner:   make([]int8, p),
 		outReqs:    make([]uint64, p),
-		reqOut:     make([]int, p*v),
+		reqOut:     make([]int8, p*v),
 	}
 }
 
@@ -108,12 +109,12 @@ func (s *SeparableSwitch) Allocate(reqs []SwitchRequest) []SwitchGrant {
 			panic(fmt.Sprintf("allocator: duplicate switch request from input %d vc %d", r.In, r.VC))
 		}
 		s.inReqs[r.In] |= 1 << r.VC
-		s.reqOut[r.In*s.v+r.VC] = r.Out
+		s.reqOut[int(r.In)*s.v+int(r.VC)] = r.Out
 	}
 	for m := inMask; m != 0; m &= m - 1 {
 		in := bits.TrailingZeros64(m)
 		if w, ok := s.inputArbs.Grant(in, s.inReqs[in]); ok {
-			s.inWinner[in] = w
+			s.inWinner[in] = int8(w)
 			out := s.reqOut[in*s.v+w]
 			if outMask&(1<<out) == 0 {
 				outMask |= 1 << out
@@ -127,14 +128,14 @@ func (s *SeparableSwitch) Allocate(reqs []SwitchRequest) []SwitchGrant {
 	for m := outMask; m != 0; m &= m - 1 {
 		out := bits.TrailingZeros64(m)
 		if in, ok := s.outputArbs.Grant(out, s.outReqs[out]); ok {
-			s.grants = append(s.grants, SwitchGrant{In: in, VC: s.inWinner[in], Out: out})
+			s.grants = append(s.grants, SwitchGrant{In: int8(in), VC: s.inWinner[in], Out: int8(out)})
 		}
 	}
 	return s.grants
 }
 
 func (s *SeparableSwitch) check(r SwitchRequest) {
-	if r.In < 0 || r.In >= s.p || r.Out < 0 || r.Out >= s.p || r.VC < 0 || r.VC >= s.v {
+	if r.In < 0 || int(r.In) >= s.p || r.Out < 0 || int(r.Out) >= s.p || r.VC < 0 || int(r.VC) >= s.v {
 		panic(fmt.Sprintf("allocator: switch request out of range: %+v (p=%d v=%d)", r, s.p, s.v))
 	}
 }

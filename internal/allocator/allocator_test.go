@@ -16,8 +16,8 @@ func checkSwitchGrants(t *testing.T, reqs []SwitchRequest, grants []SwitchGrant)
 	for _, r := range reqs {
 		reqSet[r] = true
 	}
-	inSeen := make(map[int]bool)
-	outSeen := make(map[int]bool)
+	inSeen := make(map[int8]bool)
+	outSeen := make(map[int8]bool)
 	for _, g := range grants {
 		if !reqSet[SwitchRequest(g)] {
 			t.Fatalf("grant %+v has no matching request", g)
@@ -50,7 +50,7 @@ func TestSeparableSwitchBasics(t *testing.T) {
 func TestSeparableSwitchSingleRequestAlwaysWins(t *testing.T) {
 	s := NewSeparableSwitch(5, 4, nil)
 	for i := 0; i < 20; i++ {
-		req := []SwitchRequest{{In: i % 5, VC: i % 4, Out: (i + 1) % 5}}
+		req := []SwitchRequest{{In: int8(i % 5), VC: int8(i % 4), Out: int8((i + 1) % 5)}}
 		grants := s.Allocate(req)
 		if len(grants) != 1 || grants[0] != SwitchGrant(req[0]) {
 			t.Fatalf("uncontested request not granted: %+v -> %+v", req, grants)
@@ -78,7 +78,7 @@ func TestSeparableSwitchFairUnderContention(t *testing.T) {
 	// With persistent conflicting requests, matrix arbiters must share
 	// the output approximately evenly.
 	s := NewSeparableSwitch(5, 2, nil)
-	wins := make(map[int]int)
+	wins := make(map[int8]int)
 	reqs := []SwitchRequest{
 		{In: 0, VC: 0, Out: 3},
 		{In: 1, VC: 0, Out: 3},
@@ -90,7 +90,7 @@ func TestSeparableSwitchFairUnderContention(t *testing.T) {
 			wins[g.In]++
 		}
 	}
-	for in := 0; in <= 2; in++ {
+	for in := int8(0); in <= 2; in++ {
 		if wins[in] < rounds/3-5 || wins[in] > rounds/3+5 {
 			t.Errorf("input %d won %d/%d, want ≈%d", in, wins[in], rounds, rounds/3)
 		}
@@ -110,10 +110,10 @@ func TestSeparableSwitchPropertyInvariants(t *testing.T) {
 					continue
 				}
 				used[[2]int{in, vc}] = true
-				reqs = append(reqs, SwitchRequest{In: in, VC: vc, Out: r.Intn(5)})
+				reqs = append(reqs, SwitchRequest{In: int8(in), VC: int8(vc), Out: int8(r.Intn(5))})
 			}
 			grants := s.Allocate(reqs)
-			inSeen, outSeen := map[int]bool{}, map[int]bool{}
+			inSeen, outSeen := map[int8]bool{}, map[int8]bool{}
 			for _, g := range grants {
 				if inSeen[g.In] || outSeen[g.Out] {
 					return false
@@ -205,7 +205,7 @@ func TestVCAllocatorBasics(t *testing.T) {
 		t.Fatalf("cycle 1: got %d grants, want 1 or 2", len(grants))
 	}
 	busy := make([]bool, 2)
-	granted := map[[2]int]bool{}
+	granted := map[[2]int8]bool{}
 	for _, g := range grants {
 		if g.Out != 1 || g.OutVC < 0 || g.OutVC > 1 {
 			t.Fatalf("bad grant %+v", g)
@@ -214,7 +214,7 @@ func TestVCAllocatorBasics(t *testing.T) {
 			t.Fatalf("output VC %d double-allocated", g.OutVC)
 		}
 		busy[g.OutVC] = true
-		granted[[2]int{g.In, g.VC}] = true
+		granted[[2]int8{g.In, g.VC}] = true
 	}
 	// Losers retry with the updated free mask (busy bits cleared), as
 	// the router computes it from its outvc_state bitmask.
@@ -226,7 +226,7 @@ func TestVCAllocatorBasics(t *testing.T) {
 	}
 	var retry []VCRequest
 	for _, r := range reqs {
-		if !granted[[2]int{r.In, r.VC}] {
+		if !granted[[2]int8{r.In, r.VC}] {
 			r.Candidates = free
 			retry = append(retry, r)
 		}
@@ -246,7 +246,7 @@ func TestVCAllocatorSingleCandidateContention(t *testing.T) {
 	// Two input VCs compete for the single free output VC: exactly one
 	// wins per cycle, and over repeated cycles both are served.
 	a := NewVCAllocator(5, 2, nil)
-	wins := map[[2]int]int{}
+	wins := map[[2]int8]int{}
 	for i := 0; i < 100; i++ {
 		reqs := []VCRequest{
 			{In: 0, VC: 0, Out: 2, Candidates: 0b01},
@@ -257,9 +257,9 @@ func TestVCAllocatorSingleCandidateContention(t *testing.T) {
 			t.Fatalf("cycle %d: %d grants, want 1", i, len(grants))
 		}
 		g := grants[0]
-		wins[[2]int{g.In, g.VC}]++
+		wins[[2]int8{g.In, g.VC}]++
 	}
-	if wins[[2]int{0, 0}] < 40 || wins[[2]int{3, 1}] < 40 {
+	if wins[[2]int8{0, 0}] < 40 || wins[[2]int8{3, 1}] < 40 {
 		t.Errorf("unfair VC allocation: %v", wins)
 	}
 }
@@ -285,19 +285,19 @@ func TestVCAllocatorGrantUniqueOutVC(t *testing.T) {
 				}
 				used[[2]int{in, vc}] = true
 				reqs = append(reqs, VCRequest{
-					In: in, VC: vc, Out: r.Intn(5),
+					In: int8(in), VC: int8(vc), Out: int8(r.Intn(5)),
 					Candidates: r.Uint64() & 0b1111,
 				})
 			}
 			grants := a.Allocate(reqs)
-			outVCSeen := map[[2]int]bool{}
-			inVCSeen := map[[2]int]bool{}
+			outVCSeen := map[[2]int8]bool{}
+			inVCSeen := map[[2]int8]bool{}
 			for _, g := range grants {
-				if outVCSeen[[2]int{g.Out, g.OutVC}] || inVCSeen[[2]int{g.In, g.VC}] {
+				if outVCSeen[[2]int8{g.Out, g.OutVC}] || inVCSeen[[2]int8{g.In, g.VC}] {
 					return false
 				}
-				outVCSeen[[2]int{g.Out, g.OutVC}] = true
-				inVCSeen[[2]int{g.In, g.VC}] = true
+				outVCSeen[[2]int8{g.Out, g.OutVC}] = true
+				inVCSeen[[2]int8{g.In, g.VC}] = true
 				// Grant must be among the request's candidates.
 				var req *VCRequest
 				for i := range reqs {

@@ -18,20 +18,12 @@ type SpeculativeSwitch struct {
 	// (ablation) resolves output conflicts in favour of the speculative
 	// request, demonstrating the throughput cost the rule prevents.
 	PrioritizeNonSpec bool
-
-	// scratch, reused across Allocate calls
-	outTaken []bool
-	inTaken  []bool
 }
 
 // NewSpeculativeSwitch returns a speculative switch allocator for p
 // ports and v VCs per port.
 func NewSpeculativeSwitch(p, v int, factory arbiter.Factory) *SpeculativeSwitch {
-	s := &SpeculativeSwitch{
-		PrioritizeNonSpec: true,
-		outTaken:          make([]bool, p),
-		inTaken:           make([]bool, p),
-	}
+	s := &SpeculativeSwitch{PrioritizeNonSpec: true}
 	s.nonspec.init(p, v, factory)
 	s.spec.init(p, v, factory)
 	return s
@@ -41,14 +33,6 @@ func NewSpeculativeSwitch(p, v int, factory arbiter.Factory) *SpeculativeSwitch 
 func (s *SpeculativeSwitch) Reset() {
 	s.nonspec.Reset()
 	s.spec.Reset()
-}
-
-// resetTaken clears the per-port conflict scratch.
-func (s *SpeculativeSwitch) resetTaken() {
-	for i := range s.outTaken {
-		s.outTaken[i] = false
-		s.inTaken[i] = false
-	}
 }
 
 // Allocate runs both allocators on one cycle's requests and combines
@@ -65,22 +49,23 @@ func (s *SpeculativeSwitch) Allocate(nonspecReqs, specReqs []SwitchRequest) (ns,
 		return ns, sp
 	}
 
-	s.resetTaken()
+	// The ports the winning side's grants hold, one bit per port.
+	var outTaken, inTaken uint64
 	if s.PrioritizeNonSpec {
 		for _, g := range ns {
-			s.outTaken[g.Out] = true
-			s.inTaken[g.In] = true
+			outTaken |= 1 << g.Out
+			inTaken |= 1 << g.In
 		}
 	} else {
 		// Ablation: speculative grants win conflicts; non-speculative
 		// grants for contested resources are dropped instead.
 		for _, g := range sp {
-			s.outTaken[g.Out] = true
-			s.inTaken[g.In] = true
+			outTaken |= 1 << g.Out
+			inTaken |= 1 << g.In
 		}
 		kept := ns[:0]
 		for _, g := range ns {
-			if !s.outTaken[g.Out] && !s.inTaken[g.In] {
+			if outTaken>>g.Out&1 == 0 && inTaken>>g.In&1 == 0 {
 				kept = append(kept, g)
 			}
 		}
@@ -90,7 +75,7 @@ func (s *SpeculativeSwitch) Allocate(nonspecReqs, specReqs []SwitchRequest) (ns,
 
 	keptSp := sp[:0]
 	for _, g := range sp {
-		if s.outTaken[g.Out] || s.inTaken[g.In] {
+		if outTaken>>g.Out&1 != 0 || inTaken>>g.In&1 != 0 {
 			continue // non-speculative priority: spec grant discarded
 		}
 		keptSp = append(keptSp, g)

@@ -19,7 +19,7 @@ type PortRequest struct {
 type WormholeSwitch struct {
 	p       int
 	arbs    arbiter.Bank // one arbiter per output port, over p inputs
-	holder  []int        // input port holding each output, -1 if free
+	holder  []int8       // input port holding each output, -1 if free
 	reqBits []uint64
 	grants  []PortRequest // scratch, reused across Arbitrate calls
 }
@@ -29,7 +29,7 @@ func NewWormholeSwitch(p int, factory arbiter.Factory) *WormholeSwitch {
 	w := &WormholeSwitch{
 		p:       p,
 		arbs:    arbiter.NewBank(p, p, factory),
-		holder:  make([]int, p),
+		holder:  make([]int8, p),
 		reqBits: make([]uint64, p),
 	}
 	w.Reset()
@@ -46,7 +46,7 @@ func (w *WormholeSwitch) Reset() {
 }
 
 // Holder returns the input port currently holding output out, or -1.
-func (w *WormholeSwitch) Holder(out int) int { return w.holder[out] }
+func (w *WormholeSwitch) Holder(out int) int { return int(w.holder[out]) }
 
 // Held reports whether output out is held.
 func (w *WormholeSwitch) Held(out int) bool { return w.holder[out] >= 0 }
@@ -80,7 +80,7 @@ func (w *WormholeSwitch) Arbitrate(reqs []PortRequest) []PortRequest {
 			continue
 		}
 		if in, ok := w.arbs.Grant(out, w.reqBits[out]); ok {
-			w.holder[out] = in
+			w.holder[out] = int8(in)
 			w.grants = append(w.grants, PortRequest{In: in, Out: out})
 		}
 	}

@@ -36,18 +36,25 @@ func checkN(n int) {
 // priority bits records a strict total order between requestors; the
 // winner is the requestor that beats all other requestors, and is then
 // demoted to the lowest priority (least-recently-served policy).
+//
+// The simulator keeps the total order the n² bits encode rather than the
+// bits: each requestor's place in it, one byte per requestor (0 is the
+// highest priority), eight to a 64-bit word. A grant picks the
+// requestor with the lowest place and moves it to the back — everyone
+// behind it moves up one place and the winner takes place n-1 — which
+// is exactly the matrix update. The rows form survives in
+// arbiter_test.go as the reference the places are checked against.
 type Matrix struct {
-	n    int
-	mask uint64
-	// beats[i] has bit j set when i has priority over j.
-	beats []uint64
+	n      int
+	mask   uint64
+	places []uint64
 }
 
 // NewMatrix returns a matrix arbiter over n requestors, initialized with
 // requestor 0 at the highest priority.
 func NewMatrix(n int) *Matrix {
-	b := NewBank(1, n, nil) // one arbiter's rows, in their initial order
-	return &Matrix{n: n, mask: b.mask, beats: b.rows}
+	b := NewBank(1, n, nil) // one arbiter's places, initialized
+	return &Matrix{n: n, mask: b.mask, places: b.places}
 }
 
 func mask(n int) uint64 {
@@ -61,70 +68,85 @@ func mask(n int) uint64 {
 func (m *Matrix) N() int { return m.n }
 
 // Reset implements Arbiter.
-func (m *Matrix) Reset() { initRows(m.beats, m.n, m.mask) }
+func (m *Matrix) Reset() { initPlaces(m.places, m.n) }
 
-// initRows writes the initial order into back-to-back n-row priority
-// matrices: requestor i beats every j > i (upper triangular).
-func initRows(rows []uint64, n int, mask uint64) {
-	if len(rows) == 0 {
+// placeWords is the number of words holding n requestors' places.
+func placeWords(n int) int { return (n + 7) / 8 }
+
+// initPlaces writes the initial order into back-to-back arbiters'
+// places: requestor i at place i, ahead of every j > i (the
+// upper-triangular matrix).
+func initPlaces(places []uint64, n int) {
+	if len(places) == 0 {
 		return
 	}
-	for i := range rows[:n] {
-		rows[i] = (^uint64(0) << (i + 1)) & mask
+	first := places[:placeWords(n)]
+	clear(first)
+	for i := 0; i < n; i++ {
+		first[i>>3] |= uint64(i) << (8 * (i & 7))
 	}
-	for k := n; k < len(rows); k += n {
-		copy(rows[k:k+n], rows[:n])
+	for k := len(first); k < len(places); k += len(first) {
+		copy(places[k:], first)
 	}
 }
 
 // Grant implements Arbiter.
 func (m *Matrix) Grant(requests uint64) (int, bool) {
-	return grantRows(m.beats, requests&m.mask)
+	return grantPlaces(m.places, m.n, requests&m.mask)
 }
 
-// grantRows is the matrix arbiter's grant cycle over one arbiter's
-// priority rows (Matrix and Bank share it): pick the requestor that
-// beats every other requestor, then demote it to the lowest priority.
-func grantRows(rows []uint64, requests uint64) (int, bool) {
+const (
+	lo8 = 0x0101010101010101 // one in every byte
+	hi8 = 0x8080808080808080 // every byte's top bit
+)
+
+// grantPlaces is the matrix arbiter's grant cycle over one arbiter's
+// places (Matrix and Bank share it): the requestor with the lowest place
+// wins and moves to the back, behind everyone it beat.
+func grantPlaces(places []uint64, n int, requests uint64) (int, bool) {
 	if requests == 0 {
 		return -1, false
 	}
-	// Walk only the set bits: requestors that did not bid cannot win.
-	for rem := requests; rem != 0; rem &= rem - 1 {
-		i := bits.TrailingZeros64(rem)
-		// i wins if it beats every other requestor.
-		others := requests &^ (1 << i)
-		if rows[i]&others == others {
-			// Everyone now beats the winner; the winner beats no one.
-			for j := range rows {
-				rows[j] |= 1 << i
-			}
-			rows[i] = 0
-			return i, true
+	win := bits.TrailingZeros64(requests)
+	best := place(places, win)
+	for rem := requests & (requests - 1); rem != 0; rem &= rem - 1 {
+		if i := bits.TrailingZeros64(rem); place(places, i) < best {
+			win, best = i, place(places, i)
 		}
 	}
-	// Unreachable while the matrix encodes a total order.
-	panic("arbiter: matrix order corrupted; no winner among requestors")
+	// Places are below 64, so (p|0x80) - (best+1) borrows from no other
+	// byte and keeps the top bit exactly when p > best: one subtract per
+	// word moves everyone behind the winner up a place. The winner's own
+	// place is best; it becomes n-1.
+	behind := lo8 * (best + 1)
+	for j, w := range places {
+		places[j] = w - ((w|hi8)-behind)&hi8>>7
+	}
+	places[win>>3] += (uint64(n-1) - best) << (8 * (win & 7))
+	return win, true
 }
+
+// place returns requestor i's place.
+func place(places []uint64, i int) uint64 { return places[i>>3] >> (8 * (i & 7)) & 0xff }
 
 // Bank is count independent n:1 arbiters addressed by index; the
 // allocators hold one per stage, by value. Its matrix arbiters have no
-// header each: their priority rows lie back to back in one slice
-// (arbiter k's row i is rows[k*n+i]), so a grant touches the Bank and n
+// header each: their places lie back to back in one slice (arbiter k's
+// are the w = ⌈n/8⌉ words from k·w), so a grant touches the Bank and w
 // adjacent words. A Bank built from a Factory (the ablation policies)
 // keeps the factory's arbiters and forwards to them.
 type Bank struct {
-	n    int
-	mask uint64
-	rows []uint64
-	arbs []Arbiter
+	n, words int
+	mask     uint64
+	places   []uint64
+	arbs     []Arbiter
 }
 
 // NewBank returns count arbiters over n requestors each: matrix
 // arbiters when factory is nil, the factory's otherwise.
 func NewBank(count, n int, factory Factory) Bank {
 	checkN(n)
-	b := Bank{n: n, mask: mask(n)}
+	b := Bank{n: n, words: placeWords(n), mask: mask(n)}
 	if factory != nil {
 		b.arbs = make([]Arbiter, count)
 		for k := range b.arbs {
@@ -132,7 +154,7 @@ func NewBank(count, n int, factory Factory) Bank {
 		}
 		return b
 	}
-	b.rows = make([]uint64, count*n)
+	b.places = make([]uint64, count*b.words)
 	b.Reset()
 	return b
 }
@@ -142,7 +164,7 @@ func (b *Bank) Reset() {
 	for _, a := range b.arbs {
 		a.Reset()
 	}
-	initRows(b.rows, b.n, b.mask)
+	initPlaces(b.places, b.n)
 }
 
 // Grant is Arbiter.Grant on arbiter k of the bank.
@@ -150,7 +172,7 @@ func (b *Bank) Grant(k int, requests uint64) (int, bool) {
 	if b.arbs != nil {
 		return b.arbs[k].Grant(requests)
 	}
-	return grantRows(b.rows[k*b.n:(k+1)*b.n], requests&b.mask)
+	return grantPlaces(b.places[k*b.words:(k+1)*b.words], b.n, requests&b.mask)
 }
 
 // RoundRobin is a rotating-priority arbiter: after a grant, the slot

@@ -30,25 +30,62 @@ func TestMatrixGrantIsRequester(t *testing.T) {
 	}
 }
 
+// rows is the matrix arbiter as the paper's hardware holds it, the
+// reference the byte-order arbiters are checked against: row i has bit
+// j set when requestor i has priority over j.
+type rows []uint64
+
+// newRows returns the n×n matrix in its initial, upper-triangular
+// state: requestor i beats every j > i.
+func newRows(n int) rows {
+	m := make(rows, n)
+	m.reset()
+	return m
+}
+
+func (m rows) reset() {
+	for i := range m {
+		m[i] = (^uint64(0) << (i + 1)) & mask(len(m))
+	}
+}
+
+// grant picks the requestor that beats every other requestor, then
+// demotes it: everyone now beats the winner, the winner beats no one.
+func (m rows) grant(requests uint64) (int, bool) {
+	requests &= mask(len(m))
+	for rem := requests; rem != 0; rem &= rem - 1 {
+		i := bits.TrailingZeros64(rem)
+		others := requests &^ (1 << i)
+		if m[i]&others == others {
+			for j := range m {
+				m[j] |= 1 << i
+			}
+			m[i] = 0
+			return i, true
+		}
+	}
+	return -1, false
+}
+
 func TestMatrixStaysTotalOrder(t *testing.T) {
-	// The matrix must always encode a strict total order: for i != j,
-	// exactly one of beats[i][j], beats[j][i]; and the "beats" counts
-	// must be a permutation of 0..n-1 (a linear order).
-	checkOrder := func(m *Matrix) bool {
+	// The rows oracle must always encode a strict total order — for
+	// i != j exactly one of rows[i][j], rows[j][i] — and the places
+	// driven alongside it must be that order: a permutation of 0..n-1
+	// in which i is ahead of j exactly when rows[i][j] is set.
+	check := func(m *Matrix, ref rows) bool {
 		seen := make([]bool, m.n)
 		for i := 0; i < m.n; i++ {
-			c := bits.OnesCount64(m.beats[i])
-			if c >= m.n || seen[c] {
+			p := place(m.places, i)
+			if p >= uint64(m.n) || seen[p] {
 				return false
 			}
-			seen[c] = true
+			seen[p] = true
 			for j := 0; j < m.n; j++ {
 				if i == j {
 					continue
 				}
-				iBj := m.beats[i]&(1<<j) != 0
-				jBi := m.beats[j]&(1<<i) != 0
-				if iBj == jBi {
+				iBj := ref[i]&(1<<j) != 0
+				if jBi := ref[j]&(1<<i) != 0; iBj == jBi || iBj != (p < place(m.places, j)) {
 					return false
 				}
 			}
@@ -57,13 +94,14 @@ func TestMatrixStaysTotalOrder(t *testing.T) {
 	}
 	prop := func(nRaw uint8, reqSeq []uint64) bool {
 		n := 2 + int(nRaw%15)
-		m := NewMatrix(n)
-		if !checkOrder(m) {
+		m, ref := NewMatrix(n), newRows(n)
+		if !check(m, ref) {
 			return false
 		}
 		for _, reqs := range reqSeq {
 			m.Grant(reqs & mask(n))
-			if !checkOrder(m) {
+			ref.grant(reqs & mask(n))
+			if !check(m, ref) {
 				return false
 			}
 		}

@@ -5,41 +5,49 @@ import (
 	"testing"
 )
 
-// bankAgainstMatrices drives a Bank of count arbiters and count
-// independent Matrix arbiters with the same (k, requests) stream and
-// reports the first call on which they disagree.
-func bankAgainstMatrices(t testing.TB, n, count int, next func() (k int, requests uint64, ok bool)) {
+// bankAgainstRows drives a Bank of count arbiters and count rows
+// oracles (arbiter_test.go) with the same stream of calls and reports
+// the first grant on which they disagree. A call with reset set resets
+// the whole bank and every oracle instead of granting.
+func bankAgainstRows(t testing.TB, n, count int, next func() (k int, requests uint64, reset, ok bool)) {
 	t.Helper()
 	b := NewBank(count, n, nil)
-	ref := make([]*Matrix, count)
+	ref := make([]rows, count)
 	for k := range ref {
-		ref[k] = NewMatrix(n)
+		ref[k] = newRows(n)
 	}
 	for call := 0; ; call++ {
-		k, reqs, ok := next()
+		k, reqs, reset, ok := next()
 		if !ok {
 			return
 		}
+		if reset {
+			b.Reset()
+			for _, m := range ref {
+				m.reset()
+			}
+			continue
+		}
 		gw, gok := b.Grant(k, reqs)
-		ww, wok := ref[k].Grant(reqs)
+		ww, wok := ref[k].grant(reqs)
 		if gw != ww || gok != wok {
-			t.Fatalf("n=%d count=%d call %d: Bank.Grant(%d, %#x) = (%d, %v), Matrix = (%d, %v)",
+			t.Fatalf("n=%d count=%d call %d: Bank.Grant(%d, %#x) = (%d, %v), matrix rows = (%d, %v)",
 				n, count, call, k, reqs, gw, gok, ww, wok)
 		}
 	}
 }
 
-// TestBankMatchesMatrices is the differential test of the headerless
-// bank: over seeded random request streams — sparse, dense, empty, and
-// with bits above n set — every Bank grant equals the grant of an
-// independent Matrix arbiter fed the same stream, for the arbiter sizes
-// the allocators use (v, p, p·v) and the 64-requestor limit.
+// TestBankMatchesMatrices is the differential test of the byte-order
+// bank: over seeded random request streams — sparse, dense, empty, one
+// requester, with bits above n set, and with Resets interleaved — every
+// Bank grant equals the grant of the matrix-rows oracle fed the same
+// stream, for every arbiter size 1..64.
 func TestBankMatchesMatrices(t *testing.T) {
-	for _, n := range []int{1, 2, 5, 10, 28, 64} {
+	for n := 1; n <= 64; n++ {
 		for _, count := range []int{1, 7} {
 			r := rand.New(rand.NewSource(int64(100*n + count)))
-			calls := 4000
-			bankAgainstMatrices(t, n, count, func() (int, uint64, bool) {
+			calls := 2000
+			bankAgainstRows(t, n, count, func() (int, uint64, bool, bool) {
 				calls--
 				reqs := r.Uint64()
 				switch r.Intn(4) {
@@ -50,7 +58,7 @@ func TestBankMatchesMatrices(t *testing.T) {
 				case 2:
 					reqs = 0
 				}
-				return r.Intn(count), reqs, calls >= 0
+				return r.Intn(count), reqs, r.Intn(300) == 0, calls >= 0
 			})
 		}
 	}
@@ -74,24 +82,26 @@ func TestBankForwardsToFactory(t *testing.T) {
 
 // FuzzBankGrant feeds the same differential check arbitrary sizes and
 // request streams: data is consumed nine bytes per call (arbiter index,
-// then the request mask).
+// then the request mask); an index byte with its top bit set resets the
+// bank and the oracles instead.
 func FuzzBankGrant(f *testing.F) {
 	f.Add(uint8(5), uint8(3), []byte{0, 0x1f, 0, 0, 0, 0, 0, 0, 0, 2, 0x11, 0, 0, 0, 0, 0, 0, 0})
 	f.Add(uint8(64), uint8(1), []byte{0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Add(uint8(1), uint8(9), []byte{8, 1, 0, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, nRaw, countRaw uint8, data []byte) {
 		n, count := 1+int(nRaw%64), 1+int(countRaw%16)
-		bankAgainstMatrices(t, n, count, func() (int, uint64, bool) {
+		bankAgainstRows(t, n, count, func() (int, uint64, bool, bool) {
 			if len(data) < 9 {
-				return 0, 0, false
+				return 0, 0, false, false
 			}
-			k := int(data[0]) % count
+			k := int(data[0]&0x7f) % count
 			var reqs uint64
 			for i, c := range data[1:9] {
 				reqs |= uint64(c) << (8 * i)
 			}
+			reset := data[0]&0x80 != 0
 			data = data[9:]
-			return k, reqs, true
+			return k, reqs, reset, true
 		})
 	})
 }

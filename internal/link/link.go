@@ -7,6 +7,7 @@ package link
 import (
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // NeverDue is the NextDue value of an empty wire.
@@ -124,6 +125,24 @@ func (a *Arena[T]) Reset(drop func(v T)) {
 	for i := range a.wires[:a.nw] {
 		a.wires[i].Reset(drop)
 	}
+}
+
+// Regrown counts the arena's wires whose ring no longer lies in the
+// slab: a push found the ring full and grow replaced it, so the
+// capacity the wire was carved with did not bound its backlog.
+func (a *Arena[T]) Regrown() int {
+	var lo, hi uintptr
+	if len(a.ring) > 0 {
+		lo = uintptr(unsafe.Pointer(&a.ring[0]))
+		hi = lo + uintptr(len(a.ring))*unsafe.Sizeof(a.ring[0])
+	}
+	n := 0
+	for i := range a.wires[:a.nw] {
+		if p := uintptr(unsafe.Pointer(&a.wires[i].buf[0])); p < lo || p >= hi {
+			n++
+		}
+	}
+	return n
 }
 
 // Delay returns the propagation delay in cycles.

@@ -268,7 +268,7 @@ func TestWireMoveToFullAndGrow(t *testing.T) {
 // TestArenaWiresAreAdjacentAndExact: an arena's wires are consecutive
 // elements of one header slab, their rings consecutive runs of one
 // entry slab sized exactly, and a wire that outgrows its run leaves the
-// slab without disturbing its neighbours.
+// slab without disturbing its neighbours — the one wire Regrown counts.
 func TestArenaWiresAreAdjacentAndExact(t *testing.T) {
 	var a Arena[int]
 	sizes := [][2]int{{1, 0}, {1, 9}, {3, 0}}
@@ -290,11 +290,20 @@ func TestArenaWiresAreAdjacentAndExact(t *testing.T) {
 			t.Fatalf("wire %d is not header %d of the slab", i, i)
 		}
 	}
-	for i := 0; i < 5; i++ { // outgrow wire 0's two-entry run
+	for i := 0; i < 2; i++ { // fill wire 0's two-entry run
+		ws[0].Push(0, i)
+	}
+	if n := a.Regrown(); n != 0 {
+		t.Fatalf("Regrown = %d with every ring at most full, want 0", n)
+	}
+	for i := 2; i < 5; i++ { // outgrow it
 		ws[0].Push(0, i)
 	}
 	ws[1].Push(0, 77)
 	ws[2].Push(0, 88)
+	if n := a.Regrown(); n != 1 {
+		t.Fatalf("Regrown = %d after wire 0 outgrew its run, want 1", n)
+	}
 	if got := drain(ws[0], 1); len(got) != 5 {
 		t.Fatalf("grown wire delivered %v", got)
 	}

@@ -136,8 +136,8 @@ func (c *Config) Normalize() error {
 	if c.PacketSize == 0 {
 		c.PacketSize = 5
 	}
-	if c.PacketSize < 1 {
-		return fmt.Errorf("network: packet size %d; need >= 1", c.PacketSize)
+	if c.PacketSize < 1 || c.PacketSize > traffic.MaxPacketSize {
+		return fmt.Errorf("network: PacketSize %d; need 1..%d flits", c.PacketSize, traffic.MaxPacketSize)
 	}
 	if c.FlitDelay == 0 {
 		c.FlitDelay = 1
@@ -518,10 +518,12 @@ func build(cfg Config) *Network {
 	// Wires: every link is a flit wire and a credit wire in the
 	// opposite direction; the topology names the input port a link
 	// lands on. A flit wire takes the driving router's link delay.
-	// Credit wires are presized to the credit-loop bound (every buffer
-	// slot of the fed input port can have a credit in flight at once):
-	// the active-set scheduler drains a sleeping receiver's credit
-	// wires only at its next wake, so the backlog is real, not a bug.
+	// Credit wires are presized to the credit-loop bound: the active-set
+	// scheduler drains a sleeping receiver's credit wires only at its
+	// next wake, so every buffer slot of the fed input port can have a
+	// credit in flight at once — and no more, since a credit exists only
+	// for a slot its counter lacks (conservation, which the auditor
+	// checks). A boundary link's outbox and inbox share that bound.
 	//
 	// Wires are carved from link.Arena slabs in the order of the node
 	// that pops them — a router's injection and neighbour flit wires,
@@ -545,7 +547,7 @@ func build(cfg Config) *Network {
 			if vcsAt != nil || bufAt != nil {
 				r.SetOutputPolicy(q, vcs(a), buf(a))
 			}
-			creditCap := vcs(a)*buf(a) + cfg.CreditDelay
+			creditCap := vcs(a) * buf(a)
 			if n.shardOf(a) == n.shardOf(id) {
 				fw := mine.flits.Wire(delay(a), 0)
 				cw := mine.credits.Wire(cfg.CreditDelay, creditCap)
@@ -556,16 +558,17 @@ func build(cfg Config) *Network {
 			// Boundary link: a pushes onto outboxes only its shard
 			// writes, id pops inboxes only its shard reads, and the
 			// barrier moves entries over (shard.go), posting the flit
-			// dues to id's wake wheel. All four wires are presized to
-			// the worst-case window lead (xferCap) on top of the
-			// credit-loop bound. id's shard may outrun a's by the flit
-			// delay, and by CreditDelay + creditLag on the credit wire,
-			// which id's router pops creditLag cycles late.
+			// dues to id's wake wheel. The flit wires are presized to
+			// the worst-case window lead (xferCap; id's shard may
+			// outrun a's by the flit delay, and by CreditDelay +
+			// creditLag on the credit side, which id's router pops
+			// creditLag cycles late); the credit wires need no more
+			// than the credit-loop bound.
 			theirs := &n.wires[n.shardOf(a)]
 			fIn := mine.flits.Wire(delay(a), xferCap)
-			cIn := mine.credits.Wire(cfg.CreditDelay, creditCap+xferCap)
+			cIn := mine.credits.Wire(cfg.CreditDelay, creditCap)
 			fOut := theirs.flits.Wire(delay(a), xferCap)
-			cOut := theirs.credits.Wire(cfg.CreditDelay, creditCap+xferCap)
+			cOut := theirs.credits.Wire(cfg.CreditDelay, creditCap)
 			r.ConnectArrivals(q, fIn, cIn)
 			n.routers[a].ConnectDepartures(pa, fOut, cOut)
 			if fIn != nil {
@@ -574,7 +577,7 @@ func build(cfg Config) *Network {
 			}
 			noteDep(n.shardOf(a), n.shardOf(id), min(int64(delay(a)), int64(cfg.CreditDelay)+r.CreditLag()))
 		}
-		credit := mine.credits.Wire(cfg.CreditDelay, vcs(id)*buf(id)+cfg.CreditDelay)
+		credit := mine.credits.Wire(cfg.CreditDelay, vcs(id)*buf(id))
 		r.ConnectInput(topology.PortLocal, inject, credit)
 		n.sources[id].flitOut, n.sources[id].creditIn = inject, credit
 	}

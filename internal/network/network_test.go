@@ -162,6 +162,7 @@ func TestNormalizeDefaultsAndErrors(t *testing.T) {
 	bad := []Config{
 		{K: 1, Router: router.DefaultConfig(router.Wormhole)},
 		{K: 8, PacketSize: -1, Router: router.DefaultConfig(router.Wormhole)},
+		{K: 8, PacketSize: 1000000000, Router: router.DefaultConfig(router.Wormhole)}, // past traffic.MaxPacketSize
 		{K: 8, FlitDelay: -1, Router: router.DefaultConfig(router.Wormhole)},
 		{K: 8, InjectionRate: -0.1, Router: router.DefaultConfig(router.Wormhole)},
 		// Non-finite rates used to pass (NaN < 0 is false) and hang New

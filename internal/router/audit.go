@@ -47,7 +47,7 @@ func (r *Router) CommittedCredits(out, vc int) int {
 	n := 0
 	for _, g := range r.next {
 		gvc := &r.in[g.in].vcs[g.vc]
-		if gvc.route != out || int(gvc.outVC) != vc {
+		if int(gvc.route) != out || int(gvc.outVC) != vc {
 			continue
 		}
 		if r.out[gvc.route].ejection {

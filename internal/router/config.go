@@ -170,6 +170,12 @@ func DefaultConfig(k Kind) Config {
 	return cfg
 }
 
+// MaxBufPerVC bounds Config.BufPerVC. A VC's FIFO ring and the credit
+// wire feeding the port (one entry per buffer slot of up to 64 VCs)
+// are indexed with int32; 4,096 keeps both far inside that, and one
+// VC's buffer under 100 KB.
+const MaxBufPerVC = 1 << 12
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if !c.Kind.valid() {
@@ -190,8 +196,8 @@ func (c Config) Validate() error {
 		// per input VC of the router.
 		return fmt.Errorf("router: %d ports × %d VCs = %d input VCs; the VC allocator arbitrates over at most 64", c.Ports, c.VCs, c.Ports*c.VCs)
 	}
-	if c.BufPerVC < 1 {
-		return fmt.Errorf("router: %d buffers per VC; need at least 1", c.BufPerVC)
+	if c.BufPerVC < 1 || c.BufPerVC > MaxBufPerVC {
+		return fmt.Errorf("router: BufPerVC %d; need 1..%d buffers per VC", c.BufPerVC, MaxBufPerVC)
 	}
 	if c.CreditProcess < -1 {
 		return fmt.Errorf("router: credit process delay %d; need -1 (auto) or >= 0", c.CreditProcess)

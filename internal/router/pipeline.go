@@ -20,7 +20,7 @@ import (
 func (r *Router) Compute(now int64) {
 	r.pending, r.next = r.next, r.pending[:0]
 	for _, g := range r.pending {
-		r.send(g.in, g.vc, now)
+		r.send(int(g.in), int(g.vc), now)
 	}
 	if r.plan.vasa > 0 {
 		// A VC granted now cannot bid for the switch until a later cycle,
@@ -38,7 +38,7 @@ func (r *Router) Compute(now int64) {
 	// bubble is what caps wormhole throughput below the flit-by-flit VC
 	// routers.
 	for _, out := range r.whReleases {
-		r.whArb.Release(out)
+		r.whArb.Release(int(out))
 	}
 	r.whReleases = r.whReleases[:0]
 }
@@ -72,22 +72,22 @@ func (r *Router) scan(now int64, alloc, sw bool) {
 					continue
 				}
 				if !pl.vcs {
-					r.portReqs = append(r.portReqs, allocator.PortRequest{In: in, Out: vc.route})
+					r.portReqs = append(r.portReqs, allocator.PortRequest{In: in, Out: int(vc.route)})
 					continue
 				}
 				r.repick(vc)
 				r.vaReqs = append(r.vaReqs, allocator.VCRequest{
-					In: in, VC: c, Out: vc.route, Candidates: r.vaCandidates(vc),
+					In: int8(in), VC: int8(c), Out: vc.route, Candidates: r.vaCandidates(vc),
 				})
 				// Speculative switch request in parallel with VC
 				// allocation: the output VC (and hence its credit) is
 				// not yet known; validity is checked at combine time.
 				if pl.spec && vc.hoqEligible(now) != nil {
-					r.specReqs = append(r.specReqs, allocator.SwitchRequest{In: in, VC: c, Out: vc.route})
+					r.specReqs = append(r.specReqs, allocator.SwitchRequest{In: int8(in), VC: int8(c), Out: vc.route})
 				}
 			case sw && r.switchEligible(vc, now):
 				if pl.vcs {
-					r.swReqs = append(r.swReqs, allocator.SwitchRequest{In: in, VC: c, Out: vc.route})
+					r.swReqs = append(r.swReqs, allocator.SwitchRequest{In: int8(in), VC: int8(c), Out: vc.route})
 				} else {
 					r.grantSwitch(in, c, now)
 				}
@@ -114,7 +114,7 @@ func (r *Router) allocateVCs(now int64) {
 	for _, g := range r.vcAlloc.Allocate(r.vaReqs) {
 		vc := &r.in[g.In].vcs[g.VC]
 		vc.state = vcActive
-		vc.outVC = int8(g.OutVC)
+		vc.outVC = g.OutVC
 		vc.readyAt = now + r.plan.vasa
 		r.out[g.Out].vcBusy |= 1 << g.OutVC
 	}
@@ -127,7 +127,7 @@ func (r *Router) allocateSwitch(now int64) {
 	case !r.plan.vcs: // passages were granted by scan
 	case !r.plan.spec:
 		for _, g := range r.swAlloc.Allocate(r.swReqs) {
-			r.grantSwitch(g.In, g.VC, now)
+			r.grantSwitch(int(g.In), int(g.VC), now)
 		}
 	default:
 		// Non-speculative grants proceed unconditionally. A speculative
@@ -139,12 +139,12 @@ func (r *Router) allocateSwitch(now int64) {
 		// never reduces throughput).
 		nsGrants, spGrants := r.specAlloc.Allocate(r.swReqs, r.specReqs)
 		for _, g := range nsGrants {
-			r.grantSwitch(g.In, g.VC, now)
+			r.grantSwitch(int(g.In), int(g.VC), now)
 		}
 		for _, g := range spGrants {
 			vc := &r.in[g.In].vcs[g.VC]
 			if op := &r.out[g.Out]; vc.state == vcActive && (op.ejection || op.credits[vc.outVC] > 0) {
-				r.grantSwitch(g.In, g.VC, now)
+				r.grantSwitch(int(g.In), int(g.VC), now)
 			}
 		}
 	}

@@ -77,22 +77,19 @@ const (
 
 // inputVC is one virtual channel of an input controller: a flit FIFO
 // (by value, its ring a slice of the router's buffer slab) plus channel
-// state — 80 bytes, all of a router's VCs adjacent in one slice.
+// state — 64 bytes, all of a router's VCs adjacent in one slice.
 type inputVC struct {
 	fifo    queue.FIFO
-	route   int   // output port chosen by the routing stage
 	readyAt int64 // earliest cycle of the next pipeline action
 
 	// cands is the output-VC candidate mask the routing policy chose
 	// together with route.
 	cands uint64
-	// probe is the Figure 16 turnaround bookkeeping; only SetProbe
-	// sets it.
-	probe *vcProbe
 	// attempts counts the VC-allocation attempts of the waiting head,
 	// letting an adaptive policy alternate between adaptive and escape
 	// choices.
 	attempts int32
+	route    int8 // output port chosen by the routing stage
 	state    vcState
 	outVC    int8 // allocated output VC (valid in vcActive)
 }
@@ -139,7 +136,7 @@ func (op *outputPort) resetCredits() {
 
 // stGrant is a latched switch grant: the head-of-queue flit of (in, vc)
 // traverses the crossbar in the cycle after the grant.
-type stGrant struct{ in, vc int }
+type stGrant struct{ in, vc int8 }
 
 // Router is one cycle-accurate router instance.
 type Router struct {
@@ -171,6 +168,10 @@ type Router struct {
 	// parallel compute phase and their order deterministic.
 	ejected []flit.Flit
 
+	// probes is the Figure 16 turnaround bookkeeping of input VC
+	// (port, c) at probes[port*VCs+c]; nil unless SetProbe ran.
+	probes []vcProbe
+
 	// flitPushes has bit p set for every output port this router pushed
 	// a flit on since the last TakeFlitPushes. The network's active-set
 	// scheduler reads it to wake exactly the downstream routers that
@@ -201,7 +202,7 @@ type Router struct {
 	swReqs     []allocator.SwitchRequest
 	specReqs   []allocator.SwitchRequest
 	vaReqs     []allocator.VCRequest
-	whReleases []int // wormhole port releases registered this cycle
+	whReleases []int8 // wormhole port releases registered this cycle
 }
 
 // New returns a router. Routing has one seam, the RoutingPolicy
@@ -264,7 +265,7 @@ func New(id int, cfg Config, routes []uint8) *Router {
 	} else {
 		r.whArb = allocator.NewWormholeSwitch(p, f)
 		r.portReqs = make([]allocator.PortRequest, 0, p)
-		r.whReleases = make([]int, 0, p)
+		r.whReleases = make([]int8, 0, p)
 	}
 	if r.plan.sast > 0 {
 		r.pending = make([]stGrant, 0, p)
@@ -308,6 +309,7 @@ func (r *Router) clear(drop func(f flit.Flit)) {
 		r.out[o].vcBusy = 0
 	}
 	r.occPorts = 0
+	r.probes = nil
 	if drop != nil {
 		for _, f := range r.ejected {
 			drop(f)
@@ -419,11 +421,22 @@ func (r *Router) SetOutputPolicy(port, downVCs, downBufPerVC int) {
 // SetProbe installs a buffer-turnaround probe on the directional input
 // ports (Figure 16 measurement).
 func (r *Router) SetProbe(p *stats.Turnaround) {
-	for port := 1; port < r.cfg.Ports; port++ {
-		for c := range r.in[port].vcs {
-			r.in[port].vcs[c].probe = &vcProbe{rec: p, popTimes: make([]int64, r.cfg.BufPerVC)}
-		}
+	r.probes = make([]vcProbe, r.cfg.Ports*r.cfg.VCs)
+	for i := r.cfg.VCs; i < len(r.probes); i++ {
+		r.probes[i] = vcProbe{rec: p, popTimes: make([]int64, r.cfg.BufPerVC)}
 	}
+}
+
+// probe returns input VC (port, c)'s turnaround probe, or nil when it
+// has none.
+func (r *Router) probe(port, c int) *vcProbe {
+	if r.probes == nil {
+		return nil
+	}
+	if pr := &r.probes[port*r.cfg.VCs+c]; pr.rec != nil {
+		return pr
+	}
+	return nil
 }
 
 // Credits returns the credit counter of output port out toward
@@ -561,7 +574,7 @@ func (r *Router) enqueue(port int, f flit.Flit, now int64) {
 	}
 	vc := &r.in[port].vcs[f.VC]
 	f.EnqueuedAt = now
-	if pr := vc.probe; pr != nil {
+	if pr := r.probe(port, int(f.VC)); pr != nil {
 		b := int64(len(pr.popTimes))
 		if pr.pushCount >= b {
 			pr.rec.Record(now - pr.popTimes[pr.pushCount%b])
@@ -583,7 +596,7 @@ func (r *Router) send(in, vcIdx int, now int64) {
 	if !ok {
 		panic(fmt.Sprintf("router %d: switch traversal from empty input %d vc %d", r.id, in, vcIdx))
 	}
-	if pr := vc.probe; pr != nil {
+	if pr := r.probe(in, vcIdx); pr != nil {
 		pr.popTimes[pr.popCount%int64(len(pr.popTimes))] = now
 		pr.popCount++
 	}
@@ -624,7 +637,7 @@ func (r *Router) routeHead(vc *inputVC, now int64) {
 	if hoq == nil || !hoq.Kind.IsHead() || hoq.EnqueuedAt >= now || vc.readyAt > now {
 		return
 	}
-	vc.route, vc.cands = r.policy.Route(r, hoq.Pkt, 0)
+	r.route(vc, hoq.Pkt, 0)
 	vc.attempts = 0
 	vc.state = vcWaitVC
 	vc.readyAt = now + r.plan.rcva
@@ -639,9 +652,15 @@ func (r *Router) repick(vc *inputVC) {
 		return
 	}
 	if hoq := vc.fifo.Peek(); hoq != nil {
-		vc.route, vc.cands = r.policy.Route(r, hoq.Pkt, int(vc.attempts))
+		r.route(vc, hoq.Pkt, int(vc.attempts))
 		vc.attempts++
 	}
+}
+
+// route records the routing policy's choice for vc's head packet.
+func (r *Router) route(vc *inputVC, p *flit.Packet, attempt int) {
+	port, cands := r.policy.Route(r, p, attempt)
+	vc.route, vc.cands = int8(port), cands
 }
 
 // hoqEligible returns the head-of-queue flit if it may traverse the
@@ -678,7 +697,7 @@ func (r *Router) grantSwitch(in, vcIdx int, now int64) {
 	if r.plan.sast == 0 {
 		r.send(in, vcIdx, now)
 	} else {
-		r.next = append(r.next, stGrant{in: in, vc: vcIdx})
+		r.next = append(r.next, stGrant{in: int8(in), vc: int8(vcIdx)})
 	}
 	// Block further allocation actions for this VC until the traversal
 	// completes; body flits re-arm via vcActive state next cycle.

@@ -3,6 +3,7 @@ package router
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"routersim/internal/flit"
 	"routersim/internal/link"
@@ -436,12 +437,39 @@ func TestConfigValidation(t *testing.T) {
 		{Kind: Wormhole, Ports: 5, VCs: 2, BufPerVC: 4}, // WH needs 1 VC
 		{Kind: VirtualChannel, Ports: 5, VCs: 0, BufPerVC: 4},
 		{Kind: VirtualChannel, Ports: 5, VCs: 2, BufPerVC: 0},
+		{Kind: VirtualChannel, Ports: 5, VCs: 2, BufPerVC: MaxBufPerVC + 1},
+		{Kind: Wormhole, Ports: 5, VCs: 1, BufPerVC: 2000000000},
 		{Kind: VirtualChannel, Ports: 5, VCs: 2, BufPerVC: 4, CreditProcess: -2},
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("config %+v validated but should not", cfg)
 		}
+	}
+}
+
+// TestRecordSizes pins the per-VC record at one cache line and the
+// latched grant at two bytes: the Figure 16 probe lives out of line,
+// and port and VC indices (< 64) are int8.
+func TestRecordSizes(t *testing.T) {
+	if sz := unsafe.Sizeof(inputVC{}); sz != 64 {
+		t.Errorf("inputVC is %d bytes, want 64", sz)
+	}
+	if sz := unsafe.Sizeof(stGrant{}); sz != 2 {
+		t.Errorf("stGrant is %d bytes, want 2", sz)
+	}
+}
+
+// TestConfigBoundsBufPerVC: the deepest buffer Validate admits builds
+// a router; one deeper is an error naming the field, not an attempt to
+// allocate the rings.
+func TestConfigBoundsBufPerVC(t *testing.T) {
+	cfg := DefaultConfig(SpeculativeVC)
+	cfg.BufPerVC = MaxBufPerVC
+	New(0, cfg, make([]uint8, 1))
+	cfg.BufPerVC++
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "BufPerVC") {
+		t.Errorf("BufPerVC %d: Validate = %v, want an error naming BufPerVC", cfg.BufPerVC, err)
 	}
 }
 

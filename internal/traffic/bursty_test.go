@@ -352,6 +352,9 @@ func TestParseSizes(t *testing.T) {
 		{"bimodal:small=1,large=9", "missing required parameter \"p\""},
 		{"bimodal:small=9,large=1,p=0.1", "1 <= small <= large"},
 		{"bimodal:small=1,large=9,p=1.5", "outside [0,1]"},
+		{"fixed:1000000000", "at most 4096"},
+		{"uniform:min=1,max=4097", "at most 4096"},
+		{"bimodal:small=1,large=5000,p=0.1", "at most 4096"},
 	}
 	for _, tc := range bad {
 		_, err := ParseSizes(tc.spec)

@@ -20,6 +20,11 @@ type Sizer interface {
 	Name() string
 }
 
+// MaxPacketSize bounds a packet's length in flits. A source holds the
+// flits of the packet it is injecting (24 bytes each) and numbers them
+// with an int32 Flit.Seq; 4,096 keeps both small.
+const MaxPacketSize = 1 << 12
+
 // FixedSize is the degenerate distribution: every packet is N flits.
 // Sample draws nothing, so "fixed:N" is schedule-identical to the plain
 // global packet size.
@@ -78,6 +83,15 @@ func validSizeSpecs() string {
 	return "fixed:N, uniform:min=A,max=B, bimodal:small=S,large=L,p=P"
 }
 
+// checkLargest refuses a distribution whose largest size exceeds
+// MaxPacketSize.
+func checkLargest(s Sizer, largest int) (Sizer, error) {
+	if largest > MaxPacketSize {
+		return nil, fmt.Errorf("traffic: sizes: %s has packets of %d flits; at most %d", s.Name(), largest, MaxPacketSize)
+	}
+	return s, nil
+}
+
 // ParseSizes resolves a packet-size distribution spec:
 //
 //	""                              no distribution (fixed global packet size)
@@ -86,8 +100,8 @@ func validSizeSpecs() string {
 //	bimodal:small=S,large=L,p=P     S flits with prob 1-P, L flits with prob P
 //
 // An empty spec returns a nil Sizer. Unknown names, malformed or
-// missing parameters, and sizes < 1 flit are errors naming the valid
-// specs.
+// missing parameters, sizes < 1 flit and sizes > MaxPacketSize are
+// errors.
 func ParseSizes(spec string) (Sizer, error) {
 	if spec == "" {
 		return nil, nil
@@ -102,7 +116,7 @@ func ParseSizes(spec string) (Sizer, error) {
 		if n < 1 {
 			return nil, fmt.Errorf("traffic: sizes: fixed size %d flits; need >= 1", n)
 		}
-		return FixedSize{N: n}, nil
+		return checkLargest(FixedSize{N: n}, n)
 	case "uniform":
 		kv, err := parseKVArgs("sizes: uniform", args, []string{"min", "max"}, []string{"min", "max"})
 		if err != nil {
@@ -119,7 +133,7 @@ func ParseSizes(spec string) (Sizer, error) {
 		if min < 1 || max < min {
 			return nil, fmt.Errorf("traffic: sizes: uniform wants 1 <= min <= max, got min=%d max=%d", min, max)
 		}
-		return UniformSize{Min: min, Max: max}, nil
+		return checkLargest(UniformSize{Min: min, Max: max}, max)
 	case "bimodal":
 		kv, err := parseKVArgs("sizes: bimodal", args, []string{"small", "large", "p"}, []string{"small", "large", "p"})
 		if err != nil {
@@ -143,7 +157,7 @@ func ParseSizes(spec string) (Sizer, error) {
 		if p < 0 || p > 1 {
 			return nil, fmt.Errorf("traffic: sizes: bimodal probability %v outside [0,1]", p)
 		}
-		return BimodalSize{Small: small, Large: large, P: p}, nil
+		return checkLargest(BimodalSize{Small: small, Large: large, P: p}, large)
 	default:
 		return nil, fmt.Errorf("traffic: unknown size distribution %q (valid specs: %s)", spec, validSizeSpecs())
 	}
