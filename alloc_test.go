@@ -5,6 +5,7 @@ package routersim_test
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -317,6 +318,12 @@ func TestFootprint(t *testing.T) {
 	if sz := unsafe.Sizeof(flit.Flit{}); sz != 24 {
 		t.Errorf("flit.Flit is %d bytes, want 24", sz)
 	}
+	// The topology cap error quotes topology's per-node estimate; every
+	// row's bound must fit under it. 2^20 nodes × x KiB is x GiB.
+	var estKiB float64
+	if _, err := fmt.Sscanf(topology.MemEstimate(1<<20), "%f GiB", &estKiB); err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		kind      router.Kind
 		k, shards int
@@ -341,6 +348,9 @@ func TestFootprint(t *testing.T) {
 		mallocs := float64(after.Mallocs-before.Mallocs) / nodes
 		kb := float64(after.TotalAlloc-before.TotalAlloc) / nodes / 1000
 		t.Logf("shards=%d: network.New k=%d %v: %.1f mallocs, %.2f KB per router", c.shards, c.k, c.kind, mallocs, kb)
+		if c.maxKB > estKiB*1.024 {
+			t.Errorf("k=%d %v: bound %.1f KB exceeds topology.MemEstimate's %.1f KiB per node", c.k, c.kind, c.maxKB, estKiB)
+		}
 		if mallocs > 60 || kb > c.maxKB {
 			t.Errorf("shards=%d: network.New k=%d %v costs %.1f mallocs and %.2f KB per router, want <= 60 and <= %.1f", c.shards, c.k, c.kind, mallocs, kb, c.maxKB)
 		}

@@ -71,7 +71,10 @@ func TestOversizedBufferOrPacketExitsWithError(t *testing.T) {
 		[]string{"-router", "spec-vc", "-k", "4", "-buf", "2000000000", "-warmup", "10", "-packets", "10"},
 		[]string{"-k", "4", "-overrides", "3:buf=5000", "-warmup", "10", "-packets", "10"},
 	)
-	expectOneLineError(t, "PacketSize", []string{"-k", "4", "-packetsize", "1000000000", "-warmup", "10", "-packets", "10"})
+	// The label names the configuration that would run (default VCs and
+	// buffers filled in), not the raw flag values.
+	expectOneLineError(t, "2vcs×4buf/pkt1000000000/load=0.40: network: PacketSize",
+		[]string{"-k", "4", "-packetsize", "1000000000", "-warmup", "10", "-packets", "10"})
 }
 
 // expectOneLineError builds netsim and checks that each argument list

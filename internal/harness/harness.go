@@ -153,10 +153,11 @@ func Run(m Matrix, opts Options) ([]JobResult, error) {
 // returns its one result. Unlike matrix expansion — which canonicalizes
 // inapplicable axis values, e.g. a VC count crossed with a wormhole
 // router — an explicitly stated scenario is validated strictly: a
-// configuration the simulation cannot honor as stated is an error.
+// configuration the simulation cannot honor as stated is an error,
+// labelled with the configuration that would have run.
 func RunScenario(sc Scenario, opts Options) (JobResult, error) {
 	if _, err := sc.SimConfig(1, Protocol{Warmup: 1, Packets: 1}); err != nil {
-		return JobResult{}, fmt.Errorf("harness: %s: %w", sc.Label(), err)
+		return JobResult{}, fmt.Errorf("harness: %s: %w", sc.canonical().Label(), err)
 	}
 	results, err := Run(sc.Matrix(), opts)
 	if err != nil {
@@ -177,6 +178,7 @@ func RunScenario(sc Scenario, opts Options) (JobResult, error) {
 // a trace is an error.
 func RunScenarioRecorded(sc Scenario, opts Options, path string) (JobResult, error) {
 	seed := rng.Derive(opts.Seed, 0)
+	sc = sc.canonical() // SimConfig canonicalizes too; errors name what runs
 	cfg, err := sc.SimConfig(seed, opts.Protocol)
 	if err != nil {
 		return JobResult{}, fmt.Errorf("harness: %s: %w", sc.Label(), err)
@@ -184,7 +186,6 @@ func RunScenarioRecorded(sc Scenario, opts Options, path string) (JobResult, err
 	if cfg.Net.Replay != nil {
 		return JobResult{}, fmt.Errorf("harness: %s: recording a trace-replay scenario would copy the input trace; record a live workload instead", sc.Label())
 	}
-	sc = sc.canonical()
 	jr := JobResult{Index: 0, Scenario: sc, Seed: seed}
 	rec := trace.NewRecorder(cfg.Net.Topo.Nodes())
 	cfg.Record = rec

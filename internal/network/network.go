@@ -95,9 +95,9 @@ type Config struct {
 	// as the benchmark baseline. It also disables NextDue's quiescence
 	// fast-forward (NextDue always answers now+1), and needs one shard.
 	FullScan bool
-	// Shards splits the network into that many balanced node sets
-	// (boundary-minimizing partitions; cube-aligned slabs when those
-	// are already optimal) that step independently, one goroutine
+	// Shards splits the network into that many balanced contiguous
+	// node ranges (shard i owns nodes [i·nodes/Shards,
+	// (i+1)·nodes/Shards)) that step independently, one goroutine
 	// each, between bulk boundary exchanges, windows bounded per
 	// neighbor pair by link delay and credit-loop slack (see
 	// shard.go) — the engine for scaling wall-clock across cores on
@@ -342,20 +342,16 @@ type Network struct {
 	probed bool
 
 	// Engine state (see shard.go): the shards — one covering every node
-	// unless cfg.Shards > 1 — and the node→shard map (nil for one
-	// shard), the boundary wire pairs exchanged at each barrier, the
-	// global lookahead floor (the minimum directed shard-pair dependency
-	// bound — per-pair bounds live on the shards' dep lists), whether
-	// the partition's concatenation is global node order (replay fast
-	// path), and the gang that runs the shards (nil for one shard).
-	shards       []*shard
-	shardAt      []int32
-	flitXfers    []flitXfer
-	creditXfers  []creditXfer
-	lookahead    int64
-	partsOrdered bool
-	shardGang    *pool.Gang
-	shardRunFn   func(i int)
+	// unless cfg.Shards > 1 — the boundary wire pairs exchanged at each
+	// barrier, the global lookahead floor (the minimum directed
+	// shard-pair dependency bound — per-pair bounds live on the shards'
+	// dep lists), and the gang that runs the shards (nil for one shard).
+	shards      []*shard
+	flitXfers   []flitXfer
+	creditXfers []creditXfer
+	lookahead   int64
+	shardGang   *pool.Gang
+	shardRunFn  func(i int)
 
 	// Invariant-auditor state (audit.go). auditEvery is cfg.Audit as an
 	// int64 (0 = off). auditNextAt is the next audit deadline as a shard
@@ -467,7 +463,7 @@ func build(cfg Config) *Network {
 	}
 	n.installRouting()
 
-	// The node→shard map is needed before wiring: links whose endpoints
+	// The shard ranges are needed before wiring: links whose endpoints
 	// land in different shards are split into outbox/inbox pairs below.
 	// depBound accumulates the minimum dependency bound per directed
 	// shard pair {on, waiter}: the waiter may run ahead of `on`'s clock
@@ -476,17 +472,10 @@ func build(cfg Config) *Network {
 	// shard's window never exceeds twice the largest pair bound, and a
 	// wire additionally holds up to maxDelay in-flight items — so the
 	// steady-state barrier never grows a ring.
-	var shardParts [][]int32
+	cuts := partitionNodes(nodes, max(1, cfg.Shards))
 	var depBound map[[2]int32]int64
 	xferCap := 0
 	if cfg.Shards > 1 {
-		shardParts = partitionNodes(n.topo, cfg.Shards, delayAt, int64(cfg.FlitDelay))
-		n.shardAt = make([]int32, nodes)
-		for i, part := range shardParts {
-			for _, id := range part {
-				n.shardAt[id] = int32(i)
-			}
-		}
 		depBound = make(map[[2]int32]int64)
 		maxDelay := int64(cfg.FlitDelay)
 		for _, d := range delayAt {
@@ -532,9 +521,9 @@ func build(cfg Config) *Network {
 	// arenas, which also hold the outboxes its routers push: two shards
 	// never write one cache line. The wiring runs twice; the first pass
 	// only sizes the arenas (Arena.Wire returns nil until Alloc).
-	n.wires = make([]wireArenas, max(1, len(shardParts)))
+	n.wires = make([]wireArenas, len(cuts)-1)
 	wireNode := func(id int) {
-		r, mine := n.routers[id], &n.wires[n.shardOf(id)]
+		r, mine := n.routers[id], &n.wires[shardOf(cuts, id)]
 		inject := mine.flits.Wire(delay(id), 0)
 		for q := 1; q < cfg.Router.Ports; q++ {
 			a, pa, ok := n.topo.Neighbor(id, q)
@@ -548,7 +537,7 @@ func build(cfg Config) *Network {
 				r.SetOutputPolicy(q, vcs(a), buf(a))
 			}
 			creditCap := vcs(a) * buf(a)
-			if n.shardOf(a) == n.shardOf(id) {
+			if shardOf(cuts, a) == shardOf(cuts, id) {
 				fw := mine.flits.Wire(delay(a), 0)
 				cw := mine.credits.Wire(cfg.CreditDelay, creditCap)
 				r.ConnectArrivals(q, fw, cw)
@@ -564,7 +553,7 @@ func build(cfg Config) *Network {
 			// creditLag on the credit side, which id's router pops
 			// creditLag cycles late); the credit wires need no more
 			// than the credit-loop bound.
-			theirs := &n.wires[n.shardOf(a)]
+			theirs := &n.wires[shardOf(cuts, a)]
 			fIn := mine.flits.Wire(delay(a), xferCap)
 			cIn := mine.credits.Wire(cfg.CreditDelay, creditCap)
 			fOut := theirs.flits.Wire(delay(a), xferCap)
@@ -575,22 +564,15 @@ func build(cfg Config) *Network {
 				n.flitXfers = append(n.flitXfers, flitXfer{out: fOut, in: fIn, dst: int32(id)})
 				n.creditXfers = append(n.creditXfers, creditXfer{out: cOut, in: cIn})
 			}
-			noteDep(n.shardOf(a), n.shardOf(id), min(int64(delay(a)), int64(cfg.CreditDelay)+r.CreditLag()))
+			noteDep(shardOf(cuts, a), shardOf(cuts, id), min(int64(delay(a)), int64(cfg.CreditDelay)+r.CreditLag()))
 		}
 		credit := mine.credits.Wire(cfg.CreditDelay, vcs(id)*buf(id))
 		r.ConnectInput(topology.PortLocal, inject, credit)
 		n.sources[id].flitOut, n.sources[id].creditIn = inject, credit
 	}
 	for pass := 0; pass < 2; pass++ {
-		if shardParts == nil {
-			for id := 0; id < nodes; id++ {
-				wireNode(id)
-			}
-		}
-		for _, part := range shardParts {
-			for _, id := range part {
-				wireNode(int(id))
-			}
+		for id := 0; id < nodes; id++ {
+			wireNode(id)
 		}
 		if pass == 0 {
 			for i := range n.wires {
@@ -600,7 +582,7 @@ func build(cfg Config) *Network {
 		}
 	}
 
-	n.buildShards(shardParts, depBound)
+	n.buildShards(cuts, depBound)
 	return n
 }
 
@@ -686,14 +668,6 @@ func (n *Network) reclaim(p *flit.Packet) {
 	home := n.sources[p.Src].sh
 	p.Reset()
 	home.pktFree = append(home.pktFree, p)
-}
-
-// shardOf returns the index of the shard that owns node id.
-func (n *Network) shardOf(id int) int32 {
-	if n.shardAt == nil {
-		return 0
-	}
-	return n.shardAt[id]
 }
 
 // Close releases the parallel steppers' workers. It is a no-op on a

@@ -54,13 +54,10 @@ import (
 // nothing parks and NextDue answers now+1. The wake bookkeeping still
 // runs but is cleared unread.
 //
-// A scheduler covers one shard's node set: a contiguous range [base,
-// base+count) keeps the bitmaps range-local (bit = id - base) with pure
-// arithmetic index mapping, while a non-contiguous set (the
-// boundary-minimizing partitioner, shard.go) carries an explicit
-// local→global table (idOf) and shares the global→local table
-// (tab.loc). The read-only link tables are shared through schedTables.
-// A one-shard network is the base=0, count=nodes case.
+// A scheduler covers one shard's node range [base, base+count) and
+// keeps its bitmaps range-local: bit = id - base. The read-only link
+// tables are shared through schedTables. A one-shard network is the
+// base=0, count=nodes case.
 
 // schedTables holds the read-only link structure every scheduler range
 // of a network shares: built once at network.New, safe for concurrent
@@ -80,9 +77,6 @@ type schedTables struct {
 	delay     []int64
 	wheelSize int64
 	wheelMask int64
-	// loc maps global node id → local index within its owning shard,
-	// set only when some shard holds a non-contiguous node set.
-	loc []int32
 }
 
 // buildSchedTables precomputes the shared downstream and delay tables
@@ -116,40 +110,27 @@ func (n *Network) buildSchedTables(wheelSize int64) *schedTables {
 	return tab
 }
 
-// scheduler holds the active-set worklists of one node set — a
-// contiguous range (idOf nil; local index = id - base) or an arbitrary
-// ascending set (idOf maps local→global, tab.loc maps global→local).
+// scheduler holds the active-set worklists of one node range.
 type scheduler struct {
-	tab   *schedTables
-	base  int32 // first node of the range (contiguous sets)
+	base  int32 // first node of the range
 	count int   // nodes covered
 	words int   // ceil(count / 64)
 
-	// Sharded-network ownership: self is the owning shard's index into
-	// shardAt (the network's node→shard map); shardAt is nil on a
-	// one-shard network, where ownership is the base/count range check.
-	self    int32
-	shardAt []int32
 	// scan is the full-scan policy's router list (Config.FullScan; the
 	// network's routers, indexed by id), nil under the wake worklists.
 	scan []*router.Router
-	// idOf, for non-contiguous node sets, maps local bitmap index →
-	// global node id (ascending); loc aliases tab.loc for the reverse
-	// map. Both nil for contiguous sets: the arithmetic fast path.
-	idOf []int32
-	loc  []int32
 
-	// Hot fields of tab, copied at construction so the per-push wake
-	// path (finishRouter) reads them without chasing the tab pointer.
-	// The slice headers alias tab's read-only backing arrays.
+	// The shared link tables (schedTables) the per-push wake path
+	// (finishRouter) reads, copied at construction; the slice headers
+	// alias the tables' read-only backing arrays.
 	outDst    []int32
 	delay     []int64
 	ports     int
 	wheelMask int64
 
 	// active is this cycle's materialized router worklist, ascending by
-	// (global) id; carryBits accumulates next cycle's self-sustained
-	// routers during the walk (carryCount tracks how many).
+	// id; carryBits accumulates next cycle's self-sustained routers
+	// during the walk (carryCount tracks how many).
 	active     []int32
 	carryBits  []uint64
 	carryCount int
@@ -168,8 +149,7 @@ type scheduler struct {
 
 	// Source worklist: srcBits/srcCount carry the busy sources;
 	// srcActive is the materialized per-cycle list; srcHeap parks idle
-	// sources by (next injection cycle, id). Heap entries use global
-	// ids.
+	// sources by (next injection cycle, id).
 	srcBits   []uint64
 	srcCount  int
 	srcActive []int32
@@ -187,23 +167,14 @@ func wakeLess(a, b srcWake) bool {
 }
 
 // newScheduler builds the scheduler of a freshly wired network over
-// shard self's node set part (ascending), or over every node (part
-// nil). A contiguous set keeps the arithmetic index mapping; anything
-// else installs the explicit local↔global maps (tab.loc must already
-// cover every node). The worklists start empty; reset fills them.
-func newScheduler(n *Network, tab *schedTables, self int, part []int32) *scheduler {
-	base, count := int32(0), n.topo.Nodes()
-	if part != nil {
-		base, count = part[0], len(part)
-	}
+// the node range [lo, hi). The worklists start empty; reset fills them.
+func newScheduler(n *Network, tab *schedTables, lo, hi int32) *scheduler {
+	count := int(hi - lo)
 	words := (count + 63) / 64
 	sc := &scheduler{
-		tab:        tab,
-		base:       base,
+		base:       lo,
 		count:      count,
 		words:      words,
-		self:       int32(self),
-		shardAt:    n.shardAt,
 		outDst:     tab.outDst,
 		delay:      tab.delay,
 		ports:      tab.ports,
@@ -212,10 +183,6 @@ func newScheduler(n *Network, tab *schedTables, self int, part []int32) *schedul
 		wheelBits:  make([][]uint64, tab.wheelSize),
 		wheelCount: make([]int, tab.wheelSize),
 		srcBits:    make([]uint64, words),
-	}
-	if part != nil && int(part[count-1]-base) != count-1 {
-		sc.idOf = part
-		sc.loc = tab.loc
 	}
 	if n.cfg.FullScan {
 		sc.scan = n.routers
@@ -241,7 +208,7 @@ func (sc *scheduler) reset(n *Network) {
 	clear(sc.carryBits)
 	clear(sc.srcBits)
 	for li := 0; li < sc.count; li++ {
-		id := sc.global(int32(li))
+		id := sc.base + int32(li)
 		s := n.sources[id]
 		if s.adv == nil || sc.scan != nil {
 			sc.srcBits[li>>6] |= 1 << (uint(li) & 63)
@@ -259,28 +226,8 @@ func (sc *scheduler) reset(n *Network) {
 	}
 }
 
-// local maps a global node id (which must be owned) to its bitmap index.
-func (sc *scheduler) local(id int32) int32 {
-	if sc.loc != nil {
-		return sc.loc[id]
-	}
-	return id - sc.base
-}
-
-// global maps a bitmap index back to the global node id.
-func (sc *scheduler) global(li int32) int32 {
-	if sc.idOf != nil {
-		return sc.idOf[li]
-	}
-	return sc.base + li
-}
-
-// owns reports whether a (global) node id belongs to this scheduler's
-// node set.
+// owns reports whether node id lies in this scheduler's range.
 func (sc *scheduler) owns(id int32) bool {
-	if sc.shardAt != nil {
-		return sc.shardAt[id] == sc.self
-	}
 	return id >= sc.base && id < sc.base+int32(sc.count)
 }
 
@@ -299,7 +246,7 @@ func (sc *scheduler) busy() bool {
 func (sc *scheduler) wakeAt(id int32, due int64) {
 	si := due & sc.wheelMask
 	slot := sc.wheelBits[si]
-	li := sc.local(id)
+	li := id - sc.base
 	w, b := int(li)>>6, uint64(1)<<(uint(li)&63)
 	if slot[w]&b == 0 {
 		slot[w] |= b
@@ -315,7 +262,7 @@ func (sc *scheduler) wake(id int32, d int64) { sc.wakeAt(id, sc.now+d) }
 // carry marks router id (owned) self-sustained onto the next cycle.
 // Callers run once per listed router, so the bit is always freshly set.
 func (sc *scheduler) carry(id int32) {
-	li := sc.local(id)
+	li := id - sc.base
 	sc.carryBits[li>>6] |= 1 << (uint(li) & 63)
 	sc.carryCount++
 }
@@ -336,7 +283,7 @@ func (sc *scheduler) buildActive(now int64) {
 				sc.active = append(sc.active, int32(id))
 			}
 		}
-	} else if sc.idOf == nil {
+	} else {
 		for w := 0; w < sc.words; w++ {
 			m := sc.carryBits[w] | wb[w]
 			sc.carryBits[w] = 0
@@ -344,19 +291,6 @@ func (sc *scheduler) buildActive(now int64) {
 			base := sc.base + int32(w<<6)
 			for ; m != 0; m &= m - 1 {
 				sc.active = append(sc.active, base+int32(bits.TrailingZeros64(m)))
-			}
-		}
-	} else {
-		// Non-contiguous node set: local bits walk ascending local
-		// index = ascending global id (idOf is sorted), so the active
-		// list keeps the full scan's node order.
-		for w := 0; w < sc.words; w++ {
-			m := sc.carryBits[w] | wb[w]
-			sc.carryBits[w] = 0
-			wb[w] = 0
-			lbase := int32(w << 6)
-			for ; m != 0; m &= m - 1 {
-				sc.active = append(sc.active, sc.idOf[lbase+int32(bits.TrailingZeros64(m))])
 			}
 		}
 	}
@@ -387,7 +321,7 @@ func (sc *scheduler) stepSources(n *Network, now int64) {
 			// stale wake means the scheduler lost an injection cycle.
 			panic("network: parked source woke past its injection cycle")
 		}
-		li := sc.local(w.id)
+		li := w.id - sc.base
 		sc.srcBits[li>>6] |= 1 << (uint(li) & 63)
 		sc.srcCount++
 	}
@@ -396,23 +330,12 @@ func (sc *scheduler) stepSources(n *Network, now int64) {
 	}
 
 	sc.srcActive = sc.srcActive[:0]
-	if sc.idOf == nil {
-		for w := 0; w < sc.words; w++ {
-			m := sc.srcBits[w]
-			sc.srcBits[w] = 0
-			base := sc.base + int32(w<<6)
-			for ; m != 0; m &= m - 1 {
-				sc.srcActive = append(sc.srcActive, base+int32(bits.TrailingZeros64(m)))
-			}
-		}
-	} else {
-		for w := 0; w < sc.words; w++ {
-			m := sc.srcBits[w]
-			sc.srcBits[w] = 0
-			lbase := int32(w << 6)
-			for ; m != 0; m &= m - 1 {
-				sc.srcActive = append(sc.srcActive, sc.idOf[lbase+int32(bits.TrailingZeros64(m))])
-			}
+	for w := 0; w < sc.words; w++ {
+		m := sc.srcBits[w]
+		sc.srcBits[w] = 0
+		base := sc.base + int32(w<<6)
+		for ; m != 0; m &= m - 1 {
+			sc.srcActive = append(sc.srcActive, base+int32(bits.TrailingZeros64(m)))
 		}
 	}
 	sc.srcCount = 0
@@ -421,7 +344,7 @@ func (sc *scheduler) stepSources(n *Network, now int64) {
 		s := n.sources[id]
 		s.step(now)
 		if sc.scan != nil || s.adv == nil || s.qlen > 0 || s.inFlight > 0 {
-			li := sc.local(id)
+			li := id - sc.base
 			sc.srcBits[li>>6] |= 1 << (uint(li) & 63)
 			sc.srcCount++
 			continue

@@ -10,13 +10,12 @@ import (
 	"routersim/internal/link"
 	"routersim/internal/pool"
 	"routersim/internal/router"
-	"routersim/internal/topology"
 )
 
 // This file implements the network's one engine, the shard round: the
-// network is split into node sets (shards) that step many cycles
-// independently — one goroutine each — between barriers, instead of
-// synchronizing every cycle like the two-phase parallel stepper.
+// network is split into contiguous node ranges (shards) that step many
+// cycles independently — one goroutine each — between barriers, instead
+// of synchronizing every cycle like the two-phase parallel stepper.
 //
 // Config.Shards 0 or 1 is one shard that covers every node. It has no
 // boundary and no dependency edge, so its rounds skip the horizon
@@ -71,26 +70,18 @@ import (
 // buffers its ejections (with a packet-done flag captured at the
 // ejection cycle, before later window cycles advance the count) and
 // its packet creations; Step(now) then replays the buffered events of
-// cycle `now` across shards. With contiguous slab partitions (and with
-// one shard) the ascending-shard concatenation is already global node
-// order; with the boundary-minimizing partitioner's arbitrary node
-// sets the replay k-way merges the per-shard buffers on node id
-// instead (each shard buffers per cycle in ascending node order, so
-// the merge reproduces one shard's exact callback sequence). Packet
-// IDs are assigned at replay — the only global counter — so creation
-// order, IDs, and every derived measurement are the same for any shard
-// count.
+// cycle `now` across shards. Shards are ascending node ranges
+// (partitionNodes), so concatenating their buffers in shard order is
+// already global node order. Packet IDs are assigned at replay — the
+// only global counter — so creation order, IDs, and every derived
+// measurement are the same for any shard count.
 
 // ejectEvent is one buffered flit ejection. done is whether this flit
 // completed its packet, captured at ejection time (the packet's
 // running count keeps advancing through the rest of the window).
 type ejectEvent struct {
-	t int64
-	f flit.Flit
-	// at is the ejecting node: the destination for delivered flits, the
-	// dropping router for unroutable drains. The replay merge orders on
-	// it, matching one shard's ascending-node ejection order.
-	at   int32
+	t    int64
+	f    flit.Flit
 	done bool
 }
 
@@ -123,7 +114,7 @@ type shardDep struct {
 	bound int64
 }
 
-// shard is one node set of the sharded engine: its own scheduler,
+// shard is one node range of the sharded engine: its own scheduler,
 // clock, event buffers, packet pool, and (optionally) worker gang.
 type shard struct {
 	net *Network
@@ -179,332 +170,30 @@ func (sh *shard) allocPacket() *flit.Packet {
 	return p
 }
 
-// partitionNodes splits the nodes into `shards` non-empty sets, sizes
-// balanced within ±1, each set ascending. On k-ary n-cubes whose
-// balanced contiguous cuts align to the top dimension's stride (slabs
-// of whole hyperplanes — the provably minimal cut for a slab
-// decomposition) the contiguous slab split is returned directly. Any
-// other topology runs recursive bisection with greedy Kernighan–Lin
-// style refinement minimizing the cut weight Σ 1/delay over crossing
-// directed links, and keeps whichever of {refined, contiguous}
-// candidates cuts less — so the result is never worse than the old
-// contiguous slab partition.
-func partitionNodes(t topology.Topology, shards int, delayAt []int64, flitDelay int64) [][]int32 {
-	nodes := t.Nodes()
-	cuts, aligned := slabCuts(t, shards)
-	slab := make([][]int32, shards)
-	all := make([]int32, nodes)
-	for i := range all {
-		all[i] = int32(i)
+// partitionNodes returns the shards+1 cut points of the balanced
+// contiguous split: shard i owns the node range [cuts[i], cuts[i+1]),
+// cuts[i] = i·nodes/shards, so sizes are within ±1 and every range is
+// non-empty when shards <= nodes. On the paper's k-ary 2-cubes these
+// slabs are the minimum cut (PERF.md, "Shards are node ranges").
+func partitionNodes(nodes, shards int) []int32 {
+	cuts := make([]int32, shards+1)
+	for i := range cuts {
+		cuts[i] = int32(i * nodes / shards)
 	}
-	for i := 0; i < shards; i++ {
-		slab[i] = all[cuts[i]:cuts[i+1]]
-	}
-	if shards == 1 || aligned {
-		return slab
-	}
-	g := newPartGraph(t, delayAt, flitDelay)
-	refined := g.bisect(slab)
-	if g.cutWeight(refined) < g.cutWeight(slab) {
-		return refined
-	}
-	return slab
+	return cuts
 }
 
-// slabCuts returns shards+1 cut points of the balanced contiguous
-// split (sizes within ±1 by construction). aligned reports whether
-// every interior cut lands on a hyperplane boundary of a
-// multi-dimensional cube (a multiple of the top dimension's stride) —
-// the case where the slab cut is already minimal and the graph
-// partitioner is skipped.
-func slabCuts(t topology.Topology, shards int) (cuts []int, aligned bool) {
-	nodes := t.Nodes()
-	stride := 0
-	if c, ok := t.(topology.Cube); ok && c.N > 1 {
-		stride = nodes / c.K
-	}
-	cuts = make([]int, shards+1)
-	for i := 1; i < shards; i++ {
-		cuts[i] = i * nodes / shards
-	}
-	cuts[shards] = nodes
-	aligned = stride > 1
-	for i := 1; i < shards && aligned; i++ {
-		if cuts[i]%stride != 0 {
-			aligned = false
-		}
-	}
-	return cuts, aligned
-}
-
-// partGraph is the weighted adjacency the partitioner optimizes over:
-// undirected edges between linked nodes, weighted by the total 1/delay
-// of the directed links between them — the per-cycle barrier traffic a
-// cut through that edge costs.
-type partGraph struct {
-	off []int32   // CSR row offsets, len nodes+1
-	to  []int32   // neighbour ids
-	w   []float64 // edge weights
-
-	side []int8    // scratch: 1 = left, 2 = right, 0 = outside the group
-	dval []float64 // scratch: KL gain potential per node
-	tmp  []int32   // scratch: rebuild buffer
-}
-
-func newPartGraph(t topology.Topology, delayAt []int64, flitDelay int64) *partGraph {
-	nodes := t.Nodes()
-	ports := t.Ports()
-	invDelay := func(id int32) float64 {
-		if delayAt != nil {
-			return 1 / float64(delayAt[id])
-		}
-		return 1 / float64(flitDelay)
-	}
-	deg := make([]int32, nodes+1)
-	for id := 0; id < nodes; id++ {
-		for port := 1; port < ports; port++ {
-			if next, _, ok := t.Neighbor(id, port); ok {
-				deg[id+1]++
-				deg[next+1]++
-			}
-		}
-	}
-	for i := 0; i < nodes; i++ {
-		deg[i+1] += deg[i]
-	}
-	g := &partGraph{
-		off:  deg,
-		to:   make([]int32, deg[nodes]),
-		w:    make([]float64, deg[nodes]),
-		side: make([]int8, nodes),
-		dval: make([]float64, nodes),
-		tmp:  make([]int32, nodes),
-	}
-	fill := make([]int32, nodes)
-	for id := 0; id < nodes; id++ {
-		for port := 1; port < ports; port++ {
-			next, _, ok := t.Neighbor(id, port)
-			if !ok {
-				continue
-			}
-			// One directed link id→next: weight 1/delay(id), charged to
-			// both endpoints (the reverse link, if any, adds its own).
-			wgt := invDelay(int32(id))
-			i := g.off[id] + fill[id]
-			g.to[i], g.w[i] = int32(next), wgt
-			fill[id]++
-			j := g.off[next] + fill[next]
-			g.to[j], g.w[j] = int32(id), wgt
-			fill[next]++
-		}
-	}
-	return g
-}
-
-// cutWeight sums the weight of every edge crossing the partition
-// (each undirected entry pair counted once per direction, uniformly
-// for both candidates, so comparisons are exact).
-func (g *partGraph) cutWeight(parts [][]int32) float64 {
-	at := g.tmp
-	for i, part := range parts {
-		for _, id := range part {
-			at[id] = int32(i)
-		}
-	}
-	var cut float64
-	for id := range g.side {
-		for i := g.off[id]; i < g.off[id+1]; i++ {
-			if at[g.to[i]] != at[id] {
-				cut += g.w[i]
-			}
-		}
-	}
-	return cut
-}
-
-// bisect recursively splits the node list into len(sizes) parts with
-// the given target sizes, refining each two-way split with bounded
-// greedy KL swaps. The node list is permuted in place; every returned
-// part is sorted ascending.
-func (g *partGraph) bisect(parts [][]int32) [][]int32 {
-	sizes := make([]int, len(parts))
-	total := 0
-	for i, p := range parts {
-		sizes[i] = len(p)
-		total += len(p)
-	}
-	set := make([]int32, 0, total)
-	for _, p := range parts {
-		set = append(set, p...)
-	}
-	out := make([][]int32, 0, len(parts))
-	g.bisectInto(set, sizes, &out)
-	return out
-}
-
-func (g *partGraph) bisectInto(set []int32, sizes []int, out *[][]int32) {
-	if len(sizes) == 1 {
-		*out = append(*out, set)
-		return
-	}
-	pl := (len(sizes) + 1) / 2
-	nl := 0
-	for _, s := range sizes[:pl] {
-		nl += s
-	}
-	g.refine(set, nl)
-	g.bisectInto(set[:nl], sizes[:pl], out)
-	g.bisectInto(set[nl:], sizes[pl:], out)
-}
-
-// Refinement effort caps: candidate pool per side and swap rounds per
-// bisection. The greedy pair search is O(klCand²) per round; both caps
-// keep the partitioner linear-ish in practice while catching the large
-// wins (rings, hypercubes, heterogeneous boundaries).
-const (
-	klCand  = 32
-	klSwaps = 128
-)
-
-// refine improves the two-way split set[:nl] / set[nl:] with greedy
-// same-size KL swaps, then rewrites both halves sorted ascending.
-func (g *partGraph) refine(set []int32, nl int) {
-	if nl <= 0 || nl >= len(set) {
-		return
-	}
-	for i, id := range set {
-		if i < nl {
-			g.side[id] = 1
-		} else {
-			g.side[id] = 2
-		}
-	}
-	for _, id := range set {
-		g.dval[id] = g.gain(id)
-	}
-
-	var candA, candB []int32
-	for round := 0; round < klSwaps; round++ {
-		candA = g.topGain(set[:nl], candA[:0])
-		candB = g.topGain(set[nl:], candB[:0])
-		var bestA, bestB int32 = -1, -1
-		best := 0.0
-		for _, a := range candA {
-			for _, b := range candB {
-				gain := g.dval[a] + g.dval[b] - 2*g.weightBetween(a, b)
-				if gain > best+1e-12 {
-					best, bestA, bestB = gain, a, b
-				}
-			}
-		}
-		if bestA < 0 {
-			break
-		}
-		g.side[bestA], g.side[bestB] = 2, 1
-		g.recompute(bestA)
-		g.recompute(bestB)
-	}
-
-	// Rebuild both halves: stash the right side in the scratch buffer,
-	// compact the left side in place (the write cursor never passes the
-	// read cursor), then append the stashed right side. Each half is
-	// sorted ascending — the parts must come out in global node order
-	// for the replay merge.
-	right := g.tmp[:0]
-	w := 0
-	for _, id := range set {
-		if g.side[id] == 1 {
-			set[w] = id
-			w++
-		} else {
-			right = append(right, id)
-		}
-	}
-	copy(set[w:], right)
-	sortInt32(set[:nl])
-	sortInt32(set[nl:])
-	for _, id := range set {
-		g.side[id] = 0
-	}
-}
-
-// gain is the KL D-value of a node: external minus internal edge
-// weight within the current group.
-func (g *partGraph) gain(id int32) float64 {
-	s := g.side[id]
-	var d float64
-	for i := g.off[id]; i < g.off[id+1]; i++ {
-		switch g.side[g.to[i]] {
-		case 0:
-		case s:
-			d -= g.w[i]
-		default:
-			d += g.w[i]
-		}
-	}
-	return d
-}
-
-// recompute refreshes the D-values of a moved node and its in-group
-// neighbours.
-func (g *partGraph) recompute(id int32) {
-	g.dval[id] = g.gain(id)
-	for i := g.off[id]; i < g.off[id+1]; i++ {
-		if nb := g.to[i]; g.side[nb] != 0 {
-			g.dval[nb] = g.gain(nb)
-		}
-	}
-}
-
-// topGain returns up to klCand node ids of one side with the highest
-// D-values (ties broken by ascending id, deterministically).
-func (g *partGraph) topGain(side []int32, cand []int32) []int32 {
-	for _, id := range side {
-		if len(cand) == klCand {
-			worst := cand[klCand-1]
-			if g.dval[id] < g.dval[worst] || (g.dval[id] == g.dval[worst] && id > worst) {
-				continue
-			}
-		}
-		cand = append(cand, id)
-		for i := len(cand) - 1; i > 0; i-- {
-			a, b := cand[i-1], cand[i]
-			if g.dval[a] > g.dval[b] || (g.dval[a] == g.dval[b] && a < b) {
-				break
-			}
-			cand[i-1], cand[i] = b, a
-		}
-		if len(cand) > klCand {
-			cand = cand[:klCand]
-		}
-	}
-	return cand
-}
-
-// weightBetween sums the edge weight between two specific nodes.
-func (g *partGraph) weightBetween(a, b int32) float64 {
-	var w float64
-	for i := g.off[a]; i < g.off[a+1]; i++ {
-		if g.to[i] == b {
-			w += g.w[i]
-		}
-	}
-	return w
-}
-
-func sortInt32(s []int32) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+// shardOf returns the index of the range of cuts that holds node id.
+func shardOf(cuts []int32, id int) int32 {
+	return int32(sort.Search(len(cuts)-1, func(i int) bool { return int(cuts[i+1]) > id }))
 }
 
 // buildShards finishes engine construction once routers, wires, and
 // sources exist: per-shard schedulers over the shared tables, the
 // dependency bounds collected during wiring, boundary wake closures,
-// gangs, and the global lookahead floor. parts nil is one shard over
-// every node. The shards start at no cycle; Reset arms them.
-func (n *Network) buildShards(parts [][]int32, depBound map[[2]int32]int64) {
-	if parts == nil {
-		parts = [][]int32{nil}
-	}
+// gangs, and the global lookahead floor. Shard i owns the node range
+// [cuts[i], cuts[i+1]). The shards start at no cycle; Reset arms them.
+func (n *Network) buildShards(cuts []int32, depBound map[[2]int32]int64) {
 	// The wake wheels must absorb barrier transfers landing up to
 	// maxPairBound+maxDelay cycles ahead of a lagging receiver's clock;
 	// rounding to a power of two keeps the slot computation an AND.
@@ -534,31 +223,10 @@ func (n *Network) buildShards(parts [][]int32, depBound map[[2]int32]int64) {
 	}
 	tab := n.buildSchedTables(wheel)
 
-	// partsOrdered: ascending concatenation of the parts is exactly
-	// 0..nodes-1, so the replay can concatenate instead of merging.
-	n.partsOrdered = true
-	next := int32(0)
-	for _, part := range parts {
-		for _, id := range part {
-			if id != next {
-				n.partsOrdered = false
-			}
-			next++
-		}
-	}
-	if !n.partsOrdered {
-		tab.loc = make([]int32, n.topo.Nodes())
-		for _, part := range parts {
-			for li, id := range part {
-				tab.loc[id] = int32(li)
-			}
-		}
-	}
-
-	n.shards = make([]*shard, len(parts))
+	n.shards = make([]*shard, len(cuts)-1)
 	for i := range n.shards {
 		sh := &shard{net: n, idx: i}
-		sh.sc = newScheduler(n, tab, i, parts[i])
+		sh.sc = newScheduler(n, tab, cuts[i], cuts[i+1])
 		if n.cfg.StepWorkers > 1 {
 			sh.gang = pool.NewGang(n.cfg.StepWorkers)
 			sh.deliverFn = func(i int) { n.routers[sh.sc.active[i]].Deliver(sh.parNow) }
@@ -581,11 +249,11 @@ func (n *Network) buildShards(parts [][]int32, depBound map[[2]int32]int64) {
 	}
 
 	for id := range n.sources {
-		n.sources[id].sh = n.shards[n.shardOf(id)]
+		n.sources[id].sh = n.shards[shardOf(cuts, id)]
 	}
 	for i := range n.flitXfers {
 		x := &n.flitXfers[i]
-		sc := n.shards[n.shardAt[x.dst]].sc
+		sc := n.shards[shardOf(cuts, int(x.dst))].sc
 		dst := x.dst
 		x.wake = func(due int64) { sc.wakeAt(dst, due) }
 	}
@@ -862,7 +530,7 @@ func (sh *shard) finishRouter(id int, now int64) {
 			if f.Pkt.Dst != id && !f.Pkt.Dropped {
 				panic(fmt.Sprintf("network: flit of packet %d→%d ejected at node %d", f.Pkt.Src, f.Pkt.Dst, id))
 			}
-			sh.ejects = append(sh.ejects, ejectEvent{t: now, f: f, at: int32(id), done: f.Pkt.Done()})
+			sh.ejects = append(sh.ejects, ejectEvent{t: now, f: f, done: f.Pkt.Done()})
 			sh.drained++ // counted at ejection, not replay: the flit left the wires here
 		}
 		r.ClearEjected()
@@ -919,90 +587,36 @@ func (n *Network) fireCreate(e *createEvent, now int64) {
 }
 
 // replay fires cycle now's buffered events on the network's callbacks
-// in one fixed per-cycle order: every ejection in ascending node order,
-// then every creation. With ordered (contiguous slab, or one shard)
-// partitions, ascending shard order is ascending node order and the
-// replay concatenates; otherwise the per-shard buffers — each already
-// ascending by node within the cycle — k-way merge on node id.
+// in one fixed per-cycle order: every ejection, then every creation,
+// each shard's buffer in turn. Shards are ascending node ranges and
+// each buffers a cycle's events in ascending node order, so the
+// concatenation is one shard's exact callback sequence.
 func (n *Network) replay(now int64) {
-	if n.partsOrdered {
-		for _, sh := range n.shards {
-			for sh.ejCur < len(sh.ejects) {
-				e := &sh.ejects[sh.ejCur]
-				if e.t != now {
-					if e.t < now {
-						panic("network: sharded ejection missed its replay cycle")
-					}
-					break
-				}
-				sh.ejCur++
-				n.fireEject(e, now)
-			}
-		}
-		for _, sh := range n.shards {
-			for sh.crCur < len(sh.creates) {
-				e := &sh.creates[sh.crCur]
-				if e.t != now {
-					if e.t < now {
-						panic("network: sharded creation missed its replay cycle")
-					}
-					break
-				}
-				sh.crCur++
-				n.fireCreate(e, now)
-			}
-		}
-		return
-	}
-	for {
-		var best *shard
-		bestNode := int32(math.MaxInt32)
-		for _, sh := range n.shards {
-			if sh.ejCur >= len(sh.ejects) {
-				continue
-			}
+	for _, sh := range n.shards {
+		for sh.ejCur < len(sh.ejects) {
 			e := &sh.ejects[sh.ejCur]
 			if e.t != now {
 				if e.t < now {
 					panic("network: sharded ejection missed its replay cycle")
 				}
-				continue
+				break
 			}
-			if node := e.at; node < bestNode {
-				bestNode, best = node, sh
-			}
+			sh.ejCur++
+			n.fireEject(e, now)
 		}
-		if best == nil {
-			break
-		}
-		e := &best.ejects[best.ejCur]
-		best.ejCur++
-		n.fireEject(e, now)
 	}
-	for {
-		var best *shard
-		bestNode := int32(math.MaxInt32)
-		for _, sh := range n.shards {
-			if sh.crCur >= len(sh.creates) {
-				continue
-			}
+	for _, sh := range n.shards {
+		for sh.crCur < len(sh.creates) {
 			e := &sh.creates[sh.crCur]
 			if e.t != now {
 				if e.t < now {
 					panic("network: sharded creation missed its replay cycle")
 				}
-				continue
+				break
 			}
-			if node := int32(e.p.Src); node < bestNode {
-				bestNode, best = node, sh
-			}
+			sh.crCur++
+			n.fireCreate(e, now)
 		}
-		if best == nil {
-			break
-		}
-		e := &best.creates[best.crCur]
-		best.crCur++
-		n.fireCreate(e, now)
 	}
 }
 

@@ -32,7 +32,7 @@ const MaxPorts = 64
 
 // MaxNodes is the default node-count cap of any topology. Simulator
 // state is linear in the node count (routers, wires and sources, about
-// 10 KiB a node; routing is computed, not tabulated), so the cap only
+// nodeBytes a node; routing is computed, not tabulated), so the cap only
 // keeps a mistyped spec from silently preallocating hundreds of
 // megabytes: a spec raises it explicitly with a cap=N parameter. It is
 // also the largest network a fault plan accepts — faults are the one
@@ -147,12 +147,18 @@ func checkSize(name string, nodes, ports, maxNodes int) error {
 	return nil
 }
 
+// nodeBytes bounds what network.New allocates per node at the paper's
+// parameters: router buffers, wires, allocator and source state. The
+// root package's TestFootprint holds every per-router bound it measures
+// at or below this (read back as MemEstimate(1<<20), whose GiB are KiB
+// per node), so a router that outgrows the estimate fails that test.
+const nodeBytes = 7 << 10
+
 // MemEstimate is a rough preallocation estimate for a network of this
-// many nodes at the paper's parameters: about 10 KiB of router buffers,
-// wires, allocator and source state per node, and nothing that grows
-// faster than the node count.
+// many nodes at the paper's parameters: nodeBytes per node, and nothing
+// that grows faster than the node count.
 func MemEstimate(nodes int) string {
-	b := int64(nodes) * (10 << 10)
+	b := int64(nodes) * nodeBytes
 	if b >= 1<<30 {
 		return fmt.Sprintf("%.1f GiB", float64(b)/(1<<30))
 	}
