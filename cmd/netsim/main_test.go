@@ -77,6 +77,19 @@ func TestOversizedBufferOrPacketExitsWithError(t *testing.T) {
 		[]string{"-k", "4", "-packetsize", "1000000000", "-warmup", "10", "-packets", "10"})
 }
 
+// TestOversizedNetworkExitsWithError: per-router bytes grow with VCs ×
+// buffer depth, and a network whose state outgrows what its node cap
+// stands for (32×32 routers of 12 VCs × 4,096 flits is 11 GB) used to
+// allocate until the runtime died out of memory; the CLI must exit 1
+// with one line naming the bytes, before anything is allocated. The
+// cap= opt-in that raises the node cap raises the budget too.
+func TestOversizedNetworkExitsWithError(t *testing.T) {
+	expectOneLineError(t, "bytes of router, wire and source state",
+		[]string{"-router", "spec-vc", "-k", "32", "-vcs", "12", "-buf", "4096", "-load", "0.1"},
+		[]string{"-router", "spec-vc", "-topo", "mesh:k=8,cap=64", "-vcs", "4", "-warmup", "10", "-packets", "10"},
+	)
+}
+
 // expectOneLineError builds netsim and checks that each argument list
 // exits with status 1 and a single error line containing want.
 func expectOneLineError(t *testing.T, want string, argLists ...[]string) {

@@ -130,3 +130,24 @@ func TestOversizedBufferOrPacketExits(t *testing.T) {
 		}
 	}
 }
+
+// TestOversizedNetworkExits: a network whose router, wire and source
+// state outgrows what its node cap stands for (32×32 routers of 12 VCs
+// × 4,096 flits is 11 GB) used to allocate until the runtime died out of
+// memory; the sweep must exit 1 with the job's error naming the bytes.
+func TestOversizedNetworkExits(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "sweep")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	args := []string{"-routers", "spec-vc", "-k", "32", "-vcs", "12", "-bufs", "4096", "-loads", "0.1", "-quiet", "-json", "-"}
+	out, err := exec.Command(bin, args...).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Errorf("sweep %v: %v, want exit status 1\n%s", args, err, out)
+	}
+	s := string(out)
+	if !strings.Contains(s, "bytes of router, wire and source state") || strings.Contains(s, "panic") || strings.Contains(s, "fatal error") {
+		t.Errorf("sweep %v: want a job error naming the bytes, got\n%s", args, s)
+	}
+}

@@ -19,6 +19,7 @@ import (
 	"math/bits"
 
 	"routersim/internal/arbiter"
+	"routersim/internal/slab"
 )
 
 // SwitchRequest asks for one flit's passage from input port In (virtual
@@ -53,23 +54,34 @@ type SeparableSwitch struct {
 // NewSeparableSwitch returns an allocator for p ports and v VCs per
 // port, using arbiters from factory (nil means matrix arbiters).
 func NewSeparableSwitch(p, v int, factory arbiter.Factory) *SeparableSwitch {
-	s := new(SeparableSwitch)
-	s.init(p, v, factory)
-	return s
+	return own(func(s *Slabs) *SeparableSwitch { return CarveSeparableSwitch(s, p, v, factory) })
 }
 
-func (s *SeparableSwitch) init(p, v int, factory arbiter.Factory) {
+// CarveSeparableSwitch is NewSeparableSwitch carved from s (nil on the
+// counting pass; see Slabs).
+func CarveSeparableSwitch(s *Slabs, p, v int, factory arbiter.Factory) *SeparableSwitch {
+	sw := s.sep.New()
+	sw.carve(s, p, v, factory)
+	return sw
+}
+
+// carve builds sw in place from s (only sizes s while sw is nil, on the
+// counting pass).
+func (sw *SeparableSwitch) carve(s *Slabs, p, v int, factory arbiter.Factory) {
 	if p < 1 || v < 1 {
 		panic(fmt.Sprintf("allocator: invalid switch allocator size p=%d v=%d", p, v))
 	}
-	*s = SeparableSwitch{
+	in := arbiter.CarveBank(&s.words, p, v, factory)
+	out := arbiter.CarveBank(&s.words, p, p, factory)
+	inReqs, outReqs := s.words.Take(p), s.words.Take(p)
+	inWinner, reqOut := s.Int8s.Take(p), s.Int8s.Take(p*v)
+	if sw == nil {
+		return
+	}
+	*sw = SeparableSwitch{
 		p: p, v: v,
-		inputArbs:  arbiter.NewBank(p, v, factory),
-		outputArbs: arbiter.NewBank(p, p, factory),
-		inReqs:     make([]uint64, p),
-		inWinner:   make([]int8, p),
-		outReqs:    make([]uint64, p),
-		reqOut:     make([]int8, p*v),
+		inputArbs: in, outputArbs: out,
+		inReqs: inReqs, inWinner: inWinner, outReqs: outReqs, reqOut: reqOut,
 	}
 }
 
@@ -138,4 +150,51 @@ func (s *SeparableSwitch) check(r SwitchRequest) {
 	if r.In < 0 || int(r.In) >= s.p || r.Out < 0 || int(r.Out) >= s.p || r.VC < 0 || int(r.VC) >= s.v {
 		panic(fmt.Sprintf("allocator: switch request out of range: %+v (p=%d v=%d)", r, s.p, s.v))
 	}
+}
+
+// Slabs are the typed slabs allocators are carved from (see package
+// slab): a Carve* call builds one allocator from them, so a caller
+// sharing one Slabs across many allocators allocates each type once.
+// The request-record and int8 slabs are exported for the router's
+// request buffers, which live with its allocators.
+type Slabs struct {
+	vc    slab.Slab[VCAllocator]
+	sep   slab.Slab[SeparableSwitch]
+	spec  slab.Slab[SpeculativeSwitch]
+	wh    slab.Slab[WormholeSwitch]
+	words slab.Slab[uint64] // arbiter places, request and bid masks
+	Int8s slab.Slab[int8]   // winners, requested outputs, port holders
+
+	VCReqs   slab.Slab[VCRequest]
+	SwReqs   slab.Slab[SwitchRequest]
+	PortReqs slab.Slab[PortRequest]
+}
+
+// Alloc ends the counting pass of every slab (see slab.Slab.Alloc).
+func (s *Slabs) Alloc(pad bool) {
+	s.vc.Alloc(pad)
+	s.sep.Alloc(pad)
+	s.spec.Alloc(pad)
+	s.wh.Alloc(pad)
+	s.words.Alloc(pad)
+	s.Int8s.Alloc(pad)
+	s.VCReqs.Alloc(pad)
+	s.SwReqs.Alloc(pad)
+	s.PortReqs.Alloc(pad)
+}
+
+// Bytes returns the bytes Alloc(pad) asks for.
+func (s *Slabs) Bytes(pad bool) int64 {
+	return s.vc.Bytes(pad) + s.sep.Bytes(pad) + s.spec.Bytes(pad) + s.wh.Bytes(pad) +
+		s.words.Bytes(pad) + s.Int8s.Bytes(pad) + s.VCReqs.Bytes(pad) + s.SwReqs.Bytes(pad) +
+		s.PortReqs.Bytes(pad)
+}
+
+// own builds one allocator from private slabs: the counting pass, one
+// exact allocation per type used, the carving pass.
+func own[T any](carve func(*Slabs) *T) *T {
+	var s Slabs
+	carve(&s)
+	s.Alloc(false)
+	return carve(&s)
 }

@@ -23,10 +23,21 @@ type SpeculativeSwitch struct {
 // NewSpeculativeSwitch returns a speculative switch allocator for p
 // ports and v VCs per port.
 func NewSpeculativeSwitch(p, v int, factory arbiter.Factory) *SpeculativeSwitch {
-	s := &SpeculativeSwitch{PrioritizeNonSpec: true}
-	s.nonspec.init(p, v, factory)
-	s.spec.init(p, v, factory)
-	return s
+	return own(func(s *Slabs) *SpeculativeSwitch { return CarveSpeculativeSwitch(s, p, v, factory) })
+}
+
+// CarveSpeculativeSwitch is NewSpeculativeSwitch carved from s (nil on
+// the counting pass; see Slabs).
+func CarveSpeculativeSwitch(s *Slabs, p, v int, factory arbiter.Factory) *SpeculativeSwitch {
+	sp := s.spec.New()
+	var nonspec, spec *SeparableSwitch
+	if sp != nil {
+		sp.PrioritizeNonSpec = true
+		nonspec, spec = &sp.nonspec, &sp.spec
+	}
+	nonspec.carve(s, p, v, factory)
+	spec.carve(s, p, v, factory)
+	return sp
 }
 
 // Reset returns both separable allocators to their initial priority.

@@ -37,16 +37,25 @@ type VCAllocator struct {
 
 // NewVCAllocator returns a VC allocator for p ports and v VCs per port.
 func NewVCAllocator(p, v int, factory arbiter.Factory) *VCAllocator {
+	return own(func(s *Slabs) *VCAllocator { return CarveVCAllocator(s, p, v, factory) })
+}
+
+// CarveVCAllocator is NewVCAllocator carved from s (nil on the counting
+// pass; see Slabs).
+func CarveVCAllocator(s *Slabs, p, v int, factory arbiter.Factory) *VCAllocator {
 	if p < 1 || v < 1 {
 		panic(fmt.Sprintf("allocator: invalid VC allocator size p=%d v=%d", p, v))
 	}
 	n := p * v
-	return &VCAllocator{
-		p: p, v: v,
-		stage1: arbiter.NewBank(n, v, factory),
-		stage2: arbiter.NewBank(n, n, factory),
-		bids:   make([]uint64, n),
+	a := s.vc.New()
+	stage1 := arbiter.CarveBank(&s.words, n, v, factory)
+	stage2 := arbiter.CarveBank(&s.words, n, n, factory)
+	bids := s.words.Take(n)
+	if a == nil {
+		return nil
 	}
+	*a = VCAllocator{p: p, v: v, stage1: stage1, stage2: stage2, bids: bids}
+	return a
 }
 
 // Reset returns both arbiter stages to their initial priority and

@@ -26,12 +26,19 @@ type WormholeSwitch struct {
 
 // NewWormholeSwitch returns a wormhole switch arbiter over p ports.
 func NewWormholeSwitch(p int, factory arbiter.Factory) *WormholeSwitch {
-	w := &WormholeSwitch{
-		p:       p,
-		arbs:    arbiter.NewBank(p, p, factory),
-		holder:  make([]int8, p),
-		reqBits: make([]uint64, p),
+	return own(func(s *Slabs) *WormholeSwitch { return CarveWormholeSwitch(s, p, factory) })
+}
+
+// CarveWormholeSwitch is NewWormholeSwitch carved from s (nil on the
+// counting pass; see Slabs).
+func CarveWormholeSwitch(s *Slabs, p int, factory arbiter.Factory) *WormholeSwitch {
+	w := s.wh.New()
+	arbs := arbiter.CarveBank(&s.words, p, p, factory)
+	holder, reqBits := s.Int8s.Take(p), s.words.Take(p)
+	if w == nil {
+		return nil
 	}
+	*w = WormholeSwitch{p: p, arbs: arbs, holder: holder, reqBits: reqBits}
 	w.Reset()
 	return w
 }

@@ -12,6 +12,8 @@ package arbiter
 import (
 	"fmt"
 	"math/bits"
+
+	"routersim/internal/slab"
 )
 
 // Arbiter selects one winner among up to N requestors per grant cycle.
@@ -145,17 +147,28 @@ type Bank struct {
 // NewBank returns count arbiters over n requestors each: matrix
 // arbiters when factory is nil, the factory's otherwise.
 func NewBank(count, n int, factory Factory) Bank {
+	var words slab.Slab[uint64]
+	CarveBank(&words, count, n, factory)
+	words.Alloc(false)
+	return CarveBank(&words, count, n, factory)
+}
+
+// CarveBank is NewBank with the matrix arbiters' places carved from
+// words (see package slab): on the counting pass it only sizes words and
+// returns a bank that must not be used.
+func CarveBank(words *slab.Slab[uint64], count, n int, factory Factory) Bank {
 	checkN(n)
 	b := Bank{n: n, words: placeWords(n), mask: mask(n)}
-	if factory != nil {
+	switch {
+	case factory == nil:
+		b.places = words.Take(count * b.words)
+		initPlaces(b.places, n)
+	case !words.Counting():
 		b.arbs = make([]Arbiter, count)
 		for k := range b.arbs {
 			b.arbs[k] = factory(n)
 		}
-		return b
 	}
-	b.places = make([]uint64, count*b.words)
-	b.Reset()
 	return b
 }
 

@@ -14,8 +14,8 @@ import (
 // resetScenarios are the jobs TestResetEqualsNew reruns on a dirty
 // network: the kind golden's matrix plus every feature with state of its
 // own — sharding and its gangs under the auditor, fault plans (whose
-// random draws follow the seed) under both routing policies, overrides,
-// bursty arrivals with drawn sizes, and a trace replay. audit is the
+// random draws follow the seed) under both routing policies, overrides
+// (also across off-stride shards), bursty arrivals with drawn sizes, and a trace replay. audit is the
 // job's Options.Audit.
 func resetScenarios(t *testing.T) (scs []Scenario, audit []int) {
 	t.Helper()
@@ -33,6 +33,9 @@ func resetScenarios(t *testing.T) (scs []Scenario, audit []int) {
 		{Router: "vc", K: 4, Faults: faults, Load: 0.3},
 		{Router: "vc", K: 4, VCs: 3, Routing: "adaptive:minimal", Faults: faults, Load: 0.3},
 		{Router: "spec-vc", K: 4, Overrides: "0-3:vcs=4,buf=2;9:delay=3", Load: 0.3},
+		// Off-stride shards over nodes of different slab sizes: where a
+		// per-shard carving offset bug would show.
+		{Router: "spec-vc", K: 4, Shards: 3, Overrides: "0-3:vcs=4,buf=2;9:delay=3", Load: 0.3},
 		{Router: "spec-vc", K: 4, Source: "mmpp:on=20,off=60", Sizes: "bimodal:small=1,large=9,p=0.1", Load: 0.2},
 		{Router: "spec-vc", K: 4, Source: "trace:file=" + path},
 	} {

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"math"
 	"unsafe"
+
+	"routersim/internal/slab"
 )
 
 // NeverDue is the NextDue value of an empty wire.
@@ -87,43 +89,40 @@ func ringCap(delay, minCapacity int) int {
 	return c
 }
 
-// Arena carves wires out of two exactly-sized slabs, one of headers and
-// one of ring entries, so wires created consecutively lie consecutively
-// in memory. It is used in two identical passes: until Alloc, Wire only
-// tallies the space asked for and returns nil; Alloc allocates exactly
-// that; the same Wire calls in the same order then return the wires.
+// Arena carves wires out of two slabs (see package slab), one of
+// headers and one of ring entries, so wires created consecutively lie
+// consecutively in memory. It is used in two identical passes: until
+// Alloc, Wire only tallies the space asked for and returns nil; Alloc
+// allocates exactly that; the same Wire calls in the same order then
+// return the wires.
 type Arena[T any] struct {
-	wires  []Wire[T]
-	ring   []entry[T]
-	nw, nr int
+	wires slab.Slab[Wire[T]]
+	ring  slab.Slab[entry[T]]
 }
 
 // Wire is NewWireCap from the arena (nil on the counting pass).
 func (a *Arena[T]) Wire(delay, minCapacity int) *Wire[T] {
-	c := ringCap(delay, minCapacity)
-	a.nw++
-	a.nr += c
-	if a.wires == nil {
-		return nil
+	w, ring := a.wires.New(), a.ring.Take(ringCap(delay, minCapacity))
+	if w != nil {
+		w.init(delay, ring)
 	}
-	w := &a.wires[a.nw-1]
-	w.init(delay, a.ring[a.nr-c:a.nr:a.nr])
 	return w
 }
 
-// Alloc ends the counting pass. Two spare headers (96 bytes) pad the
-// slab: the sharded engine gives each shard its own arena, and the pad
-// keeps a shard's last header off the cache line the next object is on.
-func (a *Arena[T]) Alloc() {
-	a.wires = make([]Wire[T], a.nw+2)
-	a.ring = make([]entry[T], a.nr)
-	a.nw, a.nr = 0, 0
+// Alloc ends the counting pass (see slab.Slab.Alloc).
+func (a *Arena[T]) Alloc(pad bool) {
+	a.wires.Alloc(pad)
+	a.ring.Alloc(pad)
 }
+
+// Bytes returns the bytes Alloc(pad) asks for.
+func (a *Arena[T]) Bytes(pad bool) int64 { return a.wires.Bytes(pad) + a.ring.Bytes(pad) }
 
 // Reset is Wire.Reset on every wire the arena has carved.
 func (a *Arena[T]) Reset(drop func(v T)) {
-	for i := range a.wires[:a.nw] {
-		a.wires[i].Reset(drop)
+	wires := a.wires.Carved()
+	for i := range wires {
+		wires[i].Reset(drop)
 	}
 }
 
@@ -132,13 +131,14 @@ func (a *Arena[T]) Reset(drop func(v T)) {
 // capacity the wire was carved with did not bound its backlog.
 func (a *Arena[T]) Regrown() int {
 	var lo, hi uintptr
-	if len(a.ring) > 0 {
-		lo = uintptr(unsafe.Pointer(&a.ring[0]))
-		hi = lo + uintptr(len(a.ring))*unsafe.Sizeof(a.ring[0])
+	if ring := a.ring.Carved(); len(ring) > 0 {
+		lo = uintptr(unsafe.Pointer(&ring[0]))
+		hi = lo + uintptr(len(ring))*unsafe.Sizeof(ring[0])
 	}
 	n := 0
-	for i := range a.wires[:a.nw] {
-		if p := uintptr(unsafe.Pointer(&a.wires[i].buf[0])); p < lo || p >= hi {
+	wires := a.wires.Carved()
+	for i := range wires {
+		if p := uintptr(unsafe.Pointer(&wires[i].buf[0])); p < lo || p >= hi {
 			n++
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func drain(w *Wire[int], now int64) []int {
@@ -179,7 +180,7 @@ func TestWireMatchesSliceModel(t *testing.T) {
 			for i := 0; i < 2; i++ {
 				arena.Wire(delay, 0)
 			}
-			arena.Alloc()
+			arena.Alloc(false)
 			newWire = func() *Wire[int] { return arena.Wire(delay, 0) }
 		}
 		// src plays the sharded engine's outbox, dst the inbox: MoveTo
@@ -277,16 +278,20 @@ func TestArenaWiresAreAdjacentAndExact(t *testing.T) {
 			t.Fatal("counting pass returned a wire")
 		}
 	}
-	a.Alloc()
+	// The counting pass sized the ring slab Alloc makes: 2+16+4 entries.
+	if got, want := a.ring.Bytes(false), int64(2+16+4)*int64(unsafe.Sizeof(entry[int]{})); got != want {
+		t.Fatalf("ring slab is sized %d bytes, want %d (22 entries)", got, want)
+	}
+	a.Alloc(false)
 	var ws []*Wire[int]
 	for _, s := range sizes {
 		ws = append(ws, a.Wire(s[0], s[1]))
 	}
-	if len(a.ring) != 2+16+4 {
-		t.Fatalf("ring slab has %d entries, want 22", len(a.ring))
+	if n := len(a.ring.Carved()); n != 2+16+4 {
+		t.Fatalf("ring slab has %d entries carved, want 22", n)
 	}
 	for i, w := range ws {
-		if w != &a.wires[i] {
+		if w != &a.wires.Carved()[i] {
 			t.Fatalf("wire %d is not header %d of the slab", i, i)
 		}
 	}

@@ -17,6 +17,7 @@ import (
 	"routersim/internal/pool"
 	"routersim/internal/rng"
 	"routersim/internal/router"
+	"routersim/internal/slab"
 	"routersim/internal/stats"
 	"routersim/internal/topology"
 	"routersim/internal/trace"
@@ -125,8 +126,17 @@ type Config struct {
 	faultPlan *FaultPlan
 }
 
-// Normalize fills defaults and validates.
+// Normalize fills defaults and validates, sizing the network with
+// build's counting pass (see checkBytes).
 func (c *Config) Normalize() error {
+	if err := c.normalize(); err != nil {
+		return err
+	}
+	return c.checkBytes(c.countSlabs())
+}
+
+// normalize is Normalize without the sizing.
+func (c *Config) normalize() error {
 	if c.K == 0 {
 		c.K = 8
 	}
@@ -276,6 +286,36 @@ func (c *Config) Normalize() error {
 	return c.Router.Validate()
 }
 
+// checkBytes refuses a network whose router, wire and source state —
+// the slabs sl, counted but not allocated — outgrows what the
+// topology's node cap stands for.
+func (c *Config) checkBytes(sl []shardSlabs) error {
+	if bytes, budget := slabBytes(sl), topology.Budget(c.Topo); bytes > budget {
+		return fmt.Errorf("network: %s needs %d bytes of router, wire and source state (they grow with VCs × buffer depth); its node cap stands for %d — use fewer VCs or shallower buffers, or raise cap= on the topology spec",
+			c.Topo.Name(), bytes, budget)
+	}
+	return nil
+}
+
+// countSlabs runs build's counting pass: the per-shard slabs, sized
+// but not allocated.
+func (c *Config) countSlabs() []shardSlabs {
+	l := newLayout(c)
+	sl := make([]shardSlabs, len(l.cuts)-1)
+	carve(nil, l, sl)
+	return sl
+}
+
+// slabBytes returns the bytes a network's slabs sl take, padded when
+// there are several shards (see shardSlabs.alloc).
+func slabBytes(sl []shardSlabs) int64 {
+	var bytes int64
+	for i := range sl {
+		bytes += sl[i].bytes(len(sl) > 1)
+	}
+	return bytes
+}
+
 // MeanFlitsPerPacket is the expected packet size in flits under the
 // configured workload: the size distribution's mean, the trace's mean,
 // or the fixed PacketSize. The measurement layer uses it to convert
@@ -299,9 +339,9 @@ type Network struct {
 	// policies are the routing policies installRouting built, one per
 	// router; Reset reinstalls them over anything installed since.
 	policies []router.RoutingPolicy
-	// wires are the arenas every flit and credit wire was carved from,
-	// one pair per shard (Reset empties them).
-	wires []wireArenas
+	// slabs are what every router, source and wire was carved from, one
+	// set per shard (Reset empties the wires).
+	slabs []shardSlabs
 	// fresh marks a network no reset has armed yet.
 	fresh bool
 
@@ -361,20 +401,53 @@ type Network struct {
 	auditNextAt int64
 }
 
-// wireArenas are one shard's wire slabs (see New's wiring).
-type wireArenas struct {
-	flits   link.Arena[flit.Flit]
-	credits link.Arena[router.Credit]
+// shardSlabs are one shard's slabs (see package slab): every router,
+// source and wire of the shard's node range is carved from them, so
+// each type is one allocation per shard, and — padded — two shards
+// never write one cache line.
+type shardSlabs struct {
+	routers    router.Slabs
+	sources    slab.Slab[source]
+	srcCredits slab.Slab[int]
+	busy       slab.Slab[bool]
+	streams    slab.Slab[stream]
+	queues     slab.Slab[*flit.Packet]
+	flits      link.Arena[flit.Flit]
+	credits    link.Arena[router.Credit]
+}
+
+// alloc ends the counting pass, padded when the network has several
+// shards (see slab.Slab.Alloc).
+func (s *shardSlabs) alloc(pad bool) {
+	s.routers.Alloc(pad)
+	s.sources.Alloc(pad)
+	s.srcCredits.Alloc(pad)
+	s.busy.Alloc(pad)
+	s.streams.Alloc(pad)
+	s.queues.Alloc(pad)
+	s.flits.Alloc(pad)
+	s.credits.Alloc(pad)
+}
+
+// bytes returns the bytes alloc(pad) asks for.
+func (s *shardSlabs) bytes(pad bool) int64 {
+	return s.routers.Bytes(pad) + s.sources.Bytes(pad) + s.srcCredits.Bytes(pad) +
+		s.busy.Bytes(pad) + s.streams.Bytes(pad) + s.queues.Bytes(pad) +
+		s.flits.Bytes(pad) + s.credits.Bytes(pad)
 }
 
 // New builds the network and resets it to cfg: build allocates what the
 // structural fields determine, and reset writes every piece of per-run
 // state, so a reused network starts where a new one does.
 func New(cfg Config) (*Network, error) {
-	if err := cfg.Normalize(); err != nil {
+	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	n := build(cfg)
+	sl := cfg.countSlabs()
+	if err := cfg.checkBytes(sl); err != nil {
+		return nil, err
+	}
+	n := build(cfg, sl)
 	if err := n.reset(cfg); err != nil {
 		n.Close()
 		return nil, err
@@ -401,9 +474,10 @@ func (n *Network) Reset(cfg Config) error {
 func (n *Network) Fits(cfg Config) error { return n.fits(&cfg) }
 
 // fits normalizes cfg in place and compares its structure: everything
-// but the per-run fields.
+// but the per-run fields. A cfg of the network's structure has the
+// network's bytes, which New has checked, so it is not counted again.
 func (n *Network) fits(cfg *Config) error {
-	if err := cfg.Normalize(); err != nil {
+	if err := cfg.normalize(); err != nil {
 		return err
 	}
 	shape := func(c Config) Config {
@@ -419,42 +493,19 @@ func (n *Network) fits(cfg *Config) error {
 
 // build allocates the network cfg's structural fields determine:
 // routers, wires, sources, routing policies, fault tables, shards and
-// their schedulers. Nothing in it is armed; reset does that.
-func build(cfg Config) *Network {
-	n := &Network{cfg: cfg, topo: cfg.Topo, fresh: true}
+// their schedulers. Nothing in it is armed; reset does that. Routers,
+// sources and wires are carved from the per-shard slabs sl, allocated
+// exactly as countSlabs sized them.
+func build(cfg Config, sl []shardSlabs) *Network {
+	n := &Network{cfg: cfg, topo: cfg.Topo, fresh: true, slabs: sl}
+	l := newLayout(&n.cfg)
+	n.delayAt = l.delayAt
+	for i := range n.slabs {
+		n.slabs[i].alloc(len(n.slabs) > 1)
+	}
 	nodes := n.topo.Nodes()
-
-	// Per-router parameters: nil slices mean the fully uniform network
-	// (the common case — every wiring decision below then reads the
-	// global config exactly as before overrides existed).
-	vcsAt, bufAt, delayAt := cfg.nodeParams(nodes)
-	n.delayAt = delayAt
-	vcs := func(id int) int {
-		if vcsAt != nil {
-			return vcsAt[id]
-		}
-		return cfg.Router.VCs
-	}
-	buf := func(id int) int {
-		if bufAt != nil {
-			return bufAt[id]
-		}
-		return cfg.Router.BufPerVC
-	}
-	delay := func(id int) int {
-		if delayAt != nil {
-			return int(delayAt[id])
-		}
-		return cfg.FlitDelay
-	}
-
-	n.routers = make([]*router.Router, nodes)
-	for id := range n.routers {
-		rcfg := cfg.Router
-		rcfg.VCs = vcs(id)
-		rcfg.BufPerVC = buf(id)
-		n.routers[id] = router.New(id, rcfg, nil)
-	}
+	n.routers, n.sources = make([]*router.Router, nodes), make([]*source, nodes)
+	depBound := carve(n, l, n.slabs)
 	// Fault plans bring the only per-destination tables a network ever
 	// builds (faults.go); routing reads them through the same policies
 	// that otherwise call the topology (routing.go).
@@ -462,46 +513,87 @@ func build(cfg Config) *Network {
 		n.buildFaults()
 	}
 	n.installRouting()
+	n.buildShards(l.cuts, depBound)
+	return n
+}
 
-	// The shard ranges are needed before wiring: links whose endpoints
-	// land in different shards are split into outbox/inbox pairs below.
-	// depBound accumulates the minimum dependency bound per directed
-	// shard pair {on, waiter}: the waiter may run ahead of `on`'s clock
-	// by up to that many cycles (shard.go). xferCap presizes the
-	// boundary exchange wires to the worst-case per-round traffic — a
-	// shard's window never exceeds twice the largest pair bound, and a
-	// wire additionally holds up to maxDelay in-flight items — so the
-	// steady-state barrier never grows a ring.
-	cuts := partitionNodes(nodes, max(1, cfg.Shards))
-	var depBound map[[2]int32]int64
-	xferCap := 0
+// layout is what construction reads off the structural fields: the
+// per-node VC count, buffer depth and driven-link delay (nil slices
+// mean the fully uniform network, which reads the global config), the
+// shard ranges, and the boundary wires' capacity.
+type layout struct {
+	cfg     *Config
+	vcsAt   []int
+	bufAt   []int
+	delayAt []int64
+	cuts    []int32
+	// xferCap presizes the boundary exchange wires to the worst-case
+	// per-round traffic — a shard's window never exceeds twice the
+	// largest pair bound, and a wire additionally holds up to maxDelay
+	// in-flight items — so the steady-state barrier never grows a ring.
+	xferCap int
+}
+
+func newLayout(cfg *Config) *layout {
+	nodes := cfg.Topo.Nodes()
+	l := &layout{cfg: cfg, cuts: partitionNodes(nodes, max(1, cfg.Shards))}
+	l.vcsAt, l.bufAt, l.delayAt = cfg.nodeParams(nodes)
 	if cfg.Shards > 1 {
-		depBound = make(map[[2]int32]int64)
 		maxDelay := int64(cfg.FlitDelay)
-		for _, d := range delayAt {
-			if d > maxDelay {
-				maxDelay = d
-			}
+		for _, d := range l.delayAt {
+			maxDelay = max(maxDelay, d)
 		}
-		maxBound := maxDelay
-		if c := int64(cfg.CreditDelay) + int64(cfg.Router.CreditProcessDelay()); c > maxBound {
-			maxBound = c
-		}
-		xferCap = int(2*maxBound + maxDelay + 2)
+		maxBound := max(maxDelay, int64(cfg.CreditDelay)+int64(cfg.Router.CreditProcessDelay()))
+		l.xferCap = int(2*maxBound + maxDelay + 2)
 	}
-	noteDep := func(on, waiter int32, bound int64) {
-		k := [2]int32{on, waiter}
-		if b, ok := depBound[k]; !ok || bound < b {
-			depBound[k] = bound
-		}
-	}
+	return l
+}
 
-	// Sources: one per node, feeding the router's local input port
-	// through an injection channel with the same propagation delays
-	// (wired below, with everything else).
-	n.sources = make([]*source, nodes)
-	for id := range n.sources {
-		n.sources[id] = newSource(n, id, vcs(id), buf(id))
+func (l *layout) vcs(id int) int {
+	if l.vcsAt != nil {
+		return l.vcsAt[id]
+	}
+	return l.cfg.Router.VCs
+}
+
+func (l *layout) buf(id int) int {
+	if l.bufAt != nil {
+		return l.bufAt[id]
+	}
+	return l.cfg.Router.BufPerVC
+}
+
+func (l *layout) delay(id int) int {
+	if l.delayAt != nil {
+		return int(l.delayAt[id])
+	}
+	return l.cfg.FlitDelay
+}
+
+// carve is build's construction of every router, source and wire, run
+// twice over the shards' slabs the way link.Arena carves wires: first
+// counting, with n nil — the slabs are unallocated, every carve returns
+// nil, and nothing is connected — then, once they are allocated and
+// n.routers and n.sources exist, carving into n. On the carving pass it
+// returns the minimum dependency bound per directed shard pair {on,
+// waiter}: the waiter may run ahead of on's clock by up to that many
+// cycles (shard.go).
+func carve(n *Network, l *layout, sl []shardSlabs) map[[2]int32]int64 {
+	cfg := l.cfg
+	nodes := cfg.Topo.Nodes()
+	carving := n != nil
+	// Routers and sources, in node order. A source feeds its router's
+	// local input port through an injection channel with the same
+	// propagation delays (wired below, with everything else).
+	for id := 0; id < nodes; id++ {
+		rcfg := cfg.Router
+		rcfg.VCs, rcfg.BufPerVC = l.vcs(id), l.buf(id)
+		s := &sl[shardOf(l.cuts, id)]
+		r := router.Carve(&s.routers, id, rcfg, nil)
+		src := s.source(n, id, rcfg.VCs, rcfg.BufPerVC)
+		if carving {
+			n.routers[id], n.sources[id] = r, src
+		}
 	}
 
 	// Wires: every link is a flit wire and a credit wire in the
@@ -514,76 +606,76 @@ func build(cfg Config) *Network {
 	// for a slot its counter lacks (conservation, which the auditor
 	// checks). A boundary link's outbox and inbox share that bound.
 	//
-	// Wires are carved from link.Arena slabs in the order of the node
-	// that pops them — a router's injection and neighbour flit wires,
-	// its output ports' credit wires, its source's credit wire — so the
-	// headers one Deliver polls are adjacent. Each shard has its own
-	// arenas, which also hold the outboxes its routers push: two shards
-	// never write one cache line. The wiring runs twice; the first pass
-	// only sizes the arenas (Arena.Wire returns nil until Alloc).
-	n.wires = make([]wireArenas, len(cuts)-1)
-	wireNode := func(id int) {
-		r, mine := n.routers[id], &n.wires[shardOf(cuts, id)]
-		inject := mine.flits.Wire(delay(id), 0)
+	// Wires are carved in the order of the node that pops them — a
+	// router's injection and neighbour flit wires, its output ports'
+	// credit wires, its source's credit wire — so the headers one
+	// Deliver polls are adjacent. A shard's slabs also hold the outboxes
+	// its routers push.
+	var depBound map[[2]int32]int64
+	if carving && cfg.Shards > 1 {
+		depBound = make(map[[2]int32]int64)
+	}
+	noteDep := func(on, waiter int32, bound int64) {
+		k := [2]int32{on, waiter}
+		if b, ok := depBound[k]; !ok || bound < b {
+			depBound[k] = bound
+		}
+	}
+	for id := 0; id < nodes; id++ {
+		sid := shardOf(l.cuts, id)
+		mine := &sl[sid]
+		inject := mine.flits.Wire(l.delay(id), 0)
 		for q := 1; q < cfg.Router.Ports; q++ {
-			a, pa, ok := n.topo.Neighbor(id, q)
+			a, pa, ok := cfg.Topo.Neighbor(id, q)
 			if !ok {
 				continue
 			}
 			// The inbound half of port q, both wires popped by id: the
 			// flit link a → id and the credit wire of the link id → a
 			// (credit state sized for a's input buffers).
-			if vcsAt != nil || bufAt != nil {
-				r.SetOutputPolicy(q, vcs(a), buf(a))
-			}
-			creditCap := vcs(a) * buf(a)
-			if shardOf(cuts, a) == shardOf(cuts, id) {
-				fw := mine.flits.Wire(delay(a), 0)
+			creditCap := l.vcs(a) * l.buf(a)
+			if sa := shardOf(l.cuts, a); sa == sid {
+				fw := mine.flits.Wire(l.delay(a), 0)
 				cw := mine.credits.Wire(cfg.CreditDelay, creditCap)
-				r.ConnectArrivals(q, fw, cw)
-				n.routers[a].ConnectDepartures(pa, fw, cw)
-				continue
+				if carving {
+					n.routers[id].ConnectArrivals(q, fw, cw)
+					n.routers[a].ConnectDepartures(pa, fw, cw)
+				}
+			} else {
+				// Boundary link: a pushes onto outboxes only its shard
+				// writes, id pops inboxes only its shard reads, and the
+				// barrier moves entries over (shard.go), posting the
+				// flit dues to id's wake wheel. The flit wires are
+				// presized to the worst-case window lead (xferCap; id's
+				// shard may outrun a's by the flit delay, and by
+				// CreditDelay + creditLag on the credit side, which
+				// id's router pops creditLag cycles late); the credit
+				// wires need no more than the credit-loop bound.
+				theirs := &sl[sa]
+				fIn := mine.flits.Wire(l.delay(a), l.xferCap)
+				cIn := mine.credits.Wire(cfg.CreditDelay, creditCap)
+				fOut := theirs.flits.Wire(l.delay(a), l.xferCap)
+				cOut := theirs.credits.Wire(cfg.CreditDelay, creditCap)
+				if carving {
+					r := n.routers[id]
+					r.ConnectArrivals(q, fIn, cIn)
+					n.routers[a].ConnectDepartures(pa, fOut, cOut)
+					n.flitXfers = append(n.flitXfers, flitXfer{out: fOut, in: fIn, dst: int32(id)})
+					n.creditXfers = append(n.creditXfers, creditXfer{out: cOut, in: cIn})
+					noteDep(sa, sid, min(int64(l.delay(a)), int64(cfg.CreditDelay)+r.CreditLag()))
+				}
 			}
-			// Boundary link: a pushes onto outboxes only its shard
-			// writes, id pops inboxes only its shard reads, and the
-			// barrier moves entries over (shard.go), posting the flit
-			// dues to id's wake wheel. The flit wires are presized to
-			// the worst-case window lead (xferCap; id's shard may
-			// outrun a's by the flit delay, and by CreditDelay +
-			// creditLag on the credit side, which id's router pops
-			// creditLag cycles late); the credit wires need no more
-			// than the credit-loop bound.
-			theirs := &n.wires[shardOf(cuts, a)]
-			fIn := mine.flits.Wire(delay(a), xferCap)
-			cIn := mine.credits.Wire(cfg.CreditDelay, creditCap)
-			fOut := theirs.flits.Wire(delay(a), xferCap)
-			cOut := theirs.credits.Wire(cfg.CreditDelay, creditCap)
-			r.ConnectArrivals(q, fIn, cIn)
-			n.routers[a].ConnectDepartures(pa, fOut, cOut)
-			if fIn != nil {
-				n.flitXfers = append(n.flitXfers, flitXfer{out: fOut, in: fIn, dst: int32(id)})
-				n.creditXfers = append(n.creditXfers, creditXfer{out: cOut, in: cIn})
+			if carving && (l.vcsAt != nil || l.bufAt != nil) {
+				n.routers[id].SetOutputPolicy(q, l.vcs(a), l.buf(a))
 			}
-			noteDep(shardOf(cuts, a), shardOf(cuts, id), min(int64(delay(a)), int64(cfg.CreditDelay)+r.CreditLag()))
 		}
-		credit := mine.credits.Wire(cfg.CreditDelay, vcs(id)*buf(id))
-		r.ConnectInput(topology.PortLocal, inject, credit)
-		n.sources[id].flitOut, n.sources[id].creditIn = inject, credit
-	}
-	for pass := 0; pass < 2; pass++ {
-		for id := 0; id < nodes; id++ {
-			wireNode(id)
-		}
-		if pass == 0 {
-			for i := range n.wires {
-				n.wires[i].flits.Alloc()
-				n.wires[i].credits.Alloc()
-			}
+		credit := mine.credits.Wire(cfg.CreditDelay, l.vcs(id)*l.buf(id))
+		if carving {
+			n.routers[id].ConnectInput(topology.PortLocal, inject, credit)
+			n.sources[id].flitOut, n.sources[id].creditIn = inject, credit
 		}
 	}
-
-	n.buildShards(cuts, depBound)
-	return n
+	return depBound
 }
 
 // reset arms a built network for cfg (normalized, of the network's
@@ -604,9 +696,9 @@ func (n *Network) reset(cfg Config) error {
 		for _, r := range n.routers {
 			r.Reset(dropFlit)
 		}
-		for i := range n.wires {
-			n.wires[i].flits.Reset(dropFlit)
-			n.wires[i].credits.Reset(nil)
+		for i := range n.slabs {
+			n.slabs[i].flits.Reset(dropFlit)
+			n.slabs[i].credits.Reset(nil)
 		}
 		for _, sh := range n.shards {
 			for _, e := range sh.ejects[sh.ejCur:] {
@@ -623,20 +715,22 @@ func (n *Network) reset(cfg Config) error {
 	}
 	// Every source owns one RNG stream split off the master; which draws
 	// it makes (and in what order) is part of the schedule contract, so
-	// the const path keeps its historical phase draw.
+	// the const path keeps its historical phase draw. The stream and a
+	// constant-rate injector live in the source itself.
 	master := rng.New(cfg.Seed)
 	for id, s := range n.sources {
-		nodeRNG := master.Split(uint64(id))
+		s.rng = master.Stream(uint64(id))
 		var inj traffic.Injector
 		switch cfg.Source.Kind {
 		case "", "const":
-			inj = traffic.NewConstantRate(cfg.InjectionRate, nodeRNG.Float64())
+			s.constRate.Init(cfg.InjectionRate, s.rng.Float64())
+			inj = &s.constRate
 		case "trace":
 			inj = trace.NewReplayer(cfg.Replay, id)
 		default: // Normalize has checked the parameters
-			inj, _ = cfg.Source.NewInjector(cfg.InjectionRate, nodeRNG.Split(1))
+			inj, _ = cfg.Source.NewInjector(cfg.InjectionRate, s.rng.Split(1))
 		}
-		s.reset(inj, nodeRNG, n.reclaim)
+		s.reset(inj, n.reclaim)
 	}
 
 	n.cfg = cfg

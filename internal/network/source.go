@@ -19,7 +19,9 @@ type source struct {
 	net  *Network
 	node int
 	inj  traffic.Injector
-	rng  *rng.RNG
+	rng  rng.RNG
+	// constRate is inj when the source is the paper's constant-rate one.
+	constRate traffic.ConstantRate
 	// sh is the owning shard: packets come from its pool and creation
 	// events are buffered for the serial replay, which assigns the
 	// global packet ID (see shard.go).
@@ -73,22 +75,27 @@ type stream struct {
 	next  int
 }
 
-// newSource allocates node's source; network.New wires flitOut/creditIn
-// and reset arms it.
-func newSource(net *Network, node int, vcs, bufPerVC int) *source {
-	return &source{
-		net: net, node: node, bufPerVC: bufPerVC,
-		credits: make([]int, vcs),
-		busy:    make([]bool, vcs),
-		streams: make([]stream, vcs),
-		queue:   make([]*flit.Packet, 8),
+// source carves node's source from the shard's slabs (nil on the
+// counting pass); build wires flitOut/creditIn and reset arms it.
+func (s *shardSlabs) source(net *Network, node int, vcs, bufPerVC int) *source {
+	src := s.sources.New()
+	credits, busy, streams := s.srcCredits.Take(vcs), s.busy.Take(vcs), s.streams.Take(vcs)
+	queue := s.queues.Take(8)
+	if src == nil {
+		return nil
 	}
+	*src = source{
+		net: net, node: node, bufPerVC: bufPerVC,
+		credits: credits, busy: busy, streams: streams, queue: queue,
+	}
+	return src
 }
 
-// reset arms the source with a fresh injector and RNG stream: full
-// credits, no VC busy, an empty queue (its ring kept). Each packet the
-// source still holds, queued or mid-stream, is handed to drop.
-func (s *source) reset(inj traffic.Injector, r *rng.RNG, drop func(p *flit.Packet)) {
+// reset arms the source with a fresh injector (its RNG stream is set
+// already): full credits, no VC busy, an empty queue (its ring kept).
+// Each packet the source still holds, queued or mid-stream, is handed
+// to drop.
+func (s *source) reset(inj traffic.Injector, drop func(p *flit.Packet)) {
 	for s.qlen > 0 {
 		drop(s.popQueue())
 	}
@@ -99,7 +106,7 @@ func (s *source) reset(inj traffic.Injector, r *rng.RNG, drop func(p *flit.Packe
 		s.busy[vc], s.streams[vc].next, s.credits[vc] = false, 0, s.bufPerVC
 	}
 	s.inFlight, s.rrNext = 0, 0
-	s.inj, s.rng = inj, r
+	s.inj = inj
 	s.tickedTo, s.pendingAt, s.pendingN = -1, -1, 0
 	s.adv, _ = inj.(interface{ AdvanceToInjection() int64 })
 	s.cnt, _ = inj.(interface{ PendingCount() int })
@@ -252,9 +259,9 @@ func (s *source) generate(now int64) {
 	if s.draw != nil {
 		dst, size = s.draw.NextPacket()
 	} else {
-		dst = s.net.cfg.Pattern.Dest(s.node, s.net.Nodes(), s.rng)
+		dst = s.net.cfg.Pattern.Dest(s.node, s.net.Nodes(), &s.rng)
 		if s.net.cfg.Sizes != nil {
-			size = s.net.cfg.Sizes.Sample(s.rng)
+			size = s.net.cfg.Sizes.Sample(&s.rng)
 		} else {
 			size = s.net.cfg.PacketSize
 		}

@@ -67,11 +67,11 @@ func TestWiresNeverRegrow(t *testing.T) {
 			for now := int64(0); now < simCycles(3000); now++ {
 				net.Step(now)
 			}
-			for i := range net.wires {
-				if n := net.wires[i].flits.Regrown(); n != 0 {
+			for i := range net.slabs {
+				if n := net.slabs[i].flits.Regrown(); n != 0 {
 					t.Errorf("shard %d: %d flit wires outgrew their slab rings", i, n)
 				}
-				if n := net.wires[i].credits.Regrown(); n != 0 {
+				if n := net.slabs[i].credits.Regrown(); n != 0 {
 					t.Errorf("shard %d: %d credit wires outgrew their slab rings", i, n)
 				}
 			}

@@ -14,7 +14,12 @@ type RNG struct {
 // New returns a generator seeded with seed. Two generators with the same
 // seed produce identical streams.
 func New(seed uint64) *RNG {
-	r := &RNG{state: splitmix64(seed + 0x9e3779b97f4a7c15)}
+	r := seeded(seed)
+	return &r
+}
+
+func seeded(seed uint64) RNG {
+	r := RNG{state: splitmix64(seed + 0x9e3779b97f4a7c15)}
 	if r.state == 0 {
 		r.state = 0x9e3779b97f4a7c15
 	}
@@ -24,7 +29,14 @@ func New(seed uint64) *RNG {
 // Split derives an independent generator for stream i (e.g. one per
 // traffic source), decorrelated from the parent via splitmix64.
 func (r *RNG) Split(i uint64) *RNG {
-	return New(splitmix64(r.state ^ (i+1)*0xbf58476d1ce4e5b9))
+	s := r.Stream(i)
+	return &s
+}
+
+// Stream is Split by value, for a generator held inside a longer-lived
+// struct rather than allocated on its own.
+func (r *RNG) Stream(i uint64) RNG {
+	return seeded(splitmix64(r.state ^ (i+1)*0xbf58476d1ce4e5b9))
 }
 
 // Derive deterministically mixes a base seed with a stream index,

@@ -8,6 +8,7 @@ import (
 	"routersim/internal/flit"
 	"routersim/internal/link"
 	"routersim/internal/queue"
+	"routersim/internal/slab"
 	"routersim/internal/stats"
 )
 
@@ -220,58 +221,122 @@ func New(id int, cfg Config, routes []uint8) *Router {
 	if err := cfg.Validate(); err != nil {
 		panic(fmt.Sprintf("router %d: %v", id, err))
 	}
-	r := &Router{id: id, cfg: cfg, policy: tablePolicy(routes)}
+	var s Slabs
+	Carve(&s, id, cfg, routes)
+	s.Alloc(false)
+	return Carve(&s, id, cfg, routes)
+}
+
+// Slabs are the typed slabs routers are carved from (see package slab):
+// a network carves every router of a shard from one Slabs, so each type
+// — headers, ports, input VCs, buffer slots, credit counters, latched
+// grants, allocators and their scratch — is one allocation per shard.
+type Slabs struct {
+	routers slab.Slab[Router]
+	in      slab.Slab[inputPort]
+	out     slab.Slab[outputPort]
+	vcs     slab.Slab[inputVC]
+	flits   slab.Slab[flit.Flit]
+	ints    slab.Slab[int]
+	grants  slab.Slab[stGrant]
+	alloc   allocator.Slabs
+}
+
+// Alloc ends the counting pass of every slab (see slab.Slab.Alloc).
+func (s *Slabs) Alloc(pad bool) {
+	s.routers.Alloc(pad)
+	s.in.Alloc(pad)
+	s.out.Alloc(pad)
+	s.vcs.Alloc(pad)
+	s.flits.Alloc(pad)
+	s.ints.Alloc(pad)
+	s.grants.Alloc(pad)
+	s.alloc.Alloc(pad)
+}
+
+// Bytes returns the bytes Alloc(pad) asks for.
+func (s *Slabs) Bytes(pad bool) int64 {
+	return s.routers.Bytes(pad) + s.in.Bytes(pad) + s.out.Bytes(pad) + s.vcs.Bytes(pad) +
+		s.flits.Bytes(pad) + s.ints.Bytes(pad) + s.grants.Bytes(pad) + s.alloc.Bytes(pad)
+}
+
+// Carve is New carved from s, for a valid cfg: on the counting pass
+// (before s.Alloc) it only sizes s and returns nil. Every input VC,
+// buffer slot and credit counter is sized from this router's own VC
+// count and buffer depth; the ports hold sub-slices.
+func Carve(s *Slabs, id int, cfg Config, routes []uint8) *Router {
 	p, v := cfg.Ports, cfg.VCs
-	r.vcMaskAll = (uint64(1) << v) - 1
-	r.in = make([]inputPort, p)
-	r.out = make([]outputPort, p)
-	// Every input VC, buffer slot and credit counter of the router
-	// comes from one slab each, sized from this router's own VC count
-	// and buffer depth; the ports hold sub-slices.
+	pl := kinds[cfg.Kind].plan
 	ring := queue.RingSize(cfg.BufPerVC)
-	vcs := make([]inputVC, p*v)
-	slots := make([]flit.Flit, p*v*ring)
-	credits := make([]int, p*v)
+	r := s.routers.New()
+	in, out := s.in.Take(p), s.out.Take(p)
+	vcs, slots, credits := s.vcs.Take(p*v), s.flits.Take(p*v*ring), s.ints.Take(p*v)
+	var pending, next []stGrant
+	if pl.sast > 0 {
+		pending, next = s.grants.Take(p), s.grants.Take(p)
+	}
+	// Allocators and scratch follow the plan; scratch is carved at its
+	// worst-case size so the steady-state cycle never grows a slice.
+	var (
+		a          = &s.alloc
+		f          = cfg.Arb // nil: the allocators' own matrix arbiter banks
+		vcAlloc    *allocator.VCAllocator
+		swAlloc    *allocator.SeparableSwitch
+		specAlloc  *allocator.SpeculativeSwitch
+		whArb      *allocator.WormholeSwitch
+		vaReqs     []allocator.VCRequest
+		swReqs     []allocator.SwitchRequest
+		specReqs   []allocator.SwitchRequest
+		portReqs   []allocator.PortRequest
+		whReleases []int8
+	)
+	if pl.vcs {
+		vcAlloc = allocator.CarveVCAllocator(a, p, v, f)
+		vaReqs, swReqs = a.VCReqs.Take(p*v), a.SwReqs.Take(p*v)
+		if pl.spec {
+			specAlloc = allocator.CarveSpeculativeSwitch(a, p, v, f)
+			specReqs = a.SwReqs.Take(p * v)
+		} else {
+			swAlloc = allocator.CarveSeparableSwitch(a, p, v, f)
+		}
+	} else {
+		whArb = allocator.CarveWormholeSwitch(a, p, f)
+		portReqs, whReleases = a.PortReqs.Take(p), a.Int8s.Take(p)
+	}
+	if r == nil {
+		return nil
+	}
+	*r = Router{
+		id: id, cfg: cfg, policy: tablePolicy(routes), plan: pl,
+		in: in, out: out,
+		pending: pending[:0], next: next[:0],
+		vcAlloc: vcAlloc, swAlloc: swAlloc, specAlloc: specAlloc, whArb: whArb,
+		vaReqs: vaReqs[:0], swReqs: swReqs[:0], specReqs: specReqs[:0],
+		portReqs: portReqs[:0], whReleases: whReleases[:0],
+		vcMaskAll: (uint64(1) << v) - 1,
+		// The credit-processing pipeline of depth d (a credit received
+		// at t is visible at t+d) is implemented by draining the credit
+		// wires d cycles late — identical timing, no extra delay line.
+		creditLag: int64(cfg.CreditProcessDelay()),
+	}
+	if specAlloc != nil {
+		specAlloc.PrioritizeNonSpec = cfg.SpecPriority
+	}
+	// The state Reset writes: every VC idle without an output VC, every
+	// credit counter full; the slabs zeroed the rest.
 	for i := range vcs {
 		vcs[i].fifo.Init(cfg.BufPerVC, slots[i*ring:(i+1)*ring:(i+1)*ring])
+		vcs[i].outVC = -1
 	}
 	for i := 0; i < p; i++ {
 		r.in[i].vcs = vcs[i*v : (i+1)*v : (i+1)*v]
-		r.out[i].credits = credits[i*v : (i+1)*v : (i+1)*v]
-		r.out[i].vcMask = r.vcMaskAll
-		r.out[i].downBuf = int32(cfg.BufPerVC)
+		op := &r.out[i]
+		op.credits = credits[i*v : (i+1)*v : (i+1)*v]
+		op.vcMask = r.vcMaskAll
+		op.downBuf = int32(cfg.BufPerVC)
+		op.resetCredits()
 	}
-	// The credit-processing pipeline of depth d (a credit received at t
-	// is visible at t+d) is implemented by draining the credit wires d
-	// cycles late — identical timing, no extra delay line.
-	r.creditLag = int64(cfg.CreditProcessDelay())
 	r.out[0].ejection = true
-
-	// Allocators and scratch follow the plan; scratch is preallocated to
-	// its worst-case size so the steady-state cycle never grows a slice.
-	r.plan = kinds[cfg.Kind].plan
-	f := cfg.Arb // nil: the allocators' own matrix arbiter banks
-	if r.plan.vcs {
-		r.vcAlloc = allocator.NewVCAllocator(p, v, f)
-		r.vaReqs = make([]allocator.VCRequest, 0, p*v)
-		r.swReqs = make([]allocator.SwitchRequest, 0, p*v)
-		if r.plan.spec {
-			r.specAlloc = allocator.NewSpeculativeSwitch(p, v, f)
-			r.specAlloc.PrioritizeNonSpec = cfg.SpecPriority
-			r.specReqs = make([]allocator.SwitchRequest, 0, p*v)
-		} else {
-			r.swAlloc = allocator.NewSeparableSwitch(p, v, f)
-		}
-	} else {
-		r.whArb = allocator.NewWormholeSwitch(p, f)
-		r.portReqs = make([]allocator.PortRequest, 0, p)
-		r.whReleases = make([]int8, 0, p)
-	}
-	if r.plan.sast > 0 {
-		r.pending = make([]stGrant, 0, p)
-		r.next = make([]stGrant, 0, p)
-	}
-	r.clear(nil)
 	return r
 }
 
@@ -280,21 +345,6 @@ func New(id int, cfg Config, routes []uint8) *Router {
 // — is kept. Each flit the router holds, buffered or ejected but not
 // yet collected, is handed to drop (when non-nil).
 func (r *Router) Reset(drop func(f flit.Flit)) {
-	r.clear(drop)
-	switch {
-	case !r.plan.vcs:
-		r.whArb.Reset()
-	case r.plan.spec:
-		r.vcAlloc.Reset()
-		r.specAlloc.Reset()
-	default:
-		r.vcAlloc.Reset()
-		r.swAlloc.Reset()
-	}
-}
-
-// clear is Reset without the allocators (New's are fresh).
-func (r *Router) clear(drop func(f flit.Flit)) {
 	for p := range r.in {
 		ip := &r.in[p]
 		for c := range ip.vcs {
@@ -318,6 +368,16 @@ func (r *Router) clear(drop func(f flit.Flit)) {
 	r.ejected = r.ejected[:0]
 	r.flitPushes = 0
 	r.pending, r.next, r.whReleases = r.pending[:0], r.next[:0], r.whReleases[:0]
+	switch {
+	case !r.plan.vcs:
+		r.whArb.Reset()
+	case r.plan.spec:
+		r.vcAlloc.Reset()
+		r.specAlloc.Reset()
+	default:
+		r.vcAlloc.Reset()
+		r.swAlloc.Reset()
+	}
 }
 
 // ID returns the router's node id.

@@ -29,6 +29,8 @@ type Cube struct {
 
 	// ring marks a Cube built by NewRing, for display only.
 	ring bool
+	// maxNodes is the node-count cap it was built under (0: MaxNodes).
+	maxNodes int
 }
 
 // NewCube returns a k-ary n-cube mesh or torus, validating the size
@@ -54,7 +56,7 @@ func NewCubeCap(k, n int, wrap bool, maxNodes int) (Cube, error) {
 			return Cube{}, fmt.Errorf("topology: %d-ary %d-cube exceeds the absolute limit of %d nodes", k, n, MaxNodesLimit)
 		}
 	}
-	c := Cube{K: k, N: n, Wrap: wrap}
+	c := Cube{K: k, N: n, Wrap: wrap, maxNodes: max(maxNodes, 0)}
 	if err := checkSize(c.Name(), nodes, c.Ports(), maxNodes); err != nil {
 		return Cube{}, err
 	}

@@ -17,6 +17,8 @@ import (
 type Hypercube struct {
 	// N is the dimension count (log₂ of the node count).
 	N int
+	// maxNodes is the node-count cap it was built under (0: MaxNodes).
+	maxNodes int
 }
 
 // NewHypercube returns the hypercube with the given node count, which
@@ -31,7 +33,7 @@ func NewHypercubeCap(nodes, maxNodes int) (Hypercube, error) {
 	if nodes < 2 || bits.OnesCount(uint(nodes)) != 1 {
 		return Hypercube{}, fmt.Errorf("topology: hypercube needs a power-of-two node count >= 2, got %d", nodes)
 	}
-	h := Hypercube{N: bits.Len(uint(nodes)) - 1}
+	h := Hypercube{N: bits.Len(uint(nodes)) - 1, maxNodes: max(maxNodes, 0)}
 	if err := checkSize(h.Name(), nodes, h.Ports(), maxNodes); err != nil {
 		return Hypercube{}, err
 	}

@@ -151,8 +151,31 @@ func checkSize(name string, nodes, ports, maxNodes int) error {
 // parameters: router buffers, wires, allocator and source state. The
 // root package's TestFootprint holds every per-router bound it measures
 // at or below this (read back as MemEstimate(1<<20), whose GiB are KiB
-// per node), so a router that outgrows the estimate fails that test.
+// per node), so a router that outgrows the estimate fails that test. It
+// is also the byte budget a node of the cap stands for (Budget).
 const nodeBytes = 7 << 10
+
+// nodeBytesPorts is the port count of the router nodeBytes bounds: the
+// 2-D mesh's five. Router state is per port (VC records, buffers,
+// credit counters, wires), so a router of more ports stands for more.
+const nodeBytesPorts = 5
+
+// Budget returns the bytes of router, wire and source state t's node cap
+// stands for: nodeBytes a node — scaled by the port count past a 2-D
+// mesh's five — at the cap= its spec stated, MaxNodes by default.
+// network.New refuses a network whose state outgrows it, so more VCs or
+// deeper buffers than the paper's opt in through cap= just as more
+// nodes do. A Topology from outside this package has the default cap.
+func Budget(t Topology) int64 {
+	limit := MaxNodes
+	if c, ok := t.(interface{ nodeCap() int }); ok && c.nodeCap() > 0 {
+		limit = min(c.nodeCap(), MaxNodesLimit)
+	}
+	return int64(limit) * nodeBytes * int64(max(t.Ports(), nodeBytesPorts)) / nodeBytesPorts
+}
+
+func (c Cube) nodeCap() int      { return c.maxNodes }
+func (h Hypercube) nodeCap() int { return h.maxNodes }
 
 // MemEstimate is a rough preallocation estimate for a network of this
 // many nodes at the paper's parameters: nodeBytes per node, and nothing

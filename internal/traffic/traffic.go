@@ -122,13 +122,21 @@ type ConstantRate struct {
 // interval already elapsed). A negative or non-finite rate is a caller
 // bug (network.Config.Normalize rejects both) and panics.
 func NewConstantRate(rate, phase float64) *ConstantRate {
+	c := new(ConstantRate)
+	c.Init(rate, phase)
+	return c
+}
+
+// Init makes c, in place, the injector NewConstantRate(rate, phase)
+// returns.
+func (c *ConstantRate) Init(rate, phase float64) {
 	if !(rate >= 0) || math.IsInf(rate, 0) {
 		panic(fmt.Sprintf("traffic: injection rate %v is negative or not finite", rate))
 	}
 	if phase < 0 || phase >= 1 {
 		phase = 0
 	}
-	return &ConstantRate{rate: rate, acc: phase}
+	*c = ConstantRate{rate: rate, acc: phase}
 }
 
 // Tick implements Injector.
