@@ -11,6 +11,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"routersim"
 	"routersim/internal/allocator"
 	"routersim/internal/arbiter"
 	"routersim/internal/checkpoint"
@@ -304,8 +305,8 @@ func TestAllocatorZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestFootprint is the memory-layout gate: a flit is 24 bytes, and
-// building a network costs a bounded number of heap objects and bytes
+// TestFootprint is the memory-layout gate: a flit is 24 bytes, a packet
+// 56 (73 fill a 4 KB chunk), and building a network costs a bounded number of heap objects and bytes
 // per router. Routers, allocators, arbiter places, sources (with their
 // RNG stream and constant-rate injector) and wires are carved from a few
 // typed slabs per shard, so what is left is per network: shards,
@@ -318,10 +319,16 @@ func TestAllocatorZeroAlloc(t *testing.T) {
 // not fragment it. The k=32 row pins that neither count grows with the
 // node count: routing is computed per head flit, so no router holds a
 // per-destination table, and no object is allocated per router. The vc
-// and wormhole rows pin the other two allocator shapes.
+// and wormhole rows pin the other two allocator shapes. The k=8 row is
+// where heap rounding shows: 64 routers' slabs round up to their size
+// classes (the 28,672-byte header slab and its malloc header to 32 KB),
+// 0.2 KB per router more than at k=16.
 func TestFootprint(t *testing.T) {
 	if sz := unsafe.Sizeof(flit.Flit{}); sz != 24 {
 		t.Errorf("flit.Flit is %d bytes, want 24", sz)
+	}
+	if sz := unsafe.Sizeof(flit.Packet{}); sz != 56 {
+		t.Errorf("flit.Packet is %d bytes, want 56", sz)
 	}
 	// The topology cap error quotes topology's per-node estimate; every
 	// row's bound must fit under it. 2^20 nodes × x KiB is x GiB.
@@ -337,10 +344,11 @@ func TestFootprint(t *testing.T) {
 		maxKB      float64
 	}{
 		{router.SpeculativeVC, 16, 0, 1.0, 6.8},  // 0.3 mallocs, 6.49 KB measured
-		{router.SpeculativeVC, 16, 2, 1.3, 6.9},  // 0.6, 6.66
+		{router.SpeculativeVC, 16, 2, 1.3, 6.9},  // 0.6, 6.65
 		{router.SpeculativeVC, 32, 0, 0.8, 6.7},  // 0.1, 6.40
 		{router.VirtualChannel, 16, 0, 1.0, 6.2}, // 0.3, 5.99
-		{router.Wormhole, 16, 0, 1.0, 4.9},       // 0.3, 4.72
+		{router.Wormhole, 16, 0, 1.0, 4.9},       // 0.2, 4.72
+		{router.SpeculativeVC, 8, 0, 1.7, 7.0},   // 1.0, 6.69
 	} {
 		cfg := network.Config{K: c.k, Router: router.DefaultConfig(c.kind), Seed: 1, InjectionRate: 0.01, Shards: c.shards}
 		var before, after runtime.MemStats
@@ -503,5 +511,33 @@ func TestNoWorkMovedIntoStep(t *testing.T) {
 	// 389: the count measured before routers were carved from slabs.
 	if least > 389 {
 		t.Errorf("2,000 cycles after New allocate %d times, want <= 389", least)
+	}
+}
+
+// TestFigureBytes bounds the heap bytes of one Figure 13 reproduction
+// at a small protocol (1,000 warm-up cycles and tagged packets, 13
+// loads): 39 simulations on three networks, on one worker so the count
+// does not depend on the machine's cores. Packets, flits and exact
+// latency samples are most of it, so a record that grows shows here.
+// The bound is the measured 3.66 MB plus 5%; the reproduction
+// allocated 4.79 MB with 72-byte packets allocated one by one and
+// latency samples grown by doubling.
+func TestFigureBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("39 simulations (36 s under -race); the bench-smoke job runs it in full")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	pr := routersim.Protocol{Warmup: 1000, Packets: 1000, Seed: 13,
+		Loads: []float64{0.1, 0.2, 0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := routersim.Reproduce("figure13", pr); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
+	t.Logf("Reproduce(figure13): %.3f MB, %d mallocs", mb, after.Mallocs-before.Mallocs)
+	if mb > 3.84 {
+		t.Errorf("Reproduce(figure13) allocates %.3f MB, want <= 3.84", mb)
 	}
 }

@@ -90,6 +90,14 @@ func TestOversizedNetworkExitsWithError(t *testing.T) {
 	)
 }
 
+// TestUnparsableTopologyExitsWithError: the error line of a topology
+// spec that does not parse labels the spec as typed; it used to append
+// ",k=8" to a spec that pinned k=4.
+func TestUnparsableTopologyExitsWithError(t *testing.T) {
+	expectOneLineError(t, "harness: spec-vc/mesh:k=4,n=0/uniform/2vcs×4buf/load=0.40: topology: mesh:k=4,n=0:",
+		[]string{"-topo", "mesh:k=4,n=0"})
+}
+
 // expectOneLineError builds netsim and checks that each argument list
 // exits with status 1 and a single error line containing want.
 func expectOneLineError(t *testing.T, want string, argLists ...[]string) {

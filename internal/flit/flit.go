@@ -45,7 +45,9 @@ func (t Type) IsHead() bool { return t == Head || t == HeadTail }
 func (t Type) IsTail() bool { return t == Tail || t == HeadTail }
 
 // Packet is the unit of routing. Flits reference their packet; per-packet
-// bookkeeping (creation time, ejection progress) lives here.
+// bookkeeping (creation time, ejection progress) lives here. It is 56
+// bytes and holds no pointers, so packets can be carved from pointer-free
+// chunks the collector does not scan.
 type Packet struct {
 	ID   int64
 	Src  int // source node
@@ -56,14 +58,13 @@ type Packet struct {
 	// (before source queueing); the paper measures latency from this
 	// point to last-flit ejection.
 	CreatedAt int64
+	// EjectedAt records the cycle the final flit was ejected, and
+	// Ejected counts the flits delivered at the destination so far.
+	EjectedAt int64
+	Ejected   int32
+
 	// Tagged marks packets in the measurement sample space.
 	Tagged bool
-
-	// Ejected counts flits delivered at the destination; EjectedAt
-	// records the cycle the final flit was ejected.
-	Ejected   int
-	EjectedAt int64
-
 	// Dropped marks a packet the routing stage declared unroutable (its
 	// destination is unreachable on the live graph after faults). Its
 	// flits drain through the nearest ejection port and are counted as
@@ -78,7 +79,7 @@ type Packet struct {
 }
 
 // Done reports whether every flit of the packet has been ejected.
-func (p *Packet) Done() bool { return p.Ejected >= p.Size }
+func (p *Packet) Done() bool { return int(p.Ejected) >= p.Size }
 
 // Latency returns the packet latency in cycles (creation to last-flit
 // ejection, including source queueing). Only valid once Done.

@@ -174,6 +174,12 @@ func TestLabelsDistinct(t *testing.T) {
 	if got := (Scenario{Router: "vc", Topology: "mesh", K: 8, Pattern: "uniform", VCs: 2, BufPerVC: 4, PacketSize: 5, CreditDelay: 1, Load: 0.2}).Label(); got != "vc/mesh8/uniform/2vcs×4buf/load=0.20" {
 		t.Errorf("default label %q changed", got)
 	}
+	// A spec that does not parse is labelled as typed, not with ",k=8"
+	// appended to a spec that pins k itself.
+	sc := Scenario{Router: "spec-vc", Topology: "mesh:k=4,n=0", K: 8, Pattern: "uniform", VCs: 2, BufPerVC: 4, PacketSize: 5, CreditDelay: 1, Load: 0.4}
+	if got := sc.Label(); got != "spec-vc/mesh:k=4,n=0/uniform/2vcs×4buf/load=0.40" {
+		t.Errorf("unparsable spec labelled %q", got)
+	}
 }
 
 // TestSaturationCSVDistinguishesAxes: rows that differ only in source

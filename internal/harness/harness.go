@@ -156,7 +156,7 @@ func Run(m Matrix, opts Options) ([]JobResult, error) {
 // configuration the simulation cannot honor as stated is an error,
 // labelled with the configuration that would have run.
 func RunScenario(sc Scenario, opts Options) (JobResult, error) {
-	if _, err := sc.SimConfig(1, Protocol{Warmup: 1, Packets: 1}); err != nil {
+	if err := sc.check(); err != nil {
 		return JobResult{}, fmt.Errorf("harness: %s: %w", sc.canonical().Label(), err)
 	}
 	results, err := Run(sc.Matrix(), opts)

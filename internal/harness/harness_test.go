@@ -180,6 +180,7 @@ func TestMatrixValidate(t *testing.T) {
 		{Topologies: []string{"ring:8"}, Routers: []string{"wormhole"}},
 		{Topologies: []string{"torus"}, VCs: []int{3}}, // dateline classes need even VCs
 		{Loads: []float64{-0.5}},
+		{Ks: []int{32}, VCs: []int{12}, BufsPerVC: []int{4096}}, // 11 GB of router state
 	}
 	for i, m := range cases {
 		if err := m.Validate(); err == nil {
@@ -563,5 +564,23 @@ func TestCSVEscape(t *testing.T) {
 		if got := csvEscape(in); got != want {
 			t.Errorf("csvEscape(%q) = %q, want %q", in, got, want)
 		}
+	}
+}
+
+// TestSimConfigDoesNotSize: lowering a job's scenario normalizes its
+// network configuration but does not run the network's counting pass —
+// network.New does, once per network it builds, and Validate once per
+// shape. With the count (a []shardSlabs and the layout, ≈100 µs at
+// k=16) SimConfig made 14 allocations; without it, 10.
+func TestSimConfigDoesNotSize(t *testing.T) {
+	sc := Scenario{Router: "spec-vc", K: 16, Load: 0.3}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := sc.SimConfig(1, QuickProtocol()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("SimConfig: %.0f allocations", allocs)
+	if allocs > 10 {
+		t.Errorf("SimConfig allocates %.0f times, want <= 10", allocs)
 	}
 }

@@ -104,7 +104,7 @@ func FindSaturation(sc Scenario, opts Options, so SearchOptions) (SaturationResu
 	if err := opts.Protocol.validate(); err != nil {
 		return SaturationResult{}, err
 	}
-	if _, err := sc.SimConfig(1, Protocol{Warmup: 1, Packets: 1}); err != nil {
+	if err := sc.check(); err != nil {
 		return SaturationResult{}, fmt.Errorf("harness: %s: %w", sc.Label(), err)
 	}
 	if err := searchable(sc); err != nil {

@@ -194,15 +194,39 @@ func (m Matrix) Expand() []Scenario {
 }
 
 // Validate expands the matrix and checks that every scenario lowers to
-// a valid simulation configuration, so configuration errors surface
-// before any job runs.
+// a valid simulation configuration whose network fits its byte budget,
+// so configuration errors surface before any job runs. The network is
+// sized once per shape: the per-run axes change no byte of it.
 func (m Matrix) Validate() error {
+	sized := make(map[Scenario]bool)
 	for i, sc := range m.Expand() {
-		if _, err := sc.SimConfig(1, Protocol{Warmup: 1, Packets: 1}); err != nil {
+		cfg, err := sc.SimConfig(1, Protocol{Warmup: 1, Packets: 1})
+		if shape := sc.shape(); err == nil && !sized[shape] {
+			sized[shape] = true
+			err = cfg.Net.CheckBytes()
+		}
+		if err != nil {
 			return fmt.Errorf("harness: job %d (%s): %w", i, sc.Label(), err)
 		}
 	}
 	return nil
+}
+
+// shape is the scenario without its per-run axes — load, pattern,
+// source, sizes and packet size — which a network.Reset may change.
+func (s Scenario) shape() Scenario {
+	s.Load, s.Pattern, s.Source, s.Sizes, s.PacketSize = 0, "", "", "", 0
+	return s
+}
+
+// check is Validate for one scenario: it lowers to a valid simulation
+// configuration and its network fits the byte budget.
+func (s Scenario) check() error {
+	cfg, err := s.SimConfig(1, Protocol{Warmup: 1, Packets: 1})
+	if err != nil {
+		return err
+	}
+	return cfg.Net.CheckBytes()
 }
 
 // canonical resolves every zero-valued field to the default that will
@@ -318,9 +342,10 @@ func (s Scenario) Label() string {
 	// Canonical specs never pin their own size (canonical() factors it
 	// into K), but a hand-built scenario might; only size-unpinned specs
 	// get the K axis appended, so every label states the size exactly
-	// once (e.g. "mesh:n=3,k=4" at k=4 vs k=8).
+	// once (e.g. "mesh:n=3,k=4" at k=4 vs k=8). A spec that does not
+	// parse is labelled as typed: it may pin the size too.
 	topo := s.Topology
-	if spec, err := topology.Parse(topo); err != nil || spec.PinnedK() == 0 {
+	if spec, err := topology.Parse(topo); err == nil && spec.PinnedK() == 0 {
 		if strings.Contains(topo, ":") {
 			topo = fmt.Sprintf("%s,k=%d", topo, s.K)
 		} else {
@@ -351,7 +376,8 @@ func (s Scenario) Label() string {
 // with the given RNG seed and measurement protocol. Zero-valued fields
 // take their canonical defaults; a stated value the simulation cannot
 // honor exactly (wormhole with >1 VC, nonpositive resources) is an
-// error rather than a silent substitution.
+// error rather than a silent substitution. The network is not sized
+// here: network.New does that once, before it allocates (see check).
 func (s Scenario) SimConfig(seed uint64, pr Protocol) (sim.Config, error) {
 	s = s.canonical()
 	kind, ok := router.ParseKind(s.Router)

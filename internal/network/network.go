@@ -126,17 +126,20 @@ type Config struct {
 	faultPlan *FaultPlan
 }
 
-// Normalize fills defaults and validates, sizing the network with
-// build's counting pass (see checkBytes).
-func (c *Config) Normalize() error {
-	if err := c.normalize(); err != nil {
+// CheckBytes normalizes c and sizes its network with build's counting
+// pass: a network whose router, wire and source state outgrows what the
+// topology's node cap stands for is an error naming the bytes — the one
+// New returns, found before anything is allocated.
+func (c *Config) CheckBytes() error {
+	if err := c.Normalize(); err != nil {
 		return err
 	}
 	return c.checkBytes(c.countSlabs())
 }
 
-// normalize is Normalize without the sizing.
-func (c *Config) normalize() error {
+// Normalize fills defaults and validates. It does not size the
+// network: New does, once, before it allocates (see CheckBytes).
+func (c *Config) Normalize() error {
 	if c.K == 0 {
 		c.K = 8
 	}
@@ -440,7 +443,7 @@ func (s *shardSlabs) bytes(pad bool) int64 {
 // structural fields determine, and reset writes every piece of per-run
 // state, so a reused network starts where a new one does.
 func New(cfg Config) (*Network, error) {
-	if err := cfg.normalize(); err != nil {
+	if err := cfg.Normalize(); err != nil {
 		return nil, err
 	}
 	sl := cfg.countSlabs()
@@ -477,7 +480,7 @@ func (n *Network) Fits(cfg Config) error { return n.fits(&cfg) }
 // but the per-run fields. A cfg of the network's structure has the
 // network's bytes, which New has checked, so it is not counted again.
 func (n *Network) fits(cfg *Config) error {
-	if err := cfg.normalize(); err != nil {
+	if err := cfg.Normalize(); err != nil {
 		return err
 	}
 	shape := func(c Config) Config {

@@ -152,6 +152,9 @@ type shard struct {
 	// a finished packet back to its source's shard, so pools stay
 	// balanced under asymmetric traffic.
 	pktFree []*flit.Packet
+	// pktChunk is the uncarved rest of the chunk new packets come from
+	// when the pool is empty (see allocPacket).
+	pktChunk []flit.Packet
 
 	// injected/drained are this shard's flit-conservation counters
 	// (audit.go): flits its sources pushed onto injection wires and
@@ -161,9 +164,21 @@ type shard struct {
 	drained  int64
 }
 
+// pktsPerChunk is how many packets one chunk holds: 73 × 56 bytes fill
+// the 4,096-byte heap size class, and a packet holds no pointers, so a
+// chunk is one allocation the collector does not scan.
+const pktsPerChunk = 73
+
+// allocPacket takes a packet from the shard's pool, or carves a new one
+// from its current chunk.
 func (sh *shard) allocPacket() *flit.Packet {
 	if len(sh.pktFree) == 0 {
-		return &flit.Packet{}
+		if len(sh.pktChunk) == 0 {
+			sh.pktChunk = make([]flit.Packet, pktsPerChunk)
+		}
+		p := &sh.pktChunk[0]
+		sh.pktChunk = sh.pktChunk[1:]
+		return p
 	}
 	p := sh.pktFree[len(sh.pktFree)-1]
 	sh.pktFree = sh.pktFree[:len(sh.pktFree)-1]

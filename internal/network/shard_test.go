@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"routersim/internal/flit"
 	"routersim/internal/router"
@@ -347,5 +348,13 @@ func hookTrace(net *Network, trace *[]string) {
 	}
 	net.OnPacketDone = func(p *flit.Packet, now int64) {
 		*trace = append(*trace, fmt.Sprintf("d %d %d %d", now, p.ID, p.Latency()))
+	}
+}
+
+// TestPacketChunk: a packet chunk is the most packets that fit the
+// 4,096-byte size class.
+func TestPacketChunk(t *testing.T) {
+	if pkt := unsafe.Sizeof(flit.Packet{}); pktsPerChunk*pkt > 4096 || (pktsPerChunk+1)*pkt <= 4096 {
+		t.Errorf("a chunk of %d %d-byte packets does not fill 4,096 bytes", pktsPerChunk, pkt)
 	}
 }

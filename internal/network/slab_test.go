@@ -182,7 +182,7 @@ func TestBudgetFitsDefaults(t *testing.T) {
 		}
 		for _, kind := range router.Kinds() {
 			cfg := Config{Topo: topo, Router: router.DefaultConfig(kind), InjectionRate: 0.01}
-			if err := cfg.Normalize(); err != nil && !strings.Contains(err.Error(), "deadlock") {
+			if err := cfg.CheckBytes(); err != nil && !strings.Contains(err.Error(), "deadlock") {
 				t.Errorf("%s, %v at defaults: %v", spec, kind, err)
 			}
 		}
@@ -190,10 +190,10 @@ func TestBudgetFitsDefaults(t *testing.T) {
 }
 
 // TestOversizedNetworkRefused: per-router bytes grow with VCs × buffer
-// depth, so a network can outgrow memory below the node cap; Normalize
-// refuses one whose state exceeds what the cap stands for, naming the
-// bytes, before anything is allocated. cap= raises the budget with the
-// node cap.
+// depth, so a network can outgrow memory below the node cap; New and
+// CheckBytes refuse one whose state exceeds what the cap stands for,
+// naming the bytes, before anything is allocated. cap= raises the
+// budget with the node cap.
 func TestOversizedNetworkRefused(t *testing.T) {
 	rc := router.DefaultConfig(router.SpeculativeVC)
 	rc.VCs, rc.BufPerVC = 12, 4096
@@ -201,8 +201,8 @@ func TestOversizedNetworkRefused(t *testing.T) {
 	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "bytes of router, wire and source state") {
 		t.Fatalf("New(k=32, 12 VCs × 4096 flits) = %v, want the byte budget error", err)
 	}
-	err := cfg.Normalize() // every default is filled before the bytes are checked
-	if bytes := slabBytes(cfg.countSlabs()); bytes < 10<<30 || err == nil || !strings.Contains(err.Error(), "needs "+strconv.FormatInt(bytes, 10)+" bytes") {
+	err := cfg.CheckBytes() // every default is filled before the bytes are checked
+	if bytes := slabBytes(cfg.countSlabs()); bytes != 11_289_524_224 || err == nil || !strings.Contains(err.Error(), "needs "+strconv.FormatInt(bytes, 10)+" bytes") {
 		t.Errorf("error %v does not name the %d bytes the network needs", err, bytes)
 	}
 
@@ -214,11 +214,11 @@ func TestOversizedNetworkRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg = Config{Topo: small, Router: rc, InjectionRate: 0.01}
-	if err := cfg.Normalize(); err == nil {
+	if err := cfg.CheckBytes(); err == nil {
 		t.Errorf("a 64-node cap accepted a %d-byte network", slabBytes(cfg.countSlabs()))
 	}
 	cfg = Config{K: 8, Router: rc, InjectionRate: 0.01}
-	if err := cfg.Normalize(); err != nil {
+	if err := cfg.CheckBytes(); err != nil {
 		t.Errorf("the default cap refused a %d-byte network: %v", slabBytes(cfg.countSlabs()), err)
 	}
 }

@@ -552,3 +552,53 @@ func TestTablePolicyDrainsUnroutable(t *testing.T) {
 		}
 	}
 }
+
+// routeLog is a routing policy that records the cycle of every Route
+// call, sending every packet east.
+type routeLog struct {
+	g  *rig
+	at []int64
+}
+
+func (l *routeLog) Route(*Router, *flit.Packet, int) (int, uint64) {
+	l.at = append(l.at, l.g.now)
+	return 1, ^uint64(0)
+}
+
+// TestNotAllocatedInArrivalCycle: on every kind, a flit buffered at
+// cycle t takes no pipeline action before t+1. A head is routed at t+1;
+// a body arriving into its empty, active VC bids for the switch at t+1;
+// and so does a tail arriving in the cycle the flit ahead of it leaves
+// the VC, when it is at once the head of the queue and its only flit.
+func TestNotAllocatedInArrivalCycle(t *testing.T) {
+	for _, kind := range Kinds() {
+		cfg := DefaultConfig(kind)
+		cfg.BufPerVC = 4
+		g := newRig(cfg)
+		log := &routeLog{g: g}
+		g.r.SetRoutingPolicy(log)
+		sast := kinds[kind].sast
+		fl := flit.NewPacketFlits(g.packet(3, 99))
+		// Head pushed at 0 is buffered at 1; the body, pushed at 10, is
+		// buffered at 11 into the emptied VC and leaves at 12+sast; the
+		// tail is buffered in that cycle.
+		g.in.Push(0, fl[0])
+		g.in.Push(10, fl[1])
+		g.in.Push(11+sast, fl[2])
+		g.run(30)
+		if len(log.at) != 1 || log.at[0] != 2 {
+			t.Errorf("%v: head buffered at 1 routed at %v, want [2]", kind, log.at)
+		}
+		if len(g.arrivals) != 3 {
+			t.Fatalf("%v: %d flits delivered, want 3", kind, len(g.arrivals))
+		}
+		// A flit that bids at cycle b traverses at b+sast and is on the
+		// far end of the wire a cycle later.
+		if got, want := g.arrivals[1].at, 12+sast+1; got != want {
+			t.Errorf("%v: body buffered at 11 delivered at %d, want %d (switch bid at 12)", kind, got, want)
+		}
+		if got, want := g.arrivals[2].at, 12+sast+1+sast+1; got != want {
+			t.Errorf("%v: tail buffered at %d delivered at %d, want %d (switch bid at %d)", kind, 12+sast, got, want, 13+sast)
+		}
+	}
+}

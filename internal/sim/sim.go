@@ -265,7 +265,9 @@ func (r *Runner) run(net *network.Network) (Result, error) {
 
 	var lat stats.Accumulator
 	if cfg.ExactLatency {
-		lat = &stats.Latency{}
+		// The sample never outgrows its target (a CI-target stop only
+		// shortens it), so the slice is reserved once.
+		lat = stats.NewLatency(cfg.MeasurePackets)
 	} else {
 		lat = stats.NewStream()
 	}

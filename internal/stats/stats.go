@@ -36,6 +36,12 @@ type Latency struct {
 	sorted  bool
 }
 
+// NewLatency returns an empty Latency with room for capacity samples,
+// so a run that knows its sample size never regrows the slice.
+func NewLatency(capacity int) *Latency {
+	return &Latency{samples: make([]int64, 0, capacity)}
+}
+
 // Add records one sample.
 func (l *Latency) Add(cycles int64) {
 	l.samples = append(l.samples, cycles)
