@@ -32,7 +32,7 @@ func run(name string, pattern traffic.Pattern, topo topology.Topology, rate floa
 	var sum, n float64
 	net.OnPacketDone = func(p *flit.Packet, now int64) {
 		if now > 3000 { // past warm-up
-			sum += float64(p.Latency())
+			sum += float64(p.Latency(now))
 			n++
 		}
 	}

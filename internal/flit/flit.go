@@ -46,8 +46,8 @@ func (t Type) IsTail() bool { return t == Tail || t == HeadTail }
 
 // Packet is the unit of routing. Flits reference their packet; per-packet
 // bookkeeping (creation time, ejection progress) lives here. It is 56
-// bytes and holds no pointers, so packets can be carved from pointer-free
-// chunks the collector does not scan.
+// bytes, and its one pointer is the link of the Queue that holds it
+// while it waits, so a waiting packet costs nothing beyond itself.
 type Packet struct {
 	ID   int64
 	Src  int // source node
@@ -58,10 +58,10 @@ type Packet struct {
 	// (before source queueing); the paper measures latency from this
 	// point to last-flit ejection.
 	CreatedAt int64
-	// EjectedAt records the cycle the final flit was ejected, and
+	// next links the packet into the Queue that holds it, if any.
+	next *Packet
 	// Ejected counts the flits delivered at the destination so far.
-	EjectedAt int64
-	Ejected   int32
+	Ejected int32
 
 	// Tagged marks packets in the measurement sample space.
 	Tagged bool
@@ -82,8 +82,9 @@ type Packet struct {
 func (p *Packet) Done() bool { return int(p.Ejected) >= p.Size }
 
 // Latency returns the packet latency in cycles (creation to last-flit
-// ejection, including source queueing). Only valid once Done.
-func (p *Packet) Latency() int64 { return p.EjectedAt - p.CreatedAt }
+// ejection, including source queueing) of a packet whose last flit was
+// ejected at cycle now.
+func (p *Packet) Latency(now int64) int64 { return now - p.CreatedAt }
 
 // Flit is the unit of flow control and buffer allocation. It is 24
 // bytes: every wire ring entry and buffer slot holds one by value.
@@ -107,23 +108,65 @@ func NewPacketFlits(p *Packet) []Flit {
 }
 
 // AppendPacketFlits appends the flits of a packet to dst and returns the
-// extended slice. Passing a reused buffer (dst[:0]) keeps packetization
-// allocation-free in steady state — the traffic sources lean on this.
+// extended slice.
 func AppendPacketFlits(dst []Flit, p *Packet) []Flit {
 	for i := 0; i < p.Size; i++ {
-		k := Body
-		switch {
-		case p.Size == 1:
-			k = HeadTail
-		case i == 0:
-			k = Head
-		case i == p.Size-1:
-			k = Tail
-		}
-		dst = append(dst, Flit{Pkt: p, Seq: int32(i), Kind: k})
+		dst = append(dst, p.Flit(i))
 	}
 	return dst
 }
 
+// Flit returns flit seq of the packet, typed by its position, so a
+// source can stream a packet's flits without storing them.
+func (p *Packet) Flit(seq int) Flit {
+	k := Body
+	switch {
+	case p.Size == 1:
+		k = HeadTail
+	case seq == 0:
+		k = Head
+	case seq == p.Size-1:
+		k = Tail
+	}
+	return Flit{Pkt: p, Seq: int32(seq), Kind: k}
+}
+
 // Reset clears a packet for reuse from a pool, preserving nothing.
 func (p *Packet) Reset() { *p = Packet{} }
+
+// Queue is a FIFO of packets linked through the packets themselves: it
+// holds no storage of its own and never grows, and a packet is in at
+// most one Queue at a time. The zero Queue is empty.
+type Queue struct {
+	head, tail *Packet
+	n          int
+}
+
+// Len returns the number of packets in the queue.
+func (q *Queue) Len() int { return q.n }
+
+// Push appends p, which must be in no queue, to the tail.
+func (q *Queue) Push(p *Packet) {
+	if q.tail == nil {
+		q.head = p
+	} else {
+		q.tail.next = p
+	}
+	q.tail = p
+	q.n++
+}
+
+// Pop removes and returns the head packet with its link cleared, or nil
+// when the queue is empty.
+func (q *Queue) Pop() *Packet {
+	p := q.head
+	if p == nil {
+		return nil
+	}
+	q.head, p.next = p.next, nil
+	if q.head == nil {
+		q.tail = nil
+	}
+	q.n--
+	return p
+}

@@ -50,9 +50,68 @@ func TestPacketCompletion(t *testing.T) {
 		t.Fatal("new packet already done")
 	}
 	p.Ejected = 3
-	p.EjectedAt = 142
-	if !p.Done() || p.Latency() != 42 {
-		t.Fatalf("done=%v latency=%d", p.Done(), p.Latency())
+	if !p.Done() || p.Latency(142) != 42 {
+		t.Fatalf("done=%v latency=%d", p.Done(), p.Latency(142))
+	}
+}
+
+// TestFlitMatchesAppend: Flit(seq) builds the flit AppendPacketFlits
+// puts at position seq, kind included, for every packet shape.
+func TestFlitMatchesAppend(t *testing.T) {
+	for _, size := range []int{1, 2, 5} {
+		p := &Packet{Size: size}
+		fl := AppendPacketFlits(nil, p)
+		for seq := range size {
+			if f := p.Flit(seq); f != fl[seq] {
+				t.Errorf("size %d: Flit(%d) = %+v, want %+v", size, seq, f, fl[seq])
+			}
+		}
+	}
+}
+
+// TestQueue: FIFO order over interleaved pushes and pops, the count, an
+// empty pop, and a popped packet leaving with its link cleared.
+func TestQueue(t *testing.T) {
+	var q Queue
+	if q.Pop() != nil || q.Len() != 0 {
+		t.Fatal("the zero queue is not empty")
+	}
+	pkts := make([]Packet, 6)
+	for i := range pkts {
+		pkts[i].ID = int64(i)
+	}
+	next := 0 // the packet the next pop must return
+	pop := func() {
+		t.Helper()
+		p := q.Pop()
+		if p != &pkts[next] {
+			t.Fatalf("pop %d returned %v", next, p)
+		}
+		if p.next != nil {
+			t.Fatalf("packet %d left the queue still linked", next)
+		}
+		next++
+	}
+	q.Push(&pkts[0])
+	q.Push(&pkts[1])
+	pop()
+	q.Push(&pkts[2])
+	pop()
+	pop() // empties the queue: head and tail both go
+	if q.Len() != 0 || q.Pop() != nil {
+		t.Fatalf("queue holds %d after every packet left", q.Len())
+	}
+	for i := 3; i < 6; i++ {
+		q.Push(&pkts[i])
+	}
+	if q.Len() != 3 {
+		t.Fatalf("Len %d, want 3", q.Len())
+	}
+	for next < 6 {
+		pop()
+	}
+	if q.Pop() != nil || q.Len() != 0 {
+		t.Fatal("pop on an empty queue returned a packet")
 	}
 }
 

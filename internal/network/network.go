@@ -414,7 +414,6 @@ type shardSlabs struct {
 	srcCredits slab.Slab[int]
 	busy       slab.Slab[bool]
 	streams    slab.Slab[stream]
-	queues     slab.Slab[*flit.Packet]
 	flits      link.Arena[flit.Flit]
 	credits    link.Arena[router.Credit]
 }
@@ -427,7 +426,6 @@ func (s *shardSlabs) alloc(pad bool) {
 	s.srcCredits.Alloc(pad)
 	s.busy.Alloc(pad)
 	s.streams.Alloc(pad)
-	s.queues.Alloc(pad)
 	s.flits.Alloc(pad)
 	s.credits.Alloc(pad)
 }
@@ -435,7 +433,7 @@ func (s *shardSlabs) alloc(pad bool) {
 // bytes returns the bytes alloc(pad) asks for.
 func (s *shardSlabs) bytes(pad bool) int64 {
 	return s.routers.Bytes(pad) + s.sources.Bytes(pad) + s.srcCredits.Bytes(pad) +
-		s.busy.Bytes(pad) + s.streams.Bytes(pad) + s.queues.Bytes(pad) +
+		s.busy.Bytes(pad) + s.streams.Bytes(pad) +
 		s.flits.Bytes(pad) + s.credits.Bytes(pad)
 }
 
@@ -460,7 +458,7 @@ func New(cfg Config) (*Network, error) {
 
 // Reset rewinds the network in place to the state New(cfg) returns,
 // keeping capacity: in-flight and queued packets go back to the packet
-// pools, grown queues and rings stay grown. cfg may differ from the
+// pools, grown event buffers stay grown. cfg may differ from the
 // network's configuration only in the per-run fields — Seed,
 // InjectionRate, Pattern, Bernoulli, Source, Sizes, PacketSize, Replay,
 // Audit; any other difference (see Fits), or a cfg New would reject,
@@ -693,8 +691,14 @@ func (n *Network) reset(cfg Config) error {
 	}
 	// Everything still in flight goes back to the packet pools. Routers
 	// and wires fresh from build are in their reset state already (their
-	// constructors reset them), with nothing to take back.
+	// constructors reset them), with nothing to take back. The sources
+	// drain first: a packet is in one list at a time, and a queued
+	// packet pushed onto a free list (through its unreplayed creation)
+	// while still linked in its source's queue would corrupt both.
 	if !n.fresh {
+		for _, s := range n.sources {
+			s.drain(n.reclaim)
+		}
 		dropFlit := func(f flit.Flit) { n.reclaim(f.Pkt) }
 		for _, r := range n.routers {
 			r.Reset(dropFlit)
@@ -733,7 +737,7 @@ func (n *Network) reset(cfg Config) error {
 		default: // Normalize has checked the parameters
 			inj, _ = cfg.Source.NewInjector(cfg.InjectionRate, s.rng.Split(1))
 		}
-		s.reset(inj, n.reclaim)
+		s.reset(inj)
 	}
 
 	n.cfg = cfg
@@ -764,7 +768,7 @@ func (n *Network) reclaim(p *flit.Packet) {
 	}
 	home := n.sources[p.Src].sh
 	p.Reset()
-	home.pktFree = append(home.pktFree, p)
+	home.pktFree.Push(p)
 }
 
 // Close releases the parallel steppers' workers. It is a no-op on a
@@ -799,7 +803,7 @@ func (n *Network) Topology() topology.Topology { return n.topo }
 func (n *Network) Router(id int) *router.Router { return n.routers[id] }
 
 // SourceQueueLen returns the source-queue depth at a node (for tests).
-func (n *Network) SourceQueueLen(id int) int { return n.sources[id].queueLen() }
+func (n *Network) SourceQueueLen(id int) int { return n.sources[id].queue.Len() }
 
 // Unroutable returns the number of packets dropped because fault
 // injection left their destination unreachable. Zero on unfaulted

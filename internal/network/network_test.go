@@ -61,8 +61,8 @@ func TestFlitOrderAndConservation(t *testing.T) {
 				if nextSeq[p.ID] != p.Size {
 					t.Fatalf("packet %d done with %d/%d flits", p.ID, nextSeq[p.ID], p.Size)
 				}
-				if p.Latency() <= 0 {
-					t.Fatalf("packet %d nonpositive latency %d", p.ID, p.Latency())
+				if p.Latency(now) <= 0 {
+					t.Fatalf("packet %d nonpositive latency %d", p.ID, p.Latency(now))
 				}
 			}
 			for now := int64(0); now < simCycles(15000); now++ {

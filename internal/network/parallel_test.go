@@ -26,7 +26,7 @@ func eventTrace(t *testing.T, cfg Config, cycles int64) []string {
 		trace = append(trace, fmt.Sprintf("e %d %d %d", now, f.Pkt.ID, f.Seq))
 	}
 	net.OnPacketDone = func(p *flit.Packet, now int64) {
-		trace = append(trace, fmt.Sprintf("d %d %d %d", now, p.ID, p.Latency()))
+		trace = append(trace, fmt.Sprintf("d %d %d %d", now, p.ID, p.Latency(now)))
 	}
 	for now := int64(0); now < cycles; now++ {
 		net.Step(now)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"routersim/internal/arbiter"
+	"routersim/internal/flit"
 	"routersim/internal/router"
 	"routersim/internal/topology"
 	"routersim/internal/trace"
@@ -126,4 +127,99 @@ func TestResetRefusesArbiterFactories(t *testing.T) {
 	if factory.Reset(cfg) == nil || plain.Reset(cfg) == nil {
 		t.Error("Reset with an arbiter factory was accepted")
 	}
+}
+
+// TestResetReturnsEveryPacketOnce: Reset takes back every packet a
+// saturated run holds — queued at a source, streaming onto a VC, in
+// wires and buffers, ejected or created but not yet replayed — and puts
+// each on its shard's pool exactly once. A packet is in one list at a
+// time, so a queued packet pushed onto a pool before its source queue
+// is drained would corrupt both lists. The rewound network then runs
+// exactly like a new one.
+func TestResetReturnsEveryPacketOnce(t *testing.T) {
+	cfg := Config{K: 8, Router: router.DefaultConfig(router.SpeculativeVC), Shards: 2, Seed: 3, InjectionRate: 0.3, FlitDelay: 4, CreditDelay: 4}
+	net, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	carved := map[*flit.Packet]bool{} // every packet the pools ever handed out
+	net.OnPacketCreated = func(p *flit.Packet, _ int64) { carved[p] = true }
+	unreplayed := func() (ejects, creates int) {
+		for _, sh := range net.shards {
+			ejects += len(sh.ejects) - sh.ejCur
+			creates += len(sh.creates) - sh.crCur
+		}
+		return ejects, creates
+	}
+	now := int64(0)
+	for ; now < 3000; now++ {
+		net.Step(now)
+	}
+	// Four-cycle links let the shards run ahead of the replay; stop
+	// where they have.
+	for ej, cr := unreplayed(); (ej == 0 || cr == 0) && now < 4000; ej, cr = unreplayed() {
+		net.Step(now)
+		now++
+	}
+	queued, streaming := 0, 0
+	for _, s := range net.sources {
+		queued += s.queue.Len()
+		streaming += s.inFlight
+	}
+	ej, cr := unreplayed()
+	if queued == 0 || streaming == 0 || ej == 0 || cr == 0 {
+		t.Fatalf("at cycle %d: %d queued, %d streaming, %d ejections and %d creations unreplayed; want each > 0", now, queued, streaming, ej, cr)
+	}
+	for _, sh := range net.shards {
+		for _, e := range sh.creates[sh.crCur:] {
+			carved[e.p] = true
+		}
+	}
+	t.Logf("reset at cycle %d: %d queued, %d streaming, %d ejections and %d creations unreplayed, %d packets carved", now, queued, streaming, ej, cr, len(carved))
+
+	if err := net.Reset(cfg); err != nil {
+		t.Fatal(err)
+	}
+	pooled := 0
+	for _, sh := range net.shards {
+		pooled += sh.pktFree.Len()
+	}
+	if pooled != len(carved) {
+		t.Errorf("the pools hold %d packets after Reset, want the %d ever carved", pooled, len(carved))
+	}
+	seen := map[*flit.Packet]bool{}
+	for _, sh := range net.shards {
+		var order []*flit.Packet
+		for range sh.pktFree.Len() {
+			p := sh.pktFree.Pop()
+			switch {
+			case p == nil:
+				t.Fatalf("shard %d: the pool ran out before its Len", sh.idx)
+			case seen[p]:
+				t.Fatalf("shard %d: a packet is on the pools twice", sh.idx)
+			case !carved[p] || p.Size != 0:
+				t.Fatalf("shard %d: pooled packet %+v was never handed out or is not zeroed", sh.idx, *p)
+			}
+			seen[p] = true
+			order = append(order, p)
+		}
+		for _, p := range order {
+			sh.pktFree.Push(p)
+		}
+	}
+
+	var got, want []string
+	hookTrace(net, &got)
+	fresh, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	hookTrace(fresh, &want)
+	for now := int64(0); now < 2000; now++ {
+		net.Step(now)
+		fresh.Step(now)
+	}
+	compareTraces(t, "reset against new", want, got)
 }

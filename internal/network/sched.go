@@ -343,7 +343,7 @@ func (sc *scheduler) stepSources(n *Network, now int64) {
 	for _, id := range sc.srcActive {
 		s := n.sources[id]
 		s.step(now)
-		if sc.scan != nil || s.adv == nil || s.qlen > 0 || s.inFlight > 0 {
+		if sc.scan != nil || s.adv == nil || s.queue.Len() > 0 || s.inFlight > 0 {
 			li := id - sc.base
 			sc.srcBits[li>>6] |= 1 << (uint(li) & 63)
 			sc.srcCount++

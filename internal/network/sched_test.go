@@ -209,6 +209,6 @@ func attach(net *Network, trace *[]string) {
 		*trace = append(*trace, fmt.Sprintf("e %d %d %d", now, f.Pkt.ID, f.Seq))
 	}
 	net.OnPacketDone = func(p *flit.Packet, now int64) {
-		*trace = append(*trace, fmt.Sprintf("d %d %d %d", now, p.ID, p.Latency()))
+		*trace = append(*trace, fmt.Sprintf("d %d %d %d", now, p.ID, p.Latency(now)))
 	}
 }

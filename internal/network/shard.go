@@ -147,11 +147,11 @@ type shard struct {
 	creates []createEvent
 	crCur   int
 
-	// pktFree is the shard-local packet pool. Sources allocate from
-	// their own shard's pool during the window; the serial replay frees
-	// a finished packet back to its source's shard, so pools stay
-	// balanced under asymmetric traffic.
-	pktFree []*flit.Packet
+	// pktFree is the shard-local packet pool, linked through the pooled
+	// packets. Sources allocate from their own shard's pool during the
+	// window; the serial replay frees a finished packet back to its
+	// source's shard, so pools stay balanced under asymmetric traffic.
+	pktFree flit.Queue
 	// pktChunk is the uncarved rest of the chunk new packets come from
 	// when the pool is empty (see allocPacket).
 	pktChunk []flit.Packet
@@ -165,23 +165,21 @@ type shard struct {
 }
 
 // pktsPerChunk is how many packets one chunk holds: 73 × 56 bytes fill
-// the 4,096-byte heap size class, and a packet holds no pointers, so a
-// chunk is one allocation the collector does not scan.
+// the 4,096-byte heap size class, one allocation. A packet's one pointer
+// is its queue link, so the collector scans one word per packet.
 const pktsPerChunk = 73
 
 // allocPacket takes a packet from the shard's pool, or carves a new one
 // from its current chunk.
 func (sh *shard) allocPacket() *flit.Packet {
-	if len(sh.pktFree) == 0 {
-		if len(sh.pktChunk) == 0 {
-			sh.pktChunk = make([]flit.Packet, pktsPerChunk)
-		}
-		p := &sh.pktChunk[0]
-		sh.pktChunk = sh.pktChunk[1:]
+	if p := sh.pktFree.Pop(); p != nil {
 		return p
 	}
-	p := sh.pktFree[len(sh.pktFree)-1]
-	sh.pktFree = sh.pktFree[:len(sh.pktFree)-1]
+	if len(sh.pktChunk) == 0 {
+		sh.pktChunk = make([]flit.Packet, pktsPerChunk)
+	}
+	p := &sh.pktChunk[0]
+	sh.pktChunk = sh.pktChunk[1:]
 	return p
 }
 
@@ -562,8 +560,7 @@ func (sh *shard) finishRouter(id int, now int64) {
 }
 
 // fireEject replays one buffered ejection on the network callbacks,
-// returning a finished packet to its source shard's pool. The source
-// shard is read before Reset zeroes the packet.
+// returning a finished packet to its source shard's pool.
 func (n *Network) fireEject(e *ejectEvent, now int64) {
 	if e.f.Pkt.Dropped {
 		// Unroutable drain: a fault severed the destination, so the
@@ -585,9 +582,7 @@ func (n *Network) fireEject(e *ejectEvent, now int64) {
 		if n.OnPacketDone != nil {
 			n.OnPacketDone(p, now)
 		}
-		home := n.sources[p.Src].sh
-		p.Reset()
-		home.pktFree = append(home.pktFree, p)
+		n.reclaim(p)
 	}
 }
 

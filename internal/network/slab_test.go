@@ -202,7 +202,7 @@ func TestOversizedNetworkRefused(t *testing.T) {
 		t.Fatalf("New(k=32, 12 VCs × 4096 flits) = %v, want the byte budget error", err)
 	}
 	err := cfg.CheckBytes() // every default is filled before the bytes are checked
-	if bytes := slabBytes(cfg.countSlabs()); bytes != 11_289_524_224 || err == nil || !strings.Contains(err.Error(), "needs "+strconv.FormatInt(bytes, 10)+" bytes") {
+	if bytes := slabBytes(cfg.countSlabs()); bytes != 11_289_245_696 || err == nil || !strings.Contains(err.Error(), "needs "+strconv.FormatInt(bytes, 10)+" bytes") {
 		t.Errorf("error %v does not name the %d bytes the network needs", err, bytes)
 	}
 

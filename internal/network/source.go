@@ -61,18 +61,17 @@ type source struct {
 	rrNext   int    // round-robin pointer over VCs for injection bandwidth
 	streams  []stream
 
-	// queue is an unbounded power-of-two ring of waiting packets.
-	queue []*flit.Packet
-	qhead int
-	qlen  int
+	// queue holds the waiting packets, linked through the packets: it is
+	// unbounded, per the paper's infinite-queue model, and costs nothing
+	// per packet.
+	queue flit.Queue
 }
 
-// stream is an in-progress packet being streamed onto one VC. The flit
-// buffer is reused across packets, so steady-state packetization does
-// not allocate.
+// stream is an in-progress packet being streamed onto one VC: next is
+// the sequence number of its next flit.
 type stream struct {
-	flits []flit.Flit
-	next  int
+	pkt  *flit.Packet
+	next int
 }
 
 // source carves node's source from the shard's slabs (nil on the
@@ -80,66 +79,43 @@ type stream struct {
 func (s *shardSlabs) source(net *Network, node int, vcs, bufPerVC int) *source {
 	src := s.sources.New()
 	credits, busy, streams := s.srcCredits.Take(vcs), s.busy.Take(vcs), s.streams.Take(vcs)
-	queue := s.queues.Take(8)
 	if src == nil {
 		return nil
 	}
 	*src = source{
 		net: net, node: node, bufPerVC: bufPerVC,
-		credits: credits, busy: busy, streams: streams, queue: queue,
+		credits: credits, busy: busy, streams: streams,
 	}
 	return src
 }
 
-// reset arms the source with a fresh injector (its RNG stream is set
-// already): full credits, no VC busy, an empty queue (its ring kept).
-// Each packet the source still holds, queued or mid-stream, is handed
-// to drop.
-func (s *source) reset(inj traffic.Injector, drop func(p *flit.Packet)) {
-	for s.qlen > 0 {
-		drop(s.popQueue())
+// drain hands each packet the source still holds, queued or
+// mid-stream, to drop, and leaves its queue empty and no VC busy.
+func (s *source) drain(drop func(p *flit.Packet)) {
+	for p := s.queue.Pop(); p != nil; p = s.queue.Pop() {
+		drop(p)
 	}
 	for vc := range s.busy {
 		if s.busy[vc] {
-			drop(s.streams[vc].flits[0].Pkt)
+			drop(s.streams[vc].pkt)
 		}
-		s.busy[vc], s.streams[vc].next, s.credits[vc] = false, 0, s.bufPerVC
+		s.busy[vc] = false
 	}
-	s.inFlight, s.rrNext = 0, 0
+	s.inFlight = 0
+}
+
+// reset arms a drained source with a fresh injector (its RNG stream is
+// set already): full credits and the injection state rewound.
+func (s *source) reset(inj traffic.Injector) {
+	for vc := range s.credits {
+		s.credits[vc] = s.bufPerVC
+	}
+	s.rrNext = 0
 	s.inj = inj
 	s.tickedTo, s.pendingAt, s.pendingN = -1, -1, 0
 	s.adv, _ = inj.(interface{ AdvanceToInjection() int64 })
 	s.cnt, _ = inj.(interface{ PendingCount() int })
 	s.draw, _ = inj.(interface{ NextPacket() (dst, size int) })
-}
-
-func (s *source) queueLen() int { return s.qlen }
-
-// pushQueue appends a packet to the source queue, doubling the ring when
-// full (source queues are unbounded, per the paper's infinite-queue
-// model).
-func (s *source) pushQueue(p *flit.Packet) {
-	if s.qlen == len(s.queue) {
-		grown := make([]*flit.Packet, 2*len(s.queue))
-		mask := len(s.queue) - 1
-		for i := 0; i < s.qlen; i++ {
-			grown[i] = s.queue[(s.qhead+i)&mask]
-		}
-		s.queue = grown
-		s.qhead = 0
-	}
-	s.queue[(s.qhead+s.qlen)&(len(s.queue)-1)] = p
-	s.qlen++
-}
-
-// popQueue removes and returns the head-of-queue packet; the queue must
-// be non-empty.
-func (s *source) popQueue() *flit.Packet {
-	p := s.queue[s.qhead]
-	s.queue[s.qhead] = nil
-	s.qhead = (s.qhead + 1) & (len(s.queue) - 1)
-	s.qlen--
-	return p
 }
 
 // step advances the source one cycle: receive returned credits, apply
@@ -179,16 +155,13 @@ func (s *source) step(now int64) {
 	// holds its VC until its tail is injected (the source performs the
 	// VC allocation of the injection channel). The scan exits as soon as
 	// the queue drains, and is skipped entirely when it is empty.
-	for vc := 0; vc < len(s.busy) && s.qlen > 0; vc++ {
+	for vc := 0; vc < len(s.busy) && s.queue.Len() > 0; vc++ {
 		if s.busy[vc] {
 			continue
 		}
-		p := s.popQueue()
 		s.busy[vc] = true
 		s.inFlight++
-		st := &s.streams[vc]
-		st.flits = flit.AppendPacketFlits(st.flits[:0], p)
-		st.next = 0
+		s.streams[vc] = stream{pkt: s.queue.Pop()}
 	}
 
 	// Inject at most one flit this cycle, round-robin over VCs with a
@@ -204,7 +177,7 @@ func (s *source) step(now int64) {
 			continue
 		}
 		st := &s.streams[vc]
-		f := st.flits[st.next]
+		f := st.pkt.Flit(st.next)
 		f.VC = int8(vc)
 		s.flitOut.Push(now, f)
 		// The injection channel has the node's own link delay, and the
@@ -217,10 +190,9 @@ func (s *source) step(now int64) {
 		// shard to keep the increment race-free.
 		s.sh.injected++
 		st.next++
-		if st.next == len(st.flits) {
+		if st.next == st.pkt.Size {
 			s.busy[vc] = false
 			s.inFlight--
-			st.next = 0
 		}
 		s.rrNext = (vc + 1) % v
 		return
@@ -273,5 +245,5 @@ func (s *source) generate(now int64) {
 	p.Size = size
 	p.CreatedAt = now
 	sh.creates = append(sh.creates, createEvent{t: now, p: p})
-	s.pushQueue(p)
+	s.queue.Push(p)
 }

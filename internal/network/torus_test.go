@@ -93,7 +93,7 @@ func TestTorusUsesWrapLinks(t *testing.T) {
 	}
 	var maxLatency int64
 	net.OnPacketDone = func(p *flit.Packet, now int64) {
-		if l := p.Latency(); l > maxLatency {
+		if l := p.Latency(now); l > maxLatency {
 			maxLatency = l
 		}
 	}

@@ -175,7 +175,7 @@ func TestTraceRecordReplayIdentity(t *testing.T) {
 		original = append(original, fmt.Sprintf("e %d %d %d", now, f.Pkt.ID, f.Seq))
 	}
 	net.OnPacketDone = func(p *flit.Packet, now int64) {
-		original = append(original, fmt.Sprintf("d %d %d %d", now, p.ID, p.Latency()))
+		original = append(original, fmt.Sprintf("d %d %d %d", now, p.ID, p.Latency(now)))
 	}
 	for now := int64(0); now < cycles; now++ {
 		net.Step(now)

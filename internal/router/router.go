@@ -664,9 +664,6 @@ func (r *Router) send(in, vcIdx int, now int64) {
 	f.VC = vc.outVC
 	if op := &r.out[out]; op.ejection {
 		f.Pkt.Ejected++
-		if f.Pkt.Done() {
-			f.Pkt.EjectedAt = now
-		}
 		r.ejected = append(r.ejected, f)
 	} else {
 		op.flitOut.Push(now, f)

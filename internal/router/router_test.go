@@ -239,15 +239,21 @@ func TestEjection(t *testing.T) {
 	g := newRig(DefaultConfig(SpeculativeVC)) // ejection needs no credits
 	p := g.packet(5, 0)                       // dst 0 → local port
 	pushAll(g, p, 0)
-	g.run(20)
+	doneAt := int64(-1) // the cycle the packet became done
+	for range 20 {
+		g.step()
+		if doneAt < 0 && p.Done() {
+			doneAt = g.now - 1
+		}
+	}
 	if len(g.ejected) != 5 {
 		t.Fatalf("%d flits ejected, want 5", len(g.ejected))
 	}
-	if !p.Done() {
-		t.Error("packet not marked done after full ejection")
+	if doneAt != g.ejected[4].at {
+		t.Errorf("packet done at cycle %d, want its last ejection's %d", doneAt, g.ejected[4].at)
 	}
-	if p.EjectedAt != g.ejected[4].at {
-		t.Errorf("EjectedAt %d, want %d", p.EjectedAt, g.ejected[4].at)
+	if l := p.Latency(doneAt); l != doneAt { // created at cycle 0
+		t.Errorf("Latency(%d) = %d, want %d", doneAt, l, doneAt)
 	}
 }
 

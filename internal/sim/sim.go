@@ -331,8 +331,8 @@ func (r *Runner) run(net *network.Network) (Result, error) {
 			// A dropped (unroutable) packet retires the sample slot but
 			// never arrived, so it contributes no latency observation.
 			if !p.Dropped {
-				lat.Add(p.Latency())
-				latBatch.Add(float64(p.Latency()))
+				lat.Add(p.Latency(now))
+				latBatch.Add(float64(p.Latency(now)))
 			}
 		}
 	}

@@ -14,9 +14,12 @@
 # side is built and run by its own checkout's bench/run.sh, from its own
 # root, into its own .bench_build. Pairs alternate which side runs
 # first. Per workload and end-to-end metric it prints both medians, both
-# quartile pairs, and how many pairs the working tree won (ties count
-# for neither side), then every run's value; the direction of "better"
-# is BENCHMARK.json's.
+# quartile pairs, how many pairs the working tree won (ties count for
+# neither side), and the median of the per-pair ratios tree/ref as a
+# change with a bootstrap 95% interval (10,000 resamples of the pairs,
+# fixed resampling seed), then every run's value; the direction of
+# "better" is BENCHMARK.json's. A claimed change is resolved when its
+# interval lies wholly on the claimed side of 0.
 # Nothing under bench/ is read except through `bench/run.sh --json`.
 set -euo pipefail
 
@@ -54,7 +57,7 @@ for i in $(seq 1 "$pairs"); do
 done
 
 python3 - "$tmp/out" "$pairs" "$root/BENCHMARK.json" <<'PY'
-import json, statistics, sys
+import json, random, statistics, sys
 
 out, pairs, bench = sys.argv[1], int(sys.argv[2]), json.load(open(sys.argv[3]))
 better = {m["name"]: m["better"] for m in bench["end_to_end"]}
@@ -69,9 +72,20 @@ def quartiles(xs):
     q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return q1, med, q3
 
+def ratio_interval(a, b, resamples=10000):
+    """Median of the per-pair ratios b/a, and a bootstrap 95% interval
+    for it, both as changes; None when a ref value is 0."""
+    if any(x == 0 for x in a):
+        return None
+    ratios = [y / x for x, y in zip(a, b)]
+    rnd = random.Random(1)
+    meds = sorted(statistics.median(rnd.choices(ratios, k=len(ratios))) for _ in range(resamples))
+    lo, hi = meds[int(0.025 * resamples)], meds[int(0.975 * resamples) - 1]
+    return statistics.median(ratios) - 1, lo - 1, hi - 1
+
 ref = [load("ref", i) for i in range(1, pairs + 1)]
 tree = [load("tree", i) for i in range(1, pairs + 1)]
-print(f"{'workload':<24}{'metric':<21}{'ref median [q1, q3]':<40}{'tree median [q1, q3]':<40}{'change':>8}  tree won")
+print(f"{'workload':<24}{'metric':<21}{'ref median [q1, q3]':<40}{'tree median [q1, q3]':<40}{'change':>8}  {'tree won':<15}paired ratio [95% interval]")
 for w in ref[0]:
     failed = sum(r[w]["failed"] for r in ref), sum(t[w]["failed"] for t in tree)
     for m in sorted(ref[0][w]["metrics"]):
@@ -82,7 +96,9 @@ for w in ref[0]:
         lost = sum((y > x) if lower else (y < x) for x, y in zip(a, b))
         (aq1, am, aq3), (bq1, bm, bq3) = quartiles(a), quartiles(b)
         change = f"{100 * (bm - am) / am:+.1f}%" if am else "n/a"
-        print(f"{w:<24}{m:<21}{f'{am:.6g} [{aq1:.6g}, {aq3:.6g}]':<40}{f'{bm:.6g} [{bq1:.6g}, {bq3:.6g}]':<40}{change:>8}  {won}/{pairs} (lost {lost})")
+        ri = ratio_interval(a, b)
+        paired = f"{100 * ri[0]:+.1f}% [{100 * ri[1]:+.1f}%, {100 * ri[2]:+.1f}%]" if ri else "n/a"
+        print(f"{w:<24}{m:<21}{f'{am:.6g} [{aq1:.6g}, {aq3:.6g}]':<40}{f'{bm:.6g} [{bq1:.6g}, {bq3:.6g}]':<40}{change:>8}  {f'{won}/{pairs} (lost {lost})':<15}{paired}")
     if any(failed):
         print(f"{w:<24}failed operations: ref {failed[0]}, tree {failed[1]}")
 print("\nevery run, in pair order (odd pairs ran ref first):")
