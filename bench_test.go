@@ -376,16 +376,6 @@ func BenchmarkNetworkCycleLowLoad(b *testing.B) {
 	benchCycles(b, lowLoadCfg(b), 4000)
 }
 
-// BenchmarkNetworkCycleLowLoadFullScan is the same network under the
-// scheduler's full-scan reference policy — the baseline the wake
-// worklists are measured against (every cycle pays 1,024 idle checks
-// and 1,024 source steps).
-func BenchmarkNetworkCycleLowLoadFullScan(b *testing.B) {
-	cfg := lowLoadCfg(b)
-	cfg.FullScan = true
-	benchCycles(b, cfg, 4000)
-}
-
 // shardBenchCfg is a 4,096-router mesh at 30% load: large enough that
 // the per-shard work dominates the per-window barrier, the regime the
 // lookahead-sharded engine targets. The CI scaling smoke runs this same
@@ -441,20 +431,18 @@ func BenchmarkNetworkCycleShardedLowLoad(b *testing.B) {
 	benchCycles(b, cfg, 4000)
 }
 
-// drainBench runs a complete ultra-low-load measurement through
+// BenchmarkDrainTail runs a complete ultra-low-load measurement through
 // sim.Run on a 256-router mesh: at ~1 packet per source per 50,000
 // cycles the run is dominated by quiescent gaps, zero-load warm-up
 // idle, and the post-sample drain tail — exactly the spans the
 // scheduler's NextDue fast-forward collapses to a handful of stepped
 // cycles.
-func drainBench(b *testing.B, fullScan bool) {
-	b.Helper()
+func BenchmarkDrainTail(b *testing.B) {
 	cfg := sim.Config{
 		Net: network.Config{
-			K:        16,
-			Router:   router.DefaultConfig(router.SpeculativeVC),
-			Seed:     1,
-			FullScan: fullScan,
+			K:      16,
+			Router: router.DefaultConfig(router.SpeculativeVC),
+			Seed:   1,
 		},
 		WarmupCycles:   10000,
 		MeasurePackets: 100,
@@ -470,14 +458,6 @@ func drainBench(b *testing.B, fullScan bool) {
 	}
 	b.ReportMetric(float64(cycles), "simulated_cycles")
 }
-
-// BenchmarkDrainTail measures the quiescence fast-forward on a
-// drain-dominated run.
-func BenchmarkDrainTail(b *testing.B) { drainBench(b, false) }
-
-// BenchmarkDrainTailFullScan is the same run under the full-scan
-// policy, which steps every cycle.
-func BenchmarkDrainTailFullScan(b *testing.B) { drainBench(b, true) }
 
 // BenchmarkPipelineDesign measures the EQ-1 packer in its hot-sweep
 // shape: one reused core.Packer across design points (the form the

@@ -17,7 +17,7 @@ func TestFlagSurface(t *testing.T) {
 		"audit": "0", "buf": "0", "ci-target": "0", "credit-delay": "1", "exact": "false", "faults": "",
 		"json": "false", "k": "8", "load": "0.4", "overrides": "", "packets": "20000", "packetsize": "5",
 		"pattern": "uniform", "probe-turnaround": "false", "record": "", "router": "spec-vc", "routing": "",
-		"seed": "1", "shards": "0", "sizes": "", "source": "", "step-workers": "0", "topo": "mesh",
+		"seed": "1", "shards": "0", "sizes": "", "source": "", "topo": "mesh",
 		"vcs": "0", "warmup": "10000",
 	}
 	got := map[string]string{}
@@ -35,6 +35,21 @@ func TestFlagSurface(t *testing.T) {
 		if _, ok := want[name]; !ok {
 			t.Errorf("unexpected flag -%s", name)
 		}
+	}
+}
+
+// TestNoStepWorkersFlag: the parallel stepper is not a netsim option;
+// -step-workers is an undefined flag (exit 2) rather than a knob that
+// changes no result.
+func TestNoStepWorkersFlag(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "netsim")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	out, err := exec.Command(bin, "-step-workers", "2", "-k", "4", "-warmup", "10", "-packets", "10").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "flag provided but not defined: -step-workers") {
+		t.Errorf("netsim -step-workers 2: %v, want exit status 2 naming the undefined flag\n%s", err, out)
 	}
 }
 

@@ -19,7 +19,7 @@ func TestFlagSurface(t *testing.T) {
 		"json": "", "k": "8", "loads": "0.2", "memprofile": "", "overrides": "", "packets": "1500",
 		"packetsize": "5", "patterns": "uniform", "quiet": "false", "resume": "false", "retries": "0",
 		"routers": "spec-vc", "routing": "", "sat-tol": "0.01", "saturation": "false", "seed": "1",
-		"shards": "0", "sizes": "", "sources": "", "step-workers": "0", "topos": "mesh", "vcs": "2",
+		"shards": "0", "sizes": "", "sources": "", "topos": "mesh", "vcs": "2",
 		"warmup": "2000", "workers": "0",
 	}
 	got := map[string]string{}
@@ -64,6 +64,21 @@ func TestMalformedAxisExitsBeforeRunning(t *testing.T) {
 		if !strings.Contains(s, "flag "+args[0]) || strings.Contains(s, "matrix:") {
 			t.Errorf("sweep %v: want an error naming %s before any job, got\n%s", args, args[0], s)
 		}
+	}
+}
+
+// TestNoStepWorkersFlag: the parallel stepper is not a sweep axis;
+// -step-workers is an undefined flag (exit 2) rather than an axis that
+// changes no result.
+func TestNoStepWorkersFlag(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "sweep")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	out, err := exec.Command(bin, "-step-workers", "0,2", "-k", "4", "-warmup", "10", "-packets", "10").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "flag provided but not defined: -step-workers") {
+		t.Errorf("sweep -step-workers 0,2: %v, want exit status 2 naming the undefined flag\n%s", err, out)
 	}
 }
 

@@ -21,7 +21,9 @@ import (
 // both CSV writers and both CLIs' axis flags are derived from this
 // table, so adding an axis is one row, its Scenario field and Matrix
 // slice, and their addresses in fields and slices. What an axis means —
-// canonical, SimConfig, Label — stays hand-written.
+// canonical, SimConfig, Label — stays hand-written. A retired row (no
+// parser) keeps its key in the JSON, the CSV and every checkpoint key,
+// always 0, and nothing else.
 var axes = [...]axis{
 	{key: "router", list: "routers", one: "router", def: "spec-vc", help: "router kind: " + RouterNames(),
 		parse: wordList},
@@ -41,9 +43,8 @@ var axes = [...]axis{
 		parse: intList},
 	{key: "credit_delay", list: "credit-delays", one: "credit-delay", def: "1", help: "credit propagation delay (cycles)",
 		parse: intList},
-	{key: "step_workers", list: "step-workers", one: "step-workers", def: "0",
-		help:  "parallel-stepper workers per shard (0/1 = none; results are identical for every value)",
-		parse: intList},
+	// Retired: the parallel stepper changed no result (see retired).
+	{key: "step_workers"},
 	{key: "shards", list: "shards", one: "shards", def: "0",
 		help:  "lookahead-shard count (0/1 = one shard; results are identical for every value)",
 		parse: intList},
@@ -77,9 +78,9 @@ type axis struct {
 	def       string // Normalize default and sweep's flag default
 	oneDef    string // netsim's flag default, if not def
 	help      string
-	parse     axisList
-	jsonKey   string // the codec's key token, set by init
-	defVal    any    // def parsed, a []T, set by init
+	parse     axisList // nil for a retired row
+	jsonKey   string   // the codec's key token (a retired row's with its 0), set by init
+	defVal    any      // def parsed, a []T, set by init
 }
 
 func init() {
@@ -92,22 +93,42 @@ func init() {
 		if a.omitEmpty {
 			a.jsonKey = "?" + a.jsonKey
 		}
+		if a.parse == nil {
+			a.jsonKey += "0"
+			continue
+		}
 		a.defVal = a.parse.defaults(a.def)
 	}
 }
 
+// retired is the type of a retired axis's Scenario field. Its one value
+// is serialized as 0, and any other value is refused when read, so a
+// payload written while the axis was live and set is never read back as
+// this scenario.
+type retired struct{}
+
+func (retired) MarshalJSON() ([]byte, error) { return []byte("0"), nil }
+
+func (*retired) UnmarshalJSON(b []byte) error {
+	if string(b) != "0" {
+		return fmt.Errorf("harness: retired axis holds %s, want 0", b)
+	}
+	return nil
+}
+
 // fields and slices are the table's typed accessors: the address of
-// each axis's Scenario field and Matrix slice, in table order. They are
-// methods rather than per-row closures so that a Scenario the codec or a
-// CSV writer walks stays on its caller's stack.
+// each axis's Scenario field and Matrix slice, in table order (nil for
+// a retired row's slice). They are methods rather than per-row closures
+// so that a Scenario the codec or a CSV writer walks stays on its
+// caller's stack.
 func (s *Scenario) fields() [len(axes)]any {
 	return [...]any{&s.Router, &s.Topology, &s.K, &s.Pattern, &s.VCs, &s.BufPerVC, &s.PacketSize, &s.CreditDelay,
-		&s.StepWorkers, &s.Shards, &s.Source, &s.Sizes, &s.Overrides, &s.Routing, &s.Faults, &s.Load}
+		&s.RetiredStepWorkers, &s.Shards, &s.Source, &s.Sizes, &s.Overrides, &s.Routing, &s.Faults, &s.Load}
 }
 
 func (m *Matrix) slices() [len(axes)]any {
 	return [...]any{&m.Routers, &m.Topologies, &m.Ks, &m.Patterns, &m.VCs, &m.BufsPerVC, &m.PacketSizes, &m.CreditDelays,
-		&m.StepWorkers, &m.Shards, &m.Sources, &m.Sizes, &m.Overrides, &m.Routings, &m.Faults, &m.Loads}
+		nil, &m.Shards, &m.Sources, &m.Sizes, &m.Overrides, &m.Routings, &m.Faults, &m.Loads}
 }
 
 // axisList is an axis's list parser. Its element type T makes it the
@@ -154,7 +175,8 @@ func (p parser[T]) set(slice any, text string) error {
 // here rather than calling through axisList, so that the matrix stays
 // on the caller's stack.
 
-// sliceLen returns the length of an axis's slice.
+// sliceLen returns the length of an axis's slice; a retired axis has
+// its one value.
 func sliceLen(slice any) int {
 	switch s := slice.(type) {
 	case *[]string:
@@ -164,7 +186,7 @@ func sliceLen(slice any) int {
 	case *[]float64:
 		return len(*s)
 	}
-	return 0
+	return 1
 }
 
 // fill sets an empty axis slice to a copy of defVal, its default.
@@ -237,6 +259,8 @@ func appendAxes(dst []byte, sc *Scenario, skip string) []byte {
 			dst = csvInt(dst, int64(*f))
 		case *float64:
 			dst = csvFloat(dst, *f)
+		case *retired:
+			dst = append(dst, "0,"...)
 		}
 	}
 	return dst
@@ -267,6 +291,9 @@ func (f *axisFlag) Set(text string) error {
 func AddMatrixFlags(fs *flag.FlagSet, m *Matrix) {
 	for i := range axes {
 		a := &axes[i]
+		if a.parse == nil {
+			continue
+		}
 		slice := m.slices()[i]
 		addAxisFlag(fs, a, a.list, a.def, a.help+"; "+a.parse.syntax(),
 			func(text string) error { return a.parse.set(slice, text) })
@@ -278,6 +305,9 @@ func AddMatrixFlags(fs *flag.FlagSet, m *Matrix) {
 func AddScenarioFlags(fs *flag.FlagSet, sc *Scenario) {
 	for i := range axes {
 		a := &axes[i]
+		if a.parse == nil {
+			continue
+		}
 		def := a.def
 		if a.oneDef != "" {
 			def = a.oneDef

@@ -1,46 +1,115 @@
 package harness
 
 import (
+	"bytes"
 	"encoding/csv"
+	"encoding/json"
 	"flag"
 	"math"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
+
+	"routersim/internal/sim"
 )
 
 // TestAxisTableComplete: the axis table covers Scenario exactly, row i
 // is field i of Scenario.fields and slice i of Matrix.slices, each key is
 // its field's json tag (omitempty included), and every Matrix slice
-// belongs to exactly one row.
+// belongs to exactly one row. A retired row has a retired field and no
+// slice and flag.
 func TestAxisTableComplete(t *testing.T) {
 	var sc Scenario
 	var m Matrix
 	fieldPtrs, slicePtrs := sc.fields(), m.slices()
 	st, mt := reflect.TypeOf(sc), reflect.TypeOf(m)
-	if st.NumField() != len(axes) || mt.NumField() != len(axes) {
-		t.Fatalf("Scenario has %d fields and Matrix %d, the table %d rows", st.NumField(), mt.NumField(), len(axes))
+	live := 0
+	for _, a := range axes {
+		if a.parse != nil {
+			live++
+		}
+	}
+	if st.NumField() != len(axes) || mt.NumField() != live {
+		t.Fatalf("Scenario has %d fields and Matrix %d, the table %d rows, %d live", st.NumField(), mt.NumField(), len(axes), live)
 	}
 	seenField, seenSlice := map[int]bool{}, map[int]bool{}
 	for i, a := range axes {
 		fi := fieldAt(t, reflect.ValueOf(&sc).Elem(), fieldPtrs[i])
-		si := fieldAt(t, reflect.ValueOf(&m).Elem(), slicePtrs[i])
-		if seenField[fi] || seenSlice[si] {
-			t.Errorf("%s: Scenario field %d or Matrix field %d is in two rows", a.key, fi, si)
+		if seenField[fi] {
+			t.Errorf("%s: Scenario field %d is in two rows", a.key, fi)
 		}
-		seenField[fi], seenSlice[si] = true, true
-		f, s := st.Field(fi), mt.Field(si)
+		seenField[fi] = true
+		f := st.Field(fi)
 		name, opts, _ := strings.Cut(f.Tag.Get("json"), ",")
 		if name != a.key || (opts == "omitempty") != a.omitEmpty {
 			t.Errorf("row %d is %q (omitempty %v), Scenario.%s is tagged %q", i, a.key, a.omitEmpty, f.Name, f.Tag.Get("json"))
 		}
-		if s.Type != reflect.SliceOf(f.Type) {
-			t.Errorf("%s: Matrix.%s is %v, want []%v", a.key, s.Name, s.Type, f.Type)
-		}
 		if i != fi {
 			t.Errorf("%s: row %d is Scenario field %d; rows follow the serialized field order", a.key, i, fi)
 		}
+		if a.parse == nil {
+			if f.Type != reflect.TypeOf(retired{}) || slicePtrs[i] != nil || a.list != "" || a.one != "" {
+				t.Errorf("%s: a retired row has a retired field (%v) and no slice or flag", a.key, f.Type)
+			}
+			continue
+		}
+		si := fieldAt(t, reflect.ValueOf(&m).Elem(), slicePtrs[i])
+		if seenSlice[si] {
+			t.Errorf("%s: Matrix field %d is in two rows", a.key, si)
+		}
+		seenSlice[si] = true
+		if s := mt.Field(si); s.Type != reflect.SliceOf(f.Type) {
+			t.Errorf("%s: Matrix.%s is %v, want []%v", a.key, s.Name, s.Type, f.Type)
+		}
+	}
+}
+
+// TestRetiredStepWorkers: the retired step_workers axis keeps its key,
+// always 0, in every serialized scenario (the codec's and
+// encoding/json's, which checkpoint keys and saturation JSON use) and
+// its CSV column, so output bytes and stored keys stay those of runs
+// made while it was an axis. A payload that sets it to anything else
+// is refused by both decoders, so a stored result of a run with the
+// stepper on re-runs rather than reading back as a run without it.
+func TestRetiredStepWorkers(t *testing.T) {
+	sc := Scenario{Router: "vc", Topology: "mesh", K: 4, Pattern: "uniform", VCs: 2, BufPerVC: 4, PacketSize: 5, CreditDelay: 1, Load: 0.2}
+	const want = `"credit_delay":1,"step_workers":0,"shards":0,`
+	byJSON, err := json.Marshal(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, b := range map[string][]byte{"appendScenario": appendScenario(nil, &sc), "json.Marshal": byJSON} {
+		if !strings.Contains(string(b), want) {
+			t.Errorf("%s: %s lacks %s", name, b, want)
+		}
+	}
+	var csvOut strings.Builder
+	if err := WriteCSV(&csvOut, []JobResult{{Scenario: sc}}); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(csvOut.String(), "\n0,vc,mesh,4,uniform,2,4,5,1,0,0,,,,,,0.2,") {
+		t.Errorf("CSV row lacks the step_workers column:\n%s", csvOut.String())
+	}
+	good, err := appendJobResult(nil, &JobResult{Scenario: sc, Seed: 3, Result: &sim.Result{Cycles: 10}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r JobResult
+	if !decodeJobResult(good, &r) || r.Scenario != sc {
+		t.Fatalf("decoder rejects or misreads %s", good)
+	}
+	for _, v := range []string{"2", "1", "-0", "0.0", "null", `"0"`} {
+		bad := bytes.Replace(good, []byte(`"step_workers":0`), []byte(`"step_workers":`+v), 1)
+		if decodeJobResult(bad, &r) {
+			t.Errorf("decodeJobResult accepted %s", bad)
+		}
+		if err := json.Unmarshal(bad, &r); err == nil {
+			t.Errorf("json.Unmarshal accepted %s", bad)
+		}
+	}
+	if decodeJobResult(bytes.Replace(good, []byte(`"step_workers":0,`), nil, 1), &r) {
+		t.Error("decodeJobResult accepted a scenario without step_workers")
 	}
 }
 
@@ -156,13 +225,13 @@ func TestLabelsDistinct(t *testing.T) {
 	m := Matrix{
 		Routers: []string{"vc", "spec-vc"}, Topologies: []string{"mesh", "torus"}, Ks: []int{4, 8},
 		Patterns: []string{"uniform", "transpose"}, VCs: []int{2, 4}, BufsPerVC: []int{2, 4},
-		PacketSizes: []int{4, 5}, CreditDelays: []int{1, 2}, StepWorkers: []int{0, 2}, Shards: []int{0, 2},
+		PacketSizes: []int{4, 5}, CreditDelays: []int{1, 2}, Shards: []int{0, 2},
 		Sources: []string{"", "bernoulli"}, Sizes: []string{"", "fixed:3"}, Overrides: []string{"", "*:buf=2"},
 		Routings: []string{"", "adaptive:minimal"}, Faults: []string{"", "link:0-1@cycle=9"}, Loads: []float64{0.1, 0.3},
 	}
 	scs := m.Expand()
-	if len(scs) != 1<<len(axes) {
-		t.Fatalf("%d scenarios, want %d", len(scs), 1<<len(axes))
+	if want := 1 << reflect.TypeOf(m).NumField(); len(scs) != want {
+		t.Fatalf("%d scenarios, want %d", len(scs), want)
 	}
 	seen := make(map[string]Scenario, len(scs))
 	for _, sc := range scs {
@@ -215,14 +284,14 @@ func TestSaturationCSVDistinguishesAxes(t *testing.T) {
 // SimConfig: canonical never panics and is a fixed point, and SimConfig
 // reports a bad scenario as an error, never a panic.
 func FuzzScenarioCanonical(f *testing.F) {
-	f.Add("spec-vc", "mesh", "uniform", "", "", "", "", "", 4, 2, 4, 5, 1, 0, 0, 0.2)
-	f.Add("wh", "torus:k=4,n=3", "hotspot:3:0.2", "mmpp:off=60,on=20", "bimodal:small=1,large=9,p=0.1", "0:vcs=4,buf=8;3-5:delay=2", "adaptive", "link:6-5@cycle=500", 0, 0, 0, 0, 0, 2, 2, 0.5)
-	f.Add("vc", "hypercube:16", "bit-complement", "batch:size=4", "uniform:min=2,max=6", "*:buf=2", "dor", "rand:links=2,seed=9@cycle=50", 8, 4, 2, 3, 2, 1, 3, 0.1)
-	f.Add("vc-1cycle", "ring:8", "transpose", "const", "fixed:3", "1-2:delay=3", "", "router:3@cycle=0", 16, 3, 1, 1, 1024, 0, 0, math.Inf(1))
+	f.Add("spec-vc", "mesh", "uniform", "", "", "", "", "", 4, 2, 4, 5, 1, 0, 0.2)
+	f.Add("wh", "torus:k=4,n=3", "hotspot:3:0.2", "mmpp:off=60,on=20", "bimodal:small=1,large=9,p=0.1", "0:vcs=4,buf=8;3-5:delay=2", "adaptive", "link:6-5@cycle=500", 0, 0, 0, 0, 0, 2, 0.5)
+	f.Add("vc", "hypercube:16", "bit-complement", "batch:size=4", "uniform:min=2,max=6", "*:buf=2", "dor", "rand:links=2,seed=9@cycle=50", 8, 4, 2, 3, 2, 3, 0.1)
+	f.Add("vc-1cycle", "ring:8", "transpose", "const", "fixed:3", "1-2:delay=3", "", "router:3@cycle=0", 16, 3, 1, 1, 1024, 0, math.Inf(1))
 	f.Fuzz(func(t *testing.T, routerName, topo, pattern, source, sizes, overrides, routing, faults string,
-		k, vcs, buf, pkt, credit, workers, shards int, load float64) {
+		k, vcs, buf, pkt, credit, shards int, load float64) {
 		sc := Scenario{Router: routerName, Topology: topo, K: k, Pattern: pattern, VCs: vcs, BufPerVC: buf,
-			PacketSize: pkt, CreditDelay: credit, StepWorkers: workers, Shards: shards,
+			PacketSize: pkt, CreditDelay: credit, Shards: shards,
 			Source: source, Sizes: sizes, Overrides: overrides, Routing: routing, Faults: faults, Load: load}
 		once := sc.canonical()
 		if twice := once.canonical(); twice != once && !(math.IsNaN(once.Load) && math.IsNaN(twice.Load)) {

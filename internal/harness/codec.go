@@ -102,6 +102,8 @@ func (c *codec) scenario(sc *Scenario) {
 			c.int(axes[i].jsonKey, f)
 		case *float64:
 			c.float(axes[i].jsonKey, f)
+		case *retired:
+			c.field(axes[i].jsonKey, false) // the key and its 0
 		}
 	}
 	c.field("}", false)

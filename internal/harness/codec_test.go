@@ -91,7 +91,7 @@ func buildResult(mask uint16, s1, s2 string, f1, f2 float64, seed uint64, n int6
 		Index: int(n),
 		Scenario: Scenario{
 			Router: s1, Topology: s2, K: int(n >> 3), Pattern: s1 + s2, VCs: int(-n), BufPerVC: 4,
-			PacketSize: int(n % 7), CreditDelay: 1, StepWorkers: int(n & 3), Shards: int(n >> 60),
+			PacketSize: int(n % 7), CreditDelay: 1, Shards: int(n >> 60),
 			Source: pick(0, s1+"x"), Sizes: pick(1, s2+"y"), Overrides: pick(2, "0:vcs=4;"+s1),
 			Routing: pick(3, "adaptive:minimal"), Faults: pick(4, s2+"link:5-6@cycle=200"), Load: f1,
 		},
@@ -253,6 +253,10 @@ func FuzzJobResultCodec(f *testing.F) {
 		f.Add(payload, uint16(0x7fff>>uint(i%3)), s, codecStrings[(i+3)%len(codecStrings)], fl, codecFloats[(i+7)%len(codecFloats)], uint64(math.MaxUint64)>>uint(i), int64(i)<<40)
 	}
 	f.Add([]byte(`{"index":0,"scenario":{"router":"\ud800","topology":"","k":-0`), uint16(0x20), "", "", 0.0, math.Copysign(0, -1), uint64(0), int64(math.MinInt64))
+	// A payload that sets the retired step_workers axis: both decoders
+	// refuse it.
+	f.Add([]byte(`{"index":1,"scenario":{"router":"vc","topology":"mesh","k":4,"pattern":"uniform","vcs":2,"buf_per_vc":4,"packet_size":5,"credit_delay":1,"step_workers":2,"shards":0,"load":0.2},"seed":3}`),
+		uint16(0), "", "", 0.0, 0.0, uint64(0), int64(0))
 	f.Fuzz(func(t *testing.T, raw []byte, mask uint16, s1, s2 string, f1, f2 float64, seed uint64, n int64) {
 		checkCodec(t, buildResult(mask, s1, s2, f1, f2, seed, n))
 		var dec JobResult
@@ -313,9 +317,9 @@ func referenceCSVRow(w io.Writer, r JobResult) error {
 	if r.Model != nil {
 		ports, modelStages = r.Model.Ports, r.Model.Stages
 	}
-	_, err := fmt.Fprintf(w, "%d,%s,%s,%d,%s,%d,%d,%d,%d,%d,%d,%s,%s,%s,%s,%s,%s,%d,%d,%d,%s,%s,%s,%s,%s,%d,%d,%d,%d,%d,%d,%d,%d,%t,%s\n",
+	_, err := fmt.Fprintf(w, "%d,%s,%s,%d,%s,%d,%d,%d,%d,0,%d,%s,%s,%s,%s,%s,%s,%d,%d,%d,%s,%s,%s,%s,%s,%d,%d,%d,%d,%d,%d,%d,%d,%t,%s\n",
 		r.Index, csvEscape(sc.Router), csvEscape(sc.Topology), sc.K, csvEscape(sc.Pattern), sc.VCs, sc.BufPerVC,
-		sc.PacketSize, sc.CreditDelay, sc.StepWorkers, sc.Shards,
+		sc.PacketSize, sc.CreditDelay, sc.Shards,
 		csvEscape(sc.Source), csvEscape(sc.Sizes), csvEscape(sc.Overrides), csvEscape(sc.Routing), csvEscape(sc.Faults), fmtFloat(sc.Load), r.Seed,
 		ports, modelStages,
 		fmtFloat(offered), fmtFloat(accepted), fmtFloat(acceptedCI), fmtFloat(mean), fmtFloat(meanCI),

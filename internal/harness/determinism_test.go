@@ -62,48 +62,6 @@ func TestDeterminismRepeatedRuns(t *testing.T) {
 	}
 }
 
-// TestStepperDeterminism certifies the parallel network stepper at the
-// harness level: the same matrix run with the serial engine and with
-// parallel steppers of several widths must produce byte-identical
-// measurement payloads. The scenario's step_workers field necessarily
-// differs, so the comparison covers the serialized *results* of each
-// job. Run under -race in CI, this also certifies the stepper gang.
-func TestStepperDeterminism(t *testing.T) {
-	run := func(stepWorkers int) []JobResult {
-		m := Matrix{
-			Routers:     []string{"wormhole", "vc", "spec-vc"},
-			Ks:          []int{4},
-			Loads:       []float64{0.2, 0.5},
-			StepWorkers: []int{stepWorkers},
-		}
-		results, err := Run(m, Options{Seed: 42, Protocol: Protocol{Warmup: 300, Packets: 150}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return results
-	}
-	base := run(1)
-	for _, workers := range []int{2, 4} {
-		results := run(workers)
-		if len(results) != len(base) {
-			t.Fatalf("%d stepper workers: %d jobs vs %d serial", workers, len(results), len(base))
-		}
-		for i := range base {
-			var b, r strings.Builder
-			if err := WriteJSON(&b, []JobResult{{Result: base[i].Result, Seed: base[i].Seed}}); err != nil {
-				t.Fatal(err)
-			}
-			if err := WriteJSON(&r, []JobResult{{Result: results[i].Result, Seed: results[i].Seed}}); err != nil {
-				t.Fatal(err)
-			}
-			if b.String() != r.String() {
-				t.Errorf("job %d (%s): result payload diverged between serial and %d-worker stepper",
-					i, base[i].Scenario.Label(), workers)
-			}
-		}
-	}
-}
-
 // TestShardDeterminism certifies the lookahead-sharded engine at the
 // harness level: the same matrix run single-range and with several
 // shard counts must produce byte-identical measurement payloads. The
@@ -149,8 +107,8 @@ func TestShardDeterminism(t *testing.T) {
 // TestReplayDeterminismAcrossWorkersAndSeeds closes the record/replay
 // loop at the harness level: a workload recorded once and replayed
 // through the matrix engine must serialize byte-identically across
-// pool worker counts, stepper widths (the scenario matrix crosses
-// serial and parallel steppers, so both appear in one payload), and —
+// pool worker counts, shard counts (the scenario matrix crosses one
+// shard and two, so both appear in one payload), and —
 // because a replayed workload consumes no randomness — across base
 // seeds as well, once the per-job seed column is normalized out. Run
 // under -race in CI, this certifies the whole replay path end to end.
@@ -166,10 +124,10 @@ func TestReplayDeterminismAcrossWorkersAndSeeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := Matrix{
-		Routers:     []string{"spec-vc"},
-		Ks:          []int{4},
-		Sources:     []string{"trace:file=" + path},
-		StepWorkers: []int{0, 2},
+		Routers: []string{"spec-vc"},
+		Ks:      []int{4},
+		Sources: []string{"trace:file=" + path},
+		Shards:  []int{0, 2},
 	}
 	baseJSON, baseCSV := serialize(t, m, 42, 1)
 	if !strings.Contains(baseCSV, "trace:file=") {

@@ -46,14 +46,15 @@ type Scenario struct {
 	PacketSize int `json:"packet_size"`
 	// CreditDelay is the credit propagation delay in cycles.
 	CreditDelay int `json:"credit_delay"`
-	// StepWorkers selects the network's deterministic parallel stepper
-	// (0 or 1 = no stepper workers; > 1 = that many per shard). It is
-	// an execution axis: results are byte-identical for every value.
-	StepWorkers int `json:"step_workers"`
+	// RetiredStepWorkers keeps the place of the retired step_workers
+	// axis, an execution knob that changed no result. Its key stays in
+	// every serialized scenario, always 0, so output bytes and
+	// checkpoint keys are those of every earlier run with it at 0.
+	RetiredStepWorkers retired `json:"step_workers"`
 	// Shards selects the network's lookahead-sharded engine (0 or 1 =
 	// one shard over every node; > 1 = that many shards stepping windows
-	// concurrently). Like StepWorkers it is an execution axis: results
-	// are byte-identical for every value, and the two compose.
+	// concurrently). It is an execution axis: results are byte-identical
+	// for every value.
 	Shards int `json:"shards"`
 	// Source is the injection-process spec (traffic.ParseSource): empty
 	// or "const" is the paper's constant-rate source; "bernoulli",
@@ -103,7 +104,6 @@ type Matrix struct {
 	BufsPerVC    []int     `json:"bufs_per_vc"`
 	PacketSizes  []int     `json:"packet_sizes"`
 	CreditDelays []int     `json:"credit_delays"`
-	StepWorkers  []int     `json:"step_workers"`
 	Shards       []int     `json:"shards,omitempty"`
 	Sources      []string  `json:"sources,omitempty"`
 	Sizes        []string  `json:"sizes,omitempty"`
@@ -315,16 +315,18 @@ func (s Scenario) Matrix() Matrix {
 	var m Matrix
 	lists := m.slices()
 	for i, field := range s.fields() {
-		axes[i].parse.wrap(lists[i], field)
+		if axes[i].parse != nil {
+			axes[i].parse.wrap(lists[i], field)
+		}
 	}
 	return m
 }
 
 // Label returns a compact human-readable scenario identifier for
 // progress lines and error messages. It states every axis off its
-// canonical default (step workers and shards from 2 up: 0 and 1 run
-// alike), so the scenarios of a matrix have distinct labels, up to the
-// load's two decimals.
+// canonical default (shards from 2 up: 0 and 1 run alike), so the
+// scenarios of a matrix have distinct labels, up to the load's two
+// decimals.
 func (s Scenario) Label() string {
 	tuning := ""
 	if s.PacketSize != 0 && s.PacketSize != 5 {
@@ -332,9 +334,6 @@ func (s Scenario) Label() string {
 	}
 	if s.CreditDelay != 0 && s.CreditDelay != 1 {
 		tuning += fmt.Sprintf("/credit%d", s.CreditDelay)
-	}
-	if s.StepWorkers > 1 {
-		tuning += fmt.Sprintf("/par%d", s.StepWorkers)
 	}
 	if s.Shards > 1 {
 		tuning += fmt.Sprintf("/sh%d", s.Shards)
@@ -394,9 +393,6 @@ func (s Scenario) SimConfig(seed uint64, pr Protocol) (sim.Config, error) {
 	if s.VCs < 1 || s.BufPerVC < 1 || s.PacketSize < 1 || s.CreditDelay < 1 {
 		return sim.Config{}, fmt.Errorf("nonpositive VC, buffer, packet size, or credit delay")
 	}
-	if s.StepWorkers < 0 {
-		return sim.Config{}, fmt.Errorf("negative step worker count %d", s.StepWorkers)
-	}
 	if s.Shards < 0 {
 		return sim.Config{}, fmt.Errorf("negative shard count %d", s.Shards)
 	}
@@ -437,7 +433,6 @@ func (s Scenario) SimConfig(seed uint64, pr Protocol) (sim.Config, error) {
 		PacketSize:  s.PacketSize,
 		Pattern:     pat,
 		CreditDelay: s.CreditDelay,
-		StepWorkers: s.StepWorkers,
 		Shards:      s.Shards,
 		Source:      srcSpec,
 		Sizes:       sizer,

@@ -29,7 +29,7 @@ func resetScenarios(t *testing.T) (scs []Scenario, audit []int) {
 	}
 	const faults = "link:5-6@cycle=300;rand:links=2@cycle=600"
 	for _, sc := range []Scenario{
-		{Router: "spec-vc", K: 4, Shards: 2, StepWorkers: 2, Load: 0.3},
+		{Router: "spec-vc", K: 4, Shards: 2, Load: 0.3},
 		{Router: "vc", K: 4, Faults: faults, Load: 0.3},
 		{Router: "vc", K: 4, VCs: 3, Routing: "adaptive:minimal", Faults: faults, Load: 0.3},
 		{Router: "spec-vc", K: 4, Overrides: "0-3:vcs=4,buf=2;9:delay=3", Load: 0.3},
@@ -188,12 +188,12 @@ func TestShelfClosesFailedJobsNetworks(t *testing.T) {
 	}
 }
 
-// TestShelfClosesShardGangs: a sharded network runs goroutines (shard
-// and step-worker gangs); every network a Run shelved is closed before
-// Run returns, so the goroutine count goes back to its baseline.
+// TestShelfClosesShardGangs: a sharded network runs goroutines (its
+// shard gang); every network a Run shelved is closed before Run
+// returns, so the goroutine count goes back to its baseline.
 func TestShelfClosesShardGangs(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	m := Matrix{Routers: []string{"spec-vc"}, Ks: []int{4}, Shards: []int{2}, StepWorkers: []int{0, 2}, Loads: []float64{0.1, 0.2, 0.3}}
+	m := Matrix{Routers: []string{"spec-vc"}, Ks: []int{4}, Shards: []int{2, 3}, Loads: []float64{0.1, 0.2, 0.3}}
 	results, err := Run(m, Options{Workers: 2, Seed: 1, Protocol: Protocol{Warmup: 100, Packets: 50}})
 	if err != nil {
 		t.Fatal(err)

@@ -20,9 +20,8 @@ func TestAuditCleanRun(t *testing.T) {
 	}{
 		{"fullscan", func(c *Config) { c.FullScan = true }, false},
 		{"active", func(c *Config) {}, false},
-		{"parallel2", func(c *Config) { c.StepWorkers = 2 }, false},
 		{"sharded2", func(c *Config) { c.Shards = 2 }, false},
-		{"sharded4-parallel2", func(c *Config) { c.Shards = 4; c.StepWorkers = 2 }, false},
+		{"sharded4", func(c *Config) { c.Shards = 4 }, false},
 	}
 	kinds := []router.Kind{router.Wormhole, router.SpeculativeVC}
 	for _, shape := range shapes {

@@ -86,15 +86,21 @@ type Config struct {
 	// phases on that many persistent workers. Results are byte-identical
 	// for any worker count; 0 or 1 steps each shard's routers on the
 	// calling goroutine. Networks using the parallel stepper must be
-	// Closed after use.
+	// Closed after use. It is a hook of the benchmark only
+	// (network.stepworkers2_speedup in bench/trace.go): no harness
+	// scenario, CLI or facade sets it, and it goes once the benchmark
+	// stops measuring it (ROADMAP item 3).
 	StepWorkers int
 	// FullScan switches the scheduler's worklists to the reference
 	// policy: every non-idle router and every source is stepped every
 	// cycle, whatever the wake bookkeeping says, and no source parks.
-	// Results are byte-identical either way; the full scan exists as
-	// the reference for the scheduler's event-trace identity tests and
-	// as the benchmark baseline. It also disables NextDue's quiescence
-	// fast-forward (NextDue always answers now+1), and needs one shard.
+	// Results are byte-identical either way; the full scan is the
+	// reference of the scheduler's event-trace identity tests and the
+	// baseline of the benchmark's sched.fullscan_slowdown
+	// (bench/trace.go). No harness scenario, CLI or facade sets it; it
+	// leaves the exported Config with ROADMAP item 3. It also disables
+	// NextDue's quiescence fast-forward (NextDue always answers now+1),
+	// and needs one shard.
 	FullScan bool
 	// Shards splits the network into that many balanced contiguous
 	// node ranges (shard i owns nodes [i·nodes/Shards,

@@ -12,11 +12,11 @@ import (
 )
 
 // TestShardedMatchesFullScan is the sharded engine's identity matrix:
-// every topology family × load regime × shard count × within-shard
-// worker count must reproduce the full-scan reference engine's exact
-// event trace — every packet creation, flit ejection, and completion at
-// the same cycle in the same order with the same packet IDs. Run under
-// -race in CI, this also certifies the window barriers.
+// every topology family × load regime × shard count must reproduce the
+// full-scan reference engine's exact event trace — every packet
+// creation, flit ejection, and completion at the same cycle in the same
+// order with the same packet IDs. Run under -race in CI, this also
+// certifies the window barriers.
 func TestShardedMatchesFullScan(t *testing.T) {
 	specs := []string{"mesh:k=4", "torus", "ring:12", "hypercube:16"}
 	loads := []float64{0.1, 0.4, 0.8}
@@ -42,18 +42,11 @@ func TestShardedMatchesFullScan(t *testing.T) {
 					t.Fatalf("load %.1f: no traffic in reference run", load)
 				}
 				for _, shards := range []int{1, 2, 3, 4} {
-					for _, workers := range []int{0, 2} {
-						if shards == 3 && workers > 0 {
-							continue // off-stride cuts; workers are covered at 2 and 4
-						}
-						cfg := cfg
-						cfg.FullScan = false
-						cfg.Shards = shards
-						cfg.StepWorkers = workers
-						got := eventTrace(t, cfg, cycles)
-						label := fmt.Sprintf("load %.1f shards %d workers %d", load, shards, workers)
-						compareTraces(t, label, ref, got)
-					}
+					cfg := cfg
+					cfg.FullScan = false
+					cfg.Shards = shards
+					got := eventTrace(t, cfg, cycles)
+					compareTraces(t, fmt.Sprintf("load %.1f shards %d", load, shards), ref, got)
 				}
 			}
 		})

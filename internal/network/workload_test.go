@@ -22,10 +22,9 @@ func mustTopo(t *testing.T, spec string) topology.Topology {
 	return topo
 }
 
-// engineVariants runs cfg under every engine combination (full-scan
-// serial is the reference; active serial, active parallel, full-scan
-// parallel must match it event for event).
-func engineVariants(t *testing.T, label string, cfg Config, cycles int64) []string {
+// matchesFullScan runs cfg on the active-set scheduler and checks it
+// event for event against the full-scan reference.
+func matchesFullScan(t *testing.T, label string, cfg Config, cycles int64) {
 	t.Helper()
 	ref := cfg
 	ref.FullScan = true
@@ -33,29 +32,13 @@ func engineVariants(t *testing.T, label string, cfg Config, cycles int64) []stri
 	if len(refTrace) == 0 {
 		t.Fatalf("%s: no traffic in reference run", label)
 	}
-	variants := []struct {
-		name     string
-		fullScan bool
-		workers  int
-	}{
-		{"active-serial", false, 0},
-		{"active-parallel2", false, 2},
-		{"active-parallel5", false, 5},
-		{"fullscan-parallel2", true, 2},
-	}
-	for _, v := range variants {
-		c := cfg
-		c.FullScan = v.fullScan
-		c.StepWorkers = v.workers
-		compareTraces(t, label+"/"+v.name, refTrace, eventTrace(t, c, cycles))
-	}
-	return refTrace
+	compareTraces(t, label+"/active", refTrace, eventTrace(t, cfg, cycles))
 }
 
 // TestWorkloadIdentity is the identity gate for the new workload axes:
 // bursty sources, size distributions, and per-router overrides must
 // produce the full-scan reference engine's exact event sequence on the
-// active-set scheduler, serial or parallel. The MMPP/batch cases
+// active-set scheduler. The MMPP/batch cases
 // specifically certify parked multi-packet wakes; the override cases
 // certify the generalized wake wheel (per-router link delays) and the
 // heterogeneous credit sizing.
@@ -139,7 +122,7 @@ func TestWorkloadIdentity(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			engineVariants(t, tc.name, tc.cfg(), cycles)
+			matchesFullScan(t, tc.name, tc.cfg(), cycles)
 		})
 	}
 }
@@ -200,15 +183,12 @@ func TestTraceRecordReplayIdentity(t *testing.T) {
 	for _, v := range []struct {
 		name     string
 		fullScan bool
-		workers  int
 	}{
-		{"fullscan-serial", true, 0},
-		{"active-serial", false, 0},
-		{"active-parallel4", false, 4},
+		{"fullscan-serial", true},
+		{"active-serial", false},
 	} {
 		c := replayCfg
 		c.FullScan = v.fullScan
-		c.StepWorkers = v.workers
 		compareTraces(t, "replay/"+v.name, original, eventTrace(t, c, cycles))
 	}
 }

@@ -8,32 +8,25 @@ import (
 	"routersim/internal/router"
 )
 
-// TestAuditEngineMatrix runs a live workload across the full engine
-// identity matrix — full-scan vs active-set, serial vs parallel
-// stepper, 1/2/4 shards — with the invariant auditor enabled at a
-// small interval, and checks two contracts at once: no engine trips an
-// invariant, and auditing is observationally free (every audited
-// result equals the audit-off reference bit for bit).
+// TestAuditEngineMatrix runs a live workload across the engine
+// identity matrix — full-scan vs active-set, 1/2/4 shards — with the
+// invariant auditor enabled at a small interval, and checks two
+// contracts at once: no variant trips an invariant, and auditing is
+// observationally free (every audited result equals the audit-off
+// reference bit for bit).
 func TestAuditEngineMatrix(t *testing.T) {
-	variants := []struct {
+	type variant struct {
 		name     string
 		fullScan bool
-		workers  int
 		shards   int
-	}{
-		{"fullscan-serial", true, 0, 0},
-		{"active-serial", false, 0, 0},
-		{"fullscan-parallel2", true, 2, 0},
-		{"active-parallel4", false, 4, 0},
-		{"sharded2", false, 0, 2},
-		{"sharded4-parallel2", false, 2, 4},
 	}
-	base := func(audit int, v struct {
-		name     string
-		fullScan bool
-		workers  int
-		shards   int
-	}) Config {
+	variants := []variant{
+		{"fullscan-serial", true, 0},
+		{"active-serial", false, 0},
+		{"sharded2", false, 2},
+		{"sharded4", false, 4},
+	}
+	base := func(audit int, v variant) Config {
 		return Config{
 			Net: network.Config{
 				K:             8,
@@ -41,7 +34,6 @@ func TestAuditEngineMatrix(t *testing.T) {
 				InjectionRate: 0.4 * 0.5 / 5,
 				Seed:          1,
 				FullScan:      v.fullScan,
-				StepWorkers:   v.workers,
 				Shards:        v.shards,
 				Audit:         audit,
 			},

@@ -14,8 +14,7 @@ import (
 // TestGoldenReplayConformance is the conformance tier's cross-engine
 // contract: replaying one checked-in captured trace must produce a
 // sim.Result that is reflect.DeepEqual across every engine variant —
-// full-scan vs active-set scheduler, serial vs parallel stepper vs
-// lookahead-sharded engine — and
+// full-scan vs active-set scheduler, one shard vs two or four — and
 // independent of the RNG seed (a replayed workload consumes no
 // randomness: destinations, sizes, and injection cycles all come from
 // the trace). Any divergence in any Result field (latency percentiles,
@@ -40,15 +39,12 @@ func TestGoldenReplayConformance(t *testing.T) {
 	variants := []struct {
 		name     string
 		fullScan bool
-		workers  int
 		shards   int
 	}{
-		{"fullscan-serial", true, 0, 0},
-		{"active-serial", false, 0, 0},
-		{"fullscan-parallel2", true, 2, 0},
-		{"active-parallel4", false, 4, 0},
-		{"sharded2", false, 0, 2},
-		{"sharded4-parallel2", false, 2, 4},
+		{"fullscan-serial", true, 0},
+		{"active-serial", false, 0},
+		{"sharded2", false, 2},
+		{"sharded4", false, 4},
 	}
 	var ref Result
 	for i, v := range variants {
@@ -65,10 +61,9 @@ func TestGoldenReplayConformance(t *testing.T) {
 				Replay: tr,
 				// Each variant runs a different seed on purpose: replay
 				// results must not depend on it.
-				Seed:        1000 + uint64(i)*77,
-				FullScan:    v.fullScan,
-				StepWorkers: v.workers,
-				Shards:      v.shards,
+				Seed:     1000 + uint64(i)*77,
+				FullScan: v.fullScan,
+				Shards:   v.shards,
 			},
 			WarmupCycles:   150,
 			MeasurePackets: 150,

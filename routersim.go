@@ -264,18 +264,11 @@ func WriteSaturationJSON(w io.Writer, results []SaturationResult) error {
 
 // SimConfig parameterizes one network simulation: a Scenario (router,
 // topology, traffic, resources, load; see the harness axis table) plus
-// the measurement protocol and facade-only engine knobs. Scenario fields
+// the measurement protocol and the auditor and watchdog. Scenario fields
 // other than Router take their canonical defaults when zero, as in a
 // matrix job; DefaultSimConfig fills them all.
 type SimConfig struct {
 	Scenario
-
-	// FullScan switches the scheduler to its reference policy, which
-	// visits every non-idle router and every source each cycle instead
-	// of following the wake worklists. Results are byte-identical; it
-	// exists as the reference for identity tests and as the benchmark
-	// baseline (see PERF.md).
-	FullScan bool
 
 	// Measurement protocol.
 	WarmupCycles   int64 // paper: 10,000
@@ -334,7 +327,7 @@ type SimResult = sim.Result
 // LoadPoint is one point of a latency-throughput curve.
 type LoadPoint = sim.LoadPoint
 
-// lower is the scenario's one lowering, plus the facade-only knobs.
+// lower is the scenario's one lowering, plus the auditor and watchdog.
 func (c SimConfig) lower() (sim.Config, error) {
 	low, err := c.Scenario.SimConfig(c.Seed, harness.Protocol{
 		Warmup: c.WarmupCycles, Packets: c.MeasurePackets,
@@ -343,7 +336,7 @@ func (c SimConfig) lower() (sim.Config, error) {
 	if err != nil {
 		return sim.Config{}, err
 	}
-	low.Net.FullScan, low.Net.Audit, low.StallCycles = c.FullScan, c.Audit, c.StallCycles
+	low.Net.Audit, low.StallCycles = c.Audit, c.StallCycles
 	return low, nil
 }
 
