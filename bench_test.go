@@ -174,9 +174,15 @@ func ablationConfig(kind router.Kind, vcs, buf int) sim.Config {
 func saturationOf(b *testing.B, cfg sim.Config) float64 {
 	b.Helper()
 	loads := []float64{0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6, 0.65, 0.7, 0.75}
-	pts, err := sim.SweepLoads(cfg, loads)
-	if err != nil {
-		b.Fatal(err)
+	pts := make([]sim.LoadPoint, len(loads))
+	for i, load := range loads {
+		c := cfg
+		c.Net.InjectionRate = sim.RateForLoad(load, c.Net)
+		res, err := sim.Run(c)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pts[i] = sim.LoadPoint{Load: load, Result: res}
 	}
 	return sim.SaturationLoad(pts, 140)
 }

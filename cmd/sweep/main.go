@@ -1,5 +1,6 @@
-// Command sweep runs experiment matrices over the simulator and
-// regenerates the simulated figures of the paper's evaluation.
+// Command sweep runs experiment matrices over the simulator,
+// regenerates the simulated figures of the paper's evaluation, and
+// prints the delay model's tables.
 //
 // Matrix mode expands the cross product of the axis flags into jobs and
 // runs them on a bounded worker pool with per-job derived seeds; the
@@ -21,17 +22,22 @@
 //	sweep -saturation -routers wormhole,vc,spec-vc -sat-tol 0.02 -csv -
 //	sweep -saturation -topos mesh,torus -routers spec-vc -json -
 //
-// Figure mode reproduces the paper's simulated figures:
+// Figure mode reproduces the paper's simulated figures and prints the
+// delay model's tables:
 //
 //	sweep -figure 13              # quick protocol (scaled sample)
 //	sweep -figure 14 -full        # the paper's exact protocol
 //	sweep -figure 18 -csv out.csv
 //	sweep -all                    # all five simulated figures
+//	sweep -figure table1          # Table 1: the delay equations at p=5, w=32, v=2
+//	sweep -figure 11              # Figure 11: VC (R->pv) and speculative VC (R->v) pipelines
+//	sweep -figure 12              # Figure 12: combined VC+switch allocation delay
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -40,12 +46,14 @@ import (
 	"syscall"
 
 	"routersim"
+	"routersim/internal/core"
+	"routersim/internal/experiments"
 	"routersim/internal/harness"
 )
 
 var (
 	// Figure mode.
-	figure = flag.String("figure", "", "figure to regenerate: 13, 14, 15, 17, or 18")
+	figure = flag.String("figure", "", "figure to regenerate: 13, 14, 15, 17 or 18 (simulated), or table1, 11 or 12 (the delay model's tables)")
 	all    = flag.Bool("all", false, "regenerate every simulated figure")
 	full   = flag.Bool("full", false, "use the paper's full protocol (10k warmup, 100k packets)")
 
@@ -103,9 +111,20 @@ func main() {
 		}
 		flag.Visit(func(f *flag.Flag) {
 			if matrixOnly[f.Name] || harness.IsAxisFlag(f) {
-				fatal(fmt.Errorf("-%s applies to matrix mode only, not -figure/-all (figure mode supports -full, -seed, -csv)", f.Name))
+				usage(fmt.Errorf("-%s applies to matrix mode only, not -figure/-all (figure mode supports -full, -seed, -csv)", f.Name))
 			}
 		})
+		if write, ok := analytic[*figure]; ok && !*all {
+			flag.Visit(func(f *flag.Flag) {
+				if f.Name == "full" || f.Name == "seed" || f.Name == "csv" {
+					usage(fmt.Errorf("-%s does not apply to -figure %s (a table of the delay model; nothing is simulated)", f.Name, *figure))
+				}
+			})
+			if err := write(os.Stdout); err != nil {
+				fatal(err)
+			}
+			return
+		}
 		runFigures(*figure, *all, *full, *seed, *csvPath)
 		return
 	}
@@ -288,6 +307,29 @@ func runFigures(figure string, all, full bool, seed uint64, csvPath string) {
 	}
 }
 
+// analytic maps the -figure ids of the delay model's tables, which
+// simulate nothing, to their writers.
+var analytic = map[string]func(io.Writer) error{
+	"table1": experiments.WriteTable1,
+	"11":     writeFigure11,
+	"12":     experiments.WriteFigure12,
+}
+
+// writeFigure11 prints the pipelines EQ 1 prescribes at the paper's
+// 20 τ4 clock and 32-bit channels: Figure 11(a), virtual-channel routers
+// over R->pv, then Figure 11(b), speculative ones over R->v, each
+// against the wormhole router's pipeline.
+func writeFigure11(w io.Writer) error {
+	const clk, width = core.DefaultClockTau4, 32
+	ref := core.WormholeReference(clk, 5, width)
+	fmt.Fprintf(w, "Pipelines for %v routers (clk=%.4g τ4, routing range %v)\n\n", core.VirtualChannel, clk, core.RangeAll)
+	if err := experiments.WriteFigure11(w, core.Figure11a(clk, core.RangeAll, width), ref); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "Pipelines for %v routers (clk=%.4g τ4, routing range %v)\n\n", core.SpeculativeVC, clk, core.RangeVC)
+	return experiments.WriteFigure11(w, core.Figure11b(clk, core.RangeVC, width, core.DefaultSpecOptions()), ref)
+}
+
 func writeTo(path string, fn func(*os.File) error) {
 	if path == "-" {
 		if err := fn(os.Stdout); err != nil {
@@ -382,6 +424,14 @@ func handleSignals() {
 		}
 		os.Exit(code)
 	}()
+}
+
+// usage reports a flag that does not apply to the chosen mode and
+// exits 2, as flag parsing does for a malformed one.
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, err)
+	stopProfiles()
+	os.Exit(2)
 }
 
 func fatal(err error) {

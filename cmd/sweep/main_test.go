@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -164,5 +166,42 @@ func TestOversizedNetworkExits(t *testing.T) {
 	s := string(out)
 	if !strings.Contains(s, "bytes of router, wire and source state") || strings.Contains(s, "panic") || strings.Contains(s, "fatal error") {
 		t.Errorf("sweep %v: want a job error naming the bytes, got\n%s", args, s)
+	}
+}
+
+// TestAnalyticFigures: -figure table1, 11 and 12 print the delay
+// model's tables byte for byte as testdata holds them — the output of
+// the delaytable, pipeline -router vc and -router specvc, and
+// allocdelay commands they replaced — and refuse -full, -seed and -csv,
+// which have nothing to act on there, with exit status 2.
+func TestAnalyticFigures(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "sweep")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, tc := range []struct{ id, golden string }{
+		{"table1", "table1.txt"},
+		{"11", "figure11.txt"},
+		{"12", "figure12.txt"},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := exec.Command(bin, "-figure", tc.id).Output()
+		if err != nil {
+			t.Fatalf("sweep -figure %s: %v", tc.id, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("sweep -figure %s differs from testdata/%s:\n%s", tc.id, tc.golden, got)
+		}
+		for _, extra := range [][]string{{"-full"}, {"-seed", "3"}, {"-csv", "-"}} {
+			args := append([]string{"-figure", tc.id}, extra...)
+			out, err := exec.Command(bin, args...).CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), extra[0]+" does not apply") {
+				t.Errorf("sweep %v: %v, want exit status 2 naming %s\n%s", args, err, extra[0], out)
+			}
+		}
 	}
 }

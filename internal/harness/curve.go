@@ -10,8 +10,8 @@ import (
 // curve — through the matrix engine and returns one point per load, in
 // input order. Loads must be distinct (the matrix engine collapses
 // exact-duplicate scenarios, which would silently shorten the curve).
-// It is the harness-native replacement for sim.SweepLoads that the
-// experiments package builds figures from.
+// It is the one curve engine: every figure and the facade's Sweep run
+// on it, point i at the seed rng.Derive(opts.Seed, i).
 func Curve(sc Scenario, loads []float64, opts Options) ([]sim.LoadPoint, error) {
 	seen := make(map[float64]bool, len(loads))
 	for _, l := range loads {

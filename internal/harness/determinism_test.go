@@ -1,8 +1,13 @@
 package harness
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"routersim/internal/trace"
 )
 
 // serialize runs the matrix with the given worker count and returns the
@@ -174,5 +179,50 @@ func TestSeedChangesPayload(t *testing.T) {
 	b, _ := serialize(t, m, 2, 0)
 	if a == b {
 		t.Error("different seeds produced identical payloads (suspicious)")
+	}
+}
+
+// TestRecordedRunIsTheRun: RunScenarioRecorded is RunScenario plus a
+// capture — the same job, so the same result bytes on success, and the
+// same job error, with no trace written, when the job fails (here the
+// auditor refusing a negative interval, which an unaudited recorded run
+// once skipped).
+func TestRecordedRunIsTheRun(t *testing.T) {
+	sc := Scenario{Router: "spec-vc", K: 4, Load: 0.2}
+	opts := Options{Seed: 3, Audit: 50, Protocol: Protocol{Warmup: 300, Packets: 150}}
+	path := filepath.Join(t.TempDir(), "run.trace")
+	plain, err := RunScenario(sc, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := RunScenarioRecorded(sc, opts, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeJob(t, rec), encodeJob(t, plain)) {
+		t.Error("the recorded run's result differs from the plain run's")
+	}
+	if tr, err := trace.ReadFile(path); err != nil || len(tr.Events) == 0 {
+		t.Errorf("recorded trace: %v", err)
+	}
+
+	opts.Audit = -1
+	badPath := filepath.Join(t.TempDir(), "bad.trace")
+	plain, err = RunScenario(sc, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err = RunScenarioRecorded(sc, opts, badPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(plain.Error, "negative audit interval") || rec.Error != plain.Error {
+		t.Errorf("recorded run error %q, plain run error %q; want the same negative-audit job error", rec.Error, plain.Error)
+	}
+	if _, err := os.Stat(badPath); !os.IsNotExist(err) {
+		t.Errorf("a failed recorded run wrote its trace (stat: %v)", err)
+	}
+	if _, err := RunScenarioRecorded(Scenario{Router: "spec-vc", K: 4, Source: "trace:file=" + path}, opts, badPath); err == nil {
+		t.Error("recording a trace replay should be refused")
 	}
 }

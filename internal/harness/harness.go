@@ -6,10 +6,12 @@ import (
 	"sync"
 	"time"
 
+	"routersim/internal/checkpoint"
 	"routersim/internal/pool"
 	"routersim/internal/rng"
 	"routersim/internal/sim"
 	"routersim/internal/trace"
+	"routersim/internal/traffic"
 )
 
 // Protocol is the measurement protocol applied to every job of a run.
@@ -75,6 +77,9 @@ type Options struct {
 	// runFn replaces the job executor (tests only: deterministic panic
 	// and retry injection). nil runs the real simulation.
 	runFn func(i int, sc Scenario, opts Options) JobResult
+	// record, when set, is the trace file a successful job writes its
+	// captured workload to (RunScenarioRecorded).
+	record string
 }
 
 // JobResult is the outcome of one scenario job. Wall is excluded from
@@ -111,7 +116,14 @@ type JobResult struct {
 // returned in job-index order. Job failures are recorded per job, not
 // returned: a bad scenario must not discard the rest of a large matrix.
 // Run itself fails only on an empty matrix or an invalid protocol.
-func Run(m Matrix, opts Options) ([]JobResult, error) {
+func Run(m Matrix, opts Options) ([]JobResult, error) { return run(m, opts, nil) }
+
+// run is the one job loop of Run and RunResumable. With a store it
+// first loads the jobs the store holds (loadStored), runs the rest and
+// persists each success; with a nil store it computes no key and loads
+// nothing. Progress counts the jobs run, after the loaded ones, and
+// OnResult streams every result, loaded or run, in job-index order.
+func run(m Matrix, opts Options, store *checkpoint.Store) ([]JobResult, error) {
 	if err := opts.Protocol.validate(); err != nil {
 		return nil, err
 	}
@@ -120,33 +132,69 @@ func Run(m Matrix, opts Options) ([]JobResult, error) {
 		return nil, fmt.Errorf("harness: empty matrix")
 	}
 	results := make([]JobResult, len(scenarios))
+	ready := make([]bool, len(scenarios))
+	todo := len(scenarios)
+	var keys [][32]byte
+	var pending []int // with a store: the jobs it did not hold, in index order
+	if store != nil {
+		keys = loadStored(scenarios, opts, store, results, ready)
+		for i, loaded := range ready {
+			if !loaded {
+				pending = append(pending, i)
+			}
+		}
+		todo = len(pending)
+	}
+
+	d := &delivery{onResult: opts.OnResult, results: results, ready: ready, done: len(scenarios) - todo}
+	d.flush() // a loaded prefix streams before any job runs
 	sh := newShelf(opts.Workers)
 	defer sh.close()
-
-	var (
-		mu     sync.Mutex
-		done   int
-		ready  = make([]bool, len(scenarios))
-		cursor int
-	)
-	pool.Run(len(scenarios), opts.Workers, func(i int) {
+	pool.Run(todo, opts.Workers, func(i int) {
+		if store != nil {
+			i = pending[i]
+		}
 		results[i] = executeJob(i, scenarios[i], opts, sh)
-		if opts.Progress == nil && opts.OnResult == nil {
+		var perr error
+		if store != nil {
+			perr = persist(store, keys[i], &results[i])
+		}
+		if perr == nil && opts.Progress == nil && opts.OnResult == nil {
 			return
 		}
-		mu.Lock()
-		defer mu.Unlock()
-		done++
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		if perr != nil && d.err == nil {
+			d.err = fmt.Errorf("harness: checkpoint job %d (%s): %w", i, scenarios[i].Label(), perr)
+		}
+		d.done++
 		if opts.Progress != nil {
-			opts.Progress(done, len(scenarios), results[i])
+			opts.Progress(d.done, len(scenarios), results[i])
 		}
 		ready[i] = true
-		for opts.OnResult != nil && cursor < len(ready) && ready[cursor] {
-			opts.OnResult(results[cursor])
-			cursor++
-		}
+		d.flush()
 	})
-	return results, nil
+	return results, d.err
+}
+
+// delivery is the state a run's jobs share, under mu: the done count
+// Progress reports, the OnResult cursor over ready, and the first
+// persistence error.
+type delivery struct {
+	mu           sync.Mutex
+	onResult     func(JobResult)
+	results      []JobResult
+	ready        []bool
+	done, cursor int
+	err          error
+}
+
+// flush streams the finished prefix of the results to OnResult.
+func (d *delivery) flush() {
+	for d.onResult != nil && d.cursor < len(d.ready) && d.ready[d.cursor] {
+		d.onResult(d.results[d.cursor])
+		d.cursor++
+	}
 }
 
 // RunScenario runs a single scenario through the matrix engine and
@@ -156,7 +204,7 @@ func Run(m Matrix, opts Options) ([]JobResult, error) {
 // configuration the simulation cannot honor as stated is an error,
 // labelled with the configuration that would have run.
 func RunScenario(sc Scenario, opts Options) (JobResult, error) {
-	if err := sc.check(); err != nil {
+	if err := sc.check(true); err != nil {
 		return JobResult{}, fmt.Errorf("harness: %s: %w", sc.canonical().Label(), err)
 	}
 	results, err := Run(sc.Matrix(), opts)
@@ -166,44 +214,28 @@ func RunScenario(sc Scenario, opts Options) (JobResult, error) {
 	return results[0], nil
 }
 
-// RunScenarioRecorded runs a single scenario with a workload recorder
-// attached and writes the captured trace to path (trace.WriteFile:
+// RunScenarioRecorded is RunScenario with a workload recorder attached:
+// a successful job writes the captured trace to path (trace.WriteFile:
 // ".jsonl"/".json" extensions select the JSONL encoding, anything else
 // the binary one) — the record half of the trace record/replay
 // workflow. The capture includes every injection of the run, warm-up
 // and drain included, so replaying the file via a "trace:file=PATH"
-// source reproduces the run's packet workload event for event. The job
-// uses the same derived seed as RunScenario, so the recorded run IS the
-// plain run, plus the capture. Recording a scenario that itself replays
+// source reproduces the run's packet workload event for event. The
+// recorded run IS the plain run — same seed, checks, auditor and
+// result — plus the capture. Recording a scenario that itself replays
 // a trace is an error.
 func RunScenarioRecorded(sc Scenario, opts Options, path string) (JobResult, error) {
-	seed := rng.Derive(opts.Seed, 0)
-	sc = sc.canonical() // SimConfig canonicalizes too; errors name what runs
-	cfg, err := sc.SimConfig(seed, opts.Protocol)
-	if err != nil {
-		return JobResult{}, fmt.Errorf("harness: %s: %w", sc.Label(), err)
+	if spec, err := traffic.ParseSource(sc.Source); err == nil && spec.Kind == "trace" {
+		return JobResult{}, fmt.Errorf("harness: %s: recording a trace-replay scenario would copy the input trace; record a live workload instead", sc.canonical().Label())
 	}
-	if cfg.Net.Replay != nil {
-		return JobResult{}, fmt.Errorf("harness: %s: recording a trace-replay scenario would copy the input trace; record a live workload instead", sc.Label())
-	}
-	jr := JobResult{Index: 0, Scenario: sc, Seed: seed}
-	rec := trace.NewRecorder(cfg.Net.Topo.Nodes())
-	cfg.Record = rec
-	start := time.Now()
-	res, err := sim.NewRunner(cfg).Run()
-	jr.Wall = time.Since(start)
-	if err != nil {
-		return JobResult{}, fmt.Errorf("harness: %s: %w", sc.Label(), err)
-	}
-	jr.Result = &res
-	jr.Model = sc.DelayModel()
-	if err := trace.WriteFile(path, rec.Trace()); err != nil {
-		return JobResult{}, fmt.Errorf("harness: %s: %w", sc.Label(), err)
-	}
-	return jr, nil
+	opts.record = path
+	return RunScenario(sc, opts)
 }
 
-// job executes one scenario with its derived seed on a shelved network.
+// job is the one way the harness runs a simulation: it lowers the
+// scenario with its derived seed, sets the auditor (and the recorder of
+// RunScenarioRecorded), runs on a shelved network and builds the
+// result. executeJob wraps it in panic recovery and retry.
 func (s *shelf) job(i int, sc Scenario, opts Options) (jr JobResult) {
 	seed := rng.Derive(opts.Seed, uint64(i))
 	jr = JobResult{Index: i, Scenario: sc, Seed: seed}
@@ -216,7 +248,13 @@ func (s *shelf) job(i int, sc Scenario, opts Options) (jr JobResult) {
 		return jr
 	}
 	cfg.Net.Audit = opts.Audit
+	if opts.record != "" {
+		cfg.Record = trace.NewRecorder(cfg.Net.Topo.Nodes())
+	}
 	res, err := s.run(cfg)
+	if err == nil && cfg.Record != nil {
+		err = trace.WriteFile(opts.record, cfg.Record.Trace())
+	}
 	if err != nil {
 		jr.Error = err.Error()
 		return jr

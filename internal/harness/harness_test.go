@@ -571,7 +571,9 @@ func TestCSVEscape(t *testing.T) {
 // network configuration but does not run the network's counting pass —
 // network.New does, once per network it builds, and Validate once per
 // shape. With the count (a []shardSlabs and the layout, ≈100 µs at
-// k=16) SimConfig made 14 allocations; without it, 10.
+// k=16) SimConfig made 14 allocations; without it, 10. The race
+// detector adds allocations of its own, so the bound is checked only
+// without it.
 func TestSimConfigDoesNotSize(t *testing.T) {
 	sc := Scenario{Router: "spec-vc", K: 16, Load: 0.3}
 	allocs := testing.AllocsPerRun(20, func() {
@@ -580,7 +582,7 @@ func TestSimConfigDoesNotSize(t *testing.T) {
 		}
 	})
 	t.Logf("SimConfig: %.0f allocations", allocs)
-	if allocs > 10 {
+	if allocs > 10 && !raceEnabled {
 		t.Errorf("SimConfig allocates %.0f times, want <= 10", allocs)
 	}
 }

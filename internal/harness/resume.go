@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"sync"
 
 	"routersim/internal/checkpoint"
 	"routersim/internal/pool"
@@ -57,19 +56,16 @@ func protocolJSON(pr Protocol) []byte {
 // returned alongside the complete results: the sweep's numbers are
 // good even when the disk is not.
 func RunResumable(m Matrix, opts Options, store *checkpoint.Store) ([]JobResult, error) {
-	if err := opts.Protocol.validate(); err != nil {
-		return nil, err
-	}
-	scenarios := m.Expand()
-	if len(scenarios) == 0 {
-		return nil, fmt.Errorf("harness: empty matrix")
-	}
-	results := make([]JobResult, len(scenarios))
+	return run(m, opts, store)
+}
+
+// loadStored fills results and ready for every job whose successful
+// result the store holds and returns every job's key. Loading is
+// read-only per job, so it runs on the same pool as the jobs; index i
+// writes only keys[i], results[i] and ready[i].
+func loadStored(scenarios []Scenario, opts Options, store *checkpoint.Store, results []JobResult, ready []bool) [][32]byte {
 	keys := make([][32]byte, len(scenarios))
-	ready := make([]bool, len(scenarios))
 	prJSON := protocolJSON(opts.Protocol)
-	// Loading is read-only per job, so it runs on the same pool as the
-	// jobs; index i writes only keys[i], results[i] and ready[i].
 	pool.Run(len(scenarios), opts.Workers, func(i int) {
 		sc := scenarios[i]
 		seed := rng.Derive(opts.Seed, uint64(i))
@@ -91,54 +87,18 @@ func RunResumable(m Matrix, opts Options, store *checkpoint.Store) ([]JobResult,
 		results[i] = jr
 		ready[i] = true
 	})
+	return keys
+}
 
-	loaded := 0
-	var pending []int
-	for i := range scenarios {
-		if ready[i] {
-			loaded++
-		} else {
-			pending = append(pending, i)
-		}
+// persist writes a successful job's payload to the store; failed jobs
+// (errors and recovered panics) are never persisted.
+func persist(store *checkpoint.Store, key [32]byte, jr *JobResult) error {
+	if jr.Error != "" || jr.Result == nil {
+		return nil
 	}
-
-	var (
-		mu         sync.Mutex
-		done       = loaded
-		cursor     int
-		persistErr error
-	)
-	flush := func() {
-		for opts.OnResult != nil && cursor < len(ready) && ready[cursor] {
-			opts.OnResult(results[cursor])
-			cursor++
-		}
+	payload, err := appendJobResult(nil, jr)
+	if err != nil {
+		return err
 	}
-	flush() // loaded prefix streams before any job runs
-	sh := newShelf(opts.Workers)
-	defer sh.close()
-	pool.Run(len(pending), opts.Workers, func(pi int) {
-		i := pending[pi]
-		results[i] = executeJob(i, scenarios[i], opts, sh)
-		var perr error
-		if results[i].Error == "" && results[i].Result != nil {
-			payload, err := appendJobResult(nil, &results[i])
-			if err == nil {
-				err = store.Put(keys[i], payload)
-			}
-			perr = err
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		if perr != nil && persistErr == nil {
-			persistErr = fmt.Errorf("harness: checkpoint job %d (%s): %w", i, scenarios[i].Label(), perr)
-		}
-		done++
-		if opts.Progress != nil {
-			opts.Progress(done, len(scenarios), results[i])
-		}
-		ready[i] = true
-		flush()
-	})
-	return results, persistErr
+	return store.Put(key, payload)
 }

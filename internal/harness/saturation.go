@@ -104,7 +104,7 @@ func FindSaturation(sc Scenario, opts Options, so SearchOptions) (SaturationResu
 	if err := opts.Protocol.validate(); err != nil {
 		return SaturationResult{}, err
 	}
-	if err := sc.check(); err != nil {
+	if err := sc.check(true); err != nil {
 		return SaturationResult{}, fmt.Errorf("harness: %s: %w", sc.Label(), err)
 	}
 	if err := searchable(sc); err != nil {
@@ -121,7 +121,10 @@ func FindSaturation(sc Scenario, opts Options, so SearchOptions) (SaturationResu
 
 // findSaturation is the per-scenario search core; scenario validity was
 // checked by the caller, so failures land in SaturationResult.Error.
-// Its probes share one network shape, so they run on shelved networks.
+// Each probe is a harness job (executeJob) at index probe, so its seed
+// is rng.Derive(opts.Seed, probe), a panic becomes the search's error
+// after the retry budget, and the probes, one network shape, run on
+// shelved networks.
 func findSaturation(index int, sc Scenario, opts Options, so SearchOptions, sh *shelf) SaturationResult {
 	sr := SaturationResult{
 		Index:    index,
@@ -138,21 +141,15 @@ func findSaturation(index int, sc Scenario, opts Options, so SearchOptions, sh *
 		}
 		job := sc
 		job.Load = mid
-		seed := rng.Derive(opts.Seed, uint64(probe))
-		cfg, err := job.SimConfig(seed, opts.Protocol)
-		if err != nil {
-			sr.Error = err.Error()
+		jr := executeJob(probe, job, opts, sh)
+		if jr.Error != "" {
+			sr.Error = jr.Error
 			return sr
 		}
-		cfg.Net.Audit = opts.Audit
-		res, err := sh.run(cfg)
-		if err != nil {
-			sr.Error = err.Error()
-			return sr
-		}
+		res := jr.Result
 		sr.Cycles += res.Cycles
-		saturated := sim.IsSaturated(res, so.LatencyCap)
-		sr.Probes = append(sr.Probes, Probe{Load: mid, Saturated: saturated, Result: &res})
+		saturated := sim.IsSaturated(*res, so.LatencyCap)
+		sr.Probes = append(sr.Probes, Probe{Load: mid, Saturated: saturated, Result: res})
 		if saturated {
 			hi = mid
 		} else {

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"routersim/internal/sim"
@@ -238,5 +239,71 @@ func TestProtocolModesLower(t *testing.T) {
 	}
 	if res.Tagged == 4000 {
 		t.Logf("note: CI target not reached before the full sample at this seed")
+	}
+}
+
+// TestFindSaturationsIsolatesProbePanics: every probe is a harness job,
+// so a panicking probe ends its own scenario's search with a "panic:"
+// error and leaves the other rows as they were, and under the retry
+// budget a probe that panics once gives the row it would have given.
+func TestFindSaturationsIsolatesProbePanics(t *testing.T) {
+	m := Matrix{Routers: []string{"spec-vc"}, Ks: []int{4}, Patterns: []string{"uniform", "transpose"}}
+	so := SearchOptions{Step: 0.2, MaxProbes: 3}
+	base := Options{Seed: 2, Protocol: Protocol{Warmup: 300, Packets: 200}}
+	encode := func(rs []SaturationResult) []string {
+		out := make([]string, len(rs))
+		for i, r := range rs {
+			var b strings.Builder
+			if err := WriteSaturationJSON(&b, []SaturationResult{r}); err != nil {
+				t.Fatal(err)
+			}
+			out[i] = b.String()
+		}
+		return out
+	}
+	want, err := FindSaturations(m, base, so)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != 2 || want[1].Error != "" || len(want[1].Probes) < 2 {
+		t.Fatalf("reference search: %+v", want)
+	}
+	wantRows := encode(want)
+
+	sh := newShelf(1)
+	defer sh.close()
+	var panics atomic.Int32
+	search := func(retries int, limit int32) []SaturationResult {
+		t.Helper()
+		panics.Store(0)
+		opts := base
+		opts.Retries = retries
+		opts.runFn = func(i int, sc Scenario, o Options) JobResult {
+			if sc.Pattern == "transpose" && i == 1 && panics.Add(1) <= limit {
+				panic("synthetic probe failure")
+			}
+			return sh.job(i, sc, o)
+		}
+		got, err := FindSaturations(m, opts, so)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+
+	got := search(-1, 1)
+	if !strings.HasPrefix(got[1].Error, "panic: synthetic probe failure") {
+		t.Errorf("panicking probe: row error %q, want a panic: error", got[1].Error)
+	}
+	if rows := encode(got); rows[0] != wantRows[0] {
+		t.Errorf("a panic in one scenario's search moved another row:\n%s\nwant\n%s", rows[0], wantRows[0])
+	}
+
+	got = search(0, 1)
+	if rows := encode(got); rows[0] != wantRows[0] || rows[1] != wantRows[1] {
+		t.Errorf("a probe retried after one panic changed the rows:\n%v\nwant\n%v", rows, wantRows)
+	}
+	if n := panics.Load(); n != 2 {
+		t.Errorf("probe 1 of the transpose search ran %d times, want 2 (one panic, one retry)", n)
 	}
 }

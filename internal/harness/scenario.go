@@ -200,14 +200,11 @@ func (m Matrix) Expand() []Scenario {
 func (m Matrix) Validate() error {
 	sized := make(map[Scenario]bool)
 	for i, sc := range m.Expand() {
-		cfg, err := sc.SimConfig(1, Protocol{Warmup: 1, Packets: 1})
-		if shape := sc.shape(); err == nil && !sized[shape] {
-			sized[shape] = true
-			err = cfg.Net.CheckBytes()
-		}
-		if err != nil {
+		shape := sc.shape()
+		if err := sc.check(!sized[shape]); err != nil {
 			return fmt.Errorf("harness: job %d (%s): %w", i, sc.Label(), err)
 		}
+		sized[shape] = true
 	}
 	return nil
 }
@@ -220,10 +217,10 @@ func (s Scenario) shape() Scenario {
 }
 
 // check is Validate for one scenario: it lowers to a valid simulation
-// configuration and its network fits the byte budget.
-func (s Scenario) check() error {
+// configuration and, if size, its network fits the byte budget.
+func (s Scenario) check(size bool) error {
 	cfg, err := s.SimConfig(1, Protocol{Warmup: 1, Packets: 1})
-	if err != nil {
+	if err != nil || !size {
 		return err
 	}
 	return cfg.Net.CheckBytes()

@@ -8,8 +8,8 @@ import (
 	"routersim/internal/sim"
 )
 
-// shelf lends networks to the jobs of one harness call (Run, the job
-// pass of RunResumable, FindSaturation, FindSaturations). A job takes an
+// shelf lends networks to the jobs of one harness call (Run,
+// RunResumable, FindSaturation, FindSaturations). A job takes an
 // idle network that network.Reset accepts and runs on it in place, and
 // builds one only when none fits. Reset restores exactly New's state, so
 // results never depend on which network a job ran on. The shelf holds

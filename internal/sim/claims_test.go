@@ -21,9 +21,15 @@ func sweepSat(t *testing.T, kind router.Kind, vcs, buf int, creditDelay int) flo
 		MeasurePackets: 2500,
 	}
 	loads := []float64{0.35, 0.40, 0.45, 0.50, 0.55, 0.60, 0.65, 0.70, 0.75}
-	pts, err := SweepLoads(cfg, loads)
-	if err != nil {
-		t.Fatal(err)
+	pts := make([]LoadPoint, len(loads))
+	for i, load := range loads {
+		c := cfg
+		c.Net.InjectionRate = RateForLoad(load, c.Net)
+		res, err := Run(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts[i] = LoadPoint{Load: load, Result: res}
 	}
 	return SaturationLoad(pts, 140)
 }

@@ -21,7 +21,6 @@ import (
 
 	"routersim/internal/flit"
 	"routersim/internal/network"
-	"routersim/internal/pool"
 	"routersim/internal/stats"
 	"routersim/internal/topology"
 	"routersim/internal/trace"
@@ -119,10 +118,10 @@ type Result struct {
 }
 
 // Runner executes simulations from one base configuration. It is the
-// reusable execution core shared by Run, SweepLoads, and the experiment
-// harness: construct once, then Run as many times as needed (each Run
-// builds a fresh network, so a Runner is safe to reuse; distinct Runners
-// are safe to drive concurrently; RunOn reuses a caller's network).
+// reusable execution core shared by Run and the experiment harness:
+// construct once, then Run as many times as needed (each Run builds a
+// fresh network, so a Runner is safe to reuse; distinct Runners are
+// safe to drive concurrently; RunOn reuses a caller's network).
 type Runner struct {
 	cfg Config
 }
@@ -476,29 +475,6 @@ func Run(cfg Config) (Result, error) { return NewRunner(cfg).Run() }
 type LoadPoint struct {
 	Load   float64 // offered, fraction of capacity
 	Result Result
-}
-
-// SweepLoads runs one simulation per offered load (fraction of capacity)
-// on a bounded worker pool and returns the points in input order. The
-// base config's InjectionRate is overwritten per point. It is a thin
-// wrapper over Runner + pool; the experiment harness generalizes the
-// same shape to full scenario matrices.
-func SweepLoads(base Config, loads []float64) ([]LoadPoint, error) {
-	pts := make([]LoadPoint, len(loads))
-	errs := make([]error, len(loads))
-	pool.Run(len(loads), 0, func(i int) {
-		cfg := base
-		cfg.Net.InjectionRate = RateForLoad(loads[i], cfg.Net)
-		res, err := NewRunner(cfg).Run()
-		pts[i] = LoadPoint{Load: loads[i], Result: res}
-		errs[i] = err
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return pts, nil
 }
 
 // RateForLoad converts a fraction of network capacity into the injection

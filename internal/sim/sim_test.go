@@ -234,23 +234,6 @@ func TestSaturationDetection(t *testing.T) {
 	}
 }
 
-func TestSweepLoads(t *testing.T) {
-	cfg := lowLoadCfg(router.SpeculativeVC, 2, 4)
-	cfg.MeasurePackets = 400
-	cfg.WarmupCycles = 1000
-	pts, err := SweepLoads(cfg, []float64{0.1, 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 2 || pts[0].Load != 0.1 || pts[1].Load != 0.3 {
-		t.Fatalf("sweep points wrong: %+v", pts)
-	}
-	if pts[1].Result.Latency.MeanLatency < pts[0].Result.Latency.MeanLatency-1 {
-		t.Errorf("latency should not decrease with load: %.2f then %.2f",
-			pts[0].Result.Latency.MeanLatency, pts[1].Result.Latency.MeanLatency)
-	}
-}
-
 func TestSaturationLoadHelper(t *testing.T) {
 	mk := func(mean float64, sat bool) Result {
 		var r Result

@@ -264,7 +264,7 @@ func WriteSaturationJSON(w io.Writer, results []SaturationResult) error {
 
 // SimConfig parameterizes one network simulation: a Scenario (router,
 // topology, traffic, resources, load; see the harness axis table) plus
-// the measurement protocol and the auditor and watchdog. Scenario fields
+// the measurement protocol and the auditor. Scenario fields
 // other than Router take their canonical defaults when zero, as in a
 // matrix job; DefaultSimConfig fills them all.
 type SimConfig struct {
@@ -282,12 +282,6 @@ type SimConfig struct {
 	// with a diagnostic snapshot. Results are byte-identical with
 	// auditing on or off.
 	Audit int
-
-	// StallCycles tunes the progress watchdog: the run aborts with a
-	// diagnostic error when no packet is delivered for this many cycles
-	// while packets are outstanding. 0 uses a diameter-scaled default;
-	// negative disables the watchdog.
-	StallCycles int64
 
 	// ExactLatency stores every latency sample for exact percentiles
 	// (the paper-figure reproduction mode); the default streams samples
@@ -327,16 +321,21 @@ type SimResult = sim.Result
 // LoadPoint is one point of a latency-throughput curve.
 type LoadPoint = sim.LoadPoint
 
-// lower is the scenario's one lowering, plus the auditor and watchdog.
-func (c SimConfig) lower() (sim.Config, error) {
-	low, err := c.Scenario.SimConfig(c.Seed, harness.Protocol{
+// protocol is the harness protocol of the configuration.
+func (c SimConfig) protocol() harness.Protocol {
+	return harness.Protocol{
 		Warmup: c.WarmupCycles, Packets: c.MeasurePackets,
 		Exact: c.ExactLatency, CITarget: c.CITarget,
-	})
+	}
+}
+
+// lower is the scenario's one lowering, plus the auditor.
+func (c SimConfig) lower() (sim.Config, error) {
+	low, err := c.Scenario.SimConfig(c.Seed, c.protocol())
 	if err != nil {
 		return sim.Config{}, err
 	}
-	low.Net.Audit, low.StallCycles = c.Audit, c.StallCycles
+	low.Net.Audit = c.Audit
 	return low, nil
 }
 
@@ -366,13 +365,17 @@ func SimulateWithTurnaroundProbe(c SimConfig) (SimResult, error) {
 }
 
 // Sweep runs one simulation per offered load (fractions of capacity) in
-// parallel, producing a latency-throughput curve.
+// parallel, producing a latency-throughput curve: the harness's curve
+// engine, the one the figures use. Point i runs at the seed
+// rng.Derive(c.Seed, i) — it equals Simulate with that Seed and that
+// Load — so the points' random streams are independent. Loads must be
+// distinct, and the configuration is checked as strictly as Simulate
+// checks it.
 func Sweep(c SimConfig, loads []float64) ([]LoadPoint, error) {
-	low, err := c.lower()
-	if err != nil {
+	if _, err := c.lower(); err != nil {
 		return nil, err
 	}
-	return sim.SweepLoads(low, loads)
+	return harness.Curve(c.Scenario, loads, harness.Options{Seed: c.Seed, Audit: c.Audit, Protocol: c.protocol()})
 }
 
 // SaturationLoad estimates the saturation point of a swept curve using

@@ -2,10 +2,13 @@ package routersim_test
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"routersim"
+	"routersim/internal/harness"
+	"routersim/internal/rng"
 )
 
 func TestFacadeTable1(t *testing.T) {
@@ -80,6 +83,33 @@ func TestFacadeSweepAndSaturation(t *testing.T) {
 	}
 	if sat := routersim.SaturationLoad(pts); sat != 0.3 {
 		t.Errorf("saturation %.2f, want 0.3 (both points below the knee)", sat)
+	}
+	// One curve engine: point i is Simulate at the derived seed
+	// rng.Derive(seed, i), and the figures' harness.Curve point.
+	for i, pt := range pts {
+		one := cfg
+		one.Seed = rng.Derive(cfg.Seed, uint64(i))
+		one.Load = pt.Load
+		res, err := routersim.Simulate(one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, pt.Result) {
+			t.Errorf("point %d: Sweep %+v, Simulate at the derived seed %+v", i, pt.Result, res)
+		}
+	}
+	curve, err := harness.Curve(cfg.Scenario, []float64{0.2, 0.3}, harness.Options{
+		Seed:     cfg.Seed,
+		Protocol: harness.Protocol{Warmup: cfg.WarmupCycles, Packets: cfg.MeasurePackets},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(curve, pts) {
+		t.Errorf("Sweep %+v differs from harness.Curve %+v", pts, curve)
+	}
+	if _, err := routersim.Sweep(cfg, []float64{0.2, 0.2}); err == nil {
+		t.Error("a duplicate load should be an error")
 	}
 }
 

@@ -8,7 +8,9 @@
 # workloads (or "all"), N the number of pairs, SECONDS the measuring
 # time per workload (default 2, so that the 20 pairs a claim needs take
 # minutes rather than an hour). PAIRS_SEED sets the benchmark seed
-# (default 1).
+# (default 1). PAIRS_JSON=FILE also writes the comparison to FILE as
+# JSON: both commits, `go version`, `nproc`, and per workload and metric
+# every run's value, both medians and the paired interval.
 #
 # REF is exported with `git archive` into a temporary directory, so the
 # script leaves nothing behind in .git and works from a dirty tree. Each
@@ -57,10 +59,19 @@ for i in $(seq 1 "$pairs"); do
 	echo "pairs: pair $i of $pairs done" >&2
 done
 
-python3 - "$tmp/out" "$pairs" "$root/BENCHMARK.json" <<'PY'
+tree_dirty=false
+[ -z "$(git -C "$root" status --porcelain)" ] || tree_dirty=true
+python3 - "$tmp/out" "$pairs" "$root/BENCHMARK.json" "${PAIRS_JSON:-}" "$commit" \
+	"$(git -C "$root" rev-parse HEAD)" "$tree_dirty" "$(go version)" "$(nproc)" \
+	"$workloads" "$seconds" "$seed" <<'PY'
 import json, random, statistics, sys
 
 out, pairs, bench = sys.argv[1], int(sys.argv[2]), json.load(open(sys.argv[3]))
+json_path = sys.argv[4]
+meta = dict(zip(("ref", "tree", "tree_dirty", "go", "nproc", "workloads", "seconds", "seed"), sys.argv[5:]))
+meta.update(tree_dirty=meta["tree_dirty"] == "true", nproc=int(meta["nproc"]), pairs=pairs,
+            seconds=float(meta["seconds"]), seed=int(meta["seed"]))
+rows = []
 better = {m["name"]: m["better"] for m in bench["end_to_end"]}
 
 def load(side, i):
@@ -100,6 +111,10 @@ for w in ref[0]:
         ri = ratio_interval(a, b)
         paired = f"{100 * ri[0]:+.1f}% [{100 * ri[1]:+.1f}%, {100 * ri[2]:+.1f}%]" if ri else "n/a"
         print(f"{w:<24}{m:<21}{f'{am:.6g} [{aq1:.6g}, {aq3:.6g}]':<40}{f'{bm:.6g} [{bq1:.6g}, {bq3:.6g}]':<40}{change:>8}  {f'{won}/{pairs} (lost {lost})':<15}{paired}")
+        rows.append(dict(workload=w, metric=m, better="lower" if lower else "higher",
+                         ref=a, tree=b, ref_quartiles=[aq1, am, aq3], tree_quartiles=[bq1, bm, bq3],
+                         won=won, lost=lost, failed=list(failed),
+                         paired_change=ri[0] if ri else None, interval=[ri[1], ri[2]] if ri else None))
     if any(failed):
         print(f"{w:<24}failed operations: ref {failed[0]}, tree {failed[1]}")
 print("\nevery run, in pair order (odd pairs ran ref first):")
@@ -107,4 +122,8 @@ for w in ref[0]:
     for m in sorted(ref[0][w]["metrics"]):
         for side, runs in (("ref", ref), ("tree", tree)):
             print(f"{w} {m} {side}:", " ".join(f"{r[w]['metrics'][m]['value']:.6g}" for r in runs))
+if json_path:
+    with open(json_path, "w") as f:
+        json.dump(dict(meta, results=rows), f, indent=1)
+        f.write("\n")
 PY
