@@ -135,6 +135,20 @@ func TestCurveRejectsDuplicateLoads(t *testing.T) {
 	}
 }
 
+// TestCurveStrictAsRunScenario: Curve refuses a scenario RunScenario
+// refuses, with the same error, instead of running what the matrix
+// engine canonicalizes it to (a wormhole router at 1 VC).
+func TestCurveStrictAsRunScenario(t *testing.T) {
+	sc := Scenario{Router: "wormhole", K: 4, VCs: 2}
+	_, want := RunScenario(sc, tinyOptions())
+	if want == nil {
+		t.Fatal("RunScenario accepted a wormhole router with 2 VCs")
+	}
+	if _, err := Curve(sc, []float64{0.1}, tinyOptions()); err == nil || err.Error() != want.Error() {
+		t.Errorf("Curve: got %v, want RunScenario's %v", err, want)
+	}
+}
+
 // TestSimConfigRejectsWormholeVCs: a hand-built scenario must not run
 // a different configuration than it states.
 func TestSimConfigRejectsWormholeVCs(t *testing.T) {

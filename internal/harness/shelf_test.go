@@ -2,7 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -11,51 +10,22 @@ import (
 	"routersim/internal/sim"
 )
 
-// resetScenarios are the jobs TestResetEqualsNew reruns on a dirty
-// network: the kind golden's matrix plus every feature with state of its
-// own — sharding and its gangs under the auditor, fault plans (whose
-// random draws follow the seed) under both routing policies, overrides
-// (also across off-stride shards), bursty arrivals with drawn sizes, and a trace replay. audit is the
-// job's Options.Audit.
-func resetScenarios(t *testing.T) (scs []Scenario, audit []int) {
-	t.Helper()
-	for _, sc := range kindsGoldenScenarios() {
-		scs, audit = append(scs, sc), append(audit, 0)
-	}
-	recorded := Scenario{Router: "spec-vc", K: 4, Load: 0.3}
-	path := filepath.Join(t.TempDir(), "workload.trace")
-	if _, err := RunScenarioRecorded(recorded, Options{Seed: 5, Protocol: Protocol{Warmup: 200, Packets: 150}}, path); err != nil {
-		t.Fatal(err)
-	}
-	const faults = "link:5-6@cycle=300;rand:links=2@cycle=600"
-	for _, sc := range []Scenario{
-		{Router: "spec-vc", K: 4, Shards: 2, Load: 0.3},
-		{Router: "vc", K: 4, Faults: faults, Load: 0.3},
-		{Router: "vc", K: 4, VCs: 3, Routing: "adaptive:minimal", Faults: faults, Load: 0.3},
-		{Router: "spec-vc", K: 4, Overrides: "0-3:vcs=4,buf=2;9:delay=3", Load: 0.3},
-		// Off-stride shards over nodes of different slab sizes: where a
-		// per-shard carving offset bug would show.
-		{Router: "spec-vc", K: 4, Shards: 3, Overrides: "0-3:vcs=4,buf=2;9:delay=3", Load: 0.3},
-		{Router: "spec-vc", K: 4, Source: "mmpp:on=20,off=60", Sizes: "bimodal:small=1,large=9,p=0.1", Load: 0.2},
-		{Router: "spec-vc", K: 4, Source: "trace:file=" + path},
-	} {
-		scs = append(scs, sc)
-		audit = append(audit, 0)
-	}
-	audit[len(kindsGoldenScenarios())] = 100 // the sharded job
-	return scs, audit
-}
-
 // TestResetEqualsNew: a job run on a reused network serializes to the
-// same bytes as on a new one. The reused network first ran a different
-// job of the same shape — another seed, load 0.8, the turnaround probe
-// on, and a cycle cap that stops it saturated with flits in flight — so
-// any state Reset misses shows up in the result.
+// same bytes as on a new one, for every corpus row — every router kind
+// and every feature with state of its own (fault plans under both
+// routing policies, overrides, bursty arrivals with drawn sizes, a trace
+// replay). The rows take turns at one, two and three shards (off-stride
+// shards over nodes of different slab sizes are where a per-shard
+// carving offset bug would show), and every other row runs audited.
+// The reused network first ran a different job of the same shape —
+// another seed, load 0.8, the turnaround probe on, and a cycle cap that
+// stops it saturated with flits in flight — so any state Reset misses
+// shows up in the result.
 func TestResetEqualsNew(t *testing.T) {
 	pr := Protocol{Warmup: 300, Packets: 200}
-	scs, audit := resetScenarios(t)
-	for i, sc := range scs {
-		opts := Options{Seed: 1, Audit: audit[i], Protocol: pr}
+	for i, sc := range corpus {
+		sc.Shards = []int{0, 2, 3}[i%3]
+		opts := Options{Seed: 1, Audit: 100 * (i % 2), Protocol: pr}
 		fresh := newShelf(1)
 		want := encodeJob(t, fresh.job(0, sc, opts))
 		fresh.close()

@@ -37,10 +37,6 @@ type Config struct {
 	InjectionRate float64
 	// Pattern chooses destinations (nil = uniform random).
 	Pattern traffic.Pattern
-	// Bernoulli switches the injection process from the paper's
-	// constant-rate source to a Bernoulli process. It is the legacy
-	// spelling of Source{Kind: "bernoulli"}; Normalize folds it in.
-	Bernoulli bool
 	// Source selects the arrival process each source runs (see
 	// traffic.ParseSource). The zero value is the paper's constant-rate
 	// source.
@@ -236,9 +232,6 @@ func (c *Config) Normalize() error {
 				return fmt.Errorf("network: adaptive routing needs a uniform escape/adaptive VC split; per-router VC overrides conflict")
 			}
 		}
-	}
-	if c.Bernoulli && (c.Source.Kind == "" || c.Source.Kind == "const") {
-		c.Source = traffic.SourceSpec{Kind: "bernoulli"}
 	}
 	switch c.Source.Kind {
 	case "", "const", "bernoulli", "mmpp", "batch":
@@ -466,7 +459,7 @@ func New(cfg Config) (*Network, error) {
 // keeping capacity: in-flight and queued packets go back to the packet
 // pools, grown event buffers stay grown. cfg may differ from the
 // network's configuration only in the per-run fields — Seed,
-// InjectionRate, Pattern, Bernoulli, Source, Sizes, PacketSize, Replay,
+// InjectionRate, Pattern, Source, Sizes, PacketSize, Replay,
 // Audit; any other difference (see Fits), or a cfg New would reject,
 // returns an error and leaves the network untouched.
 func (n *Network) Reset(cfg Config) error {
@@ -488,7 +481,7 @@ func (n *Network) fits(cfg *Config) error {
 		return err
 	}
 	shape := func(c Config) Config {
-		c.Seed, c.InjectionRate, c.Pattern, c.Bernoulli = 0, 0, nil, false
+		c.Seed, c.InjectionRate, c.Pattern = 0, 0, nil
 		c.Source, c.Sizes, c.PacketSize, c.Replay, c.Audit = traffic.SourceSpec{}, nil, 0, nil, 0
 		return c
 	}

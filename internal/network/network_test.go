@@ -9,6 +9,7 @@ import (
 	"routersim/internal/flit"
 	"routersim/internal/router"
 	"routersim/internal/topology"
+	"routersim/internal/traffic"
 )
 
 func testConfig(kind router.Kind, rate float64) Config {
@@ -127,7 +128,7 @@ func TestDeterministicReplay(t *testing.T) {
 // TestBernoulliInjection exercises the alternative injection process.
 func TestBernoulliInjection(t *testing.T) {
 	cfg := testConfig(router.SpeculativeVC, 0.3*0.5/5)
-	cfg.Bernoulli = true
+	cfg.Source = traffic.SourceSpec{Kind: "bernoulli"}
 	net, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,8 @@ import (
 )
 
 // eventTrace records every observable event of a run in order; two
-// engines are equivalent only if their traces match exactly.
+// engines are equivalent only if their traces match exactly. A run with
+// no event fails the test: it would compare nothing.
 func eventTrace(t *testing.T, cfg Config, cycles int64) []string {
 	t.Helper()
 	net, err := New(cfg)
@@ -18,19 +19,42 @@ func eventTrace(t *testing.T, cfg Config, cycles int64) []string {
 	}
 	defer net.Close()
 	var trace []string
-	net.OnPacketCreated = func(p *flit.Packet, now int64) {
-		trace = append(trace, fmt.Sprintf("c %d %d %d %d", now, p.ID, p.Src, p.Dst))
-	}
-	net.OnFlitEjected = func(f flit.Flit, now int64) {
-		trace = append(trace, fmt.Sprintf("e %d %d %d", now, f.Pkt.ID, f.Seq))
-	}
-	net.OnPacketDone = func(p *flit.Packet, now int64) {
-		trace = append(trace, fmt.Sprintf("d %d %d %d", now, p.ID, p.Latency(now)))
-	}
+	hookTrace(net, &trace)
 	for now := int64(0); now < cycles; now++ {
 		net.Step(now)
 	}
+	if len(trace) == 0 {
+		t.Fatalf("no event in %d cycles", cycles)
+	}
 	return trace
+}
+
+// hookTrace appends every packet creation, flit ejection and packet
+// completion of net to trace, one line each: eventTrace's recorder, for
+// tests that drive Step and NextDue themselves.
+func hookTrace(net *Network, trace *[]string) {
+	net.OnPacketCreated = func(p *flit.Packet, now int64) {
+		*trace = append(*trace, fmt.Sprintf("c %d %d %d %d", now, p.ID, p.Src, p.Dst))
+	}
+	net.OnFlitEjected = func(f flit.Flit, now int64) {
+		*trace = append(*trace, fmt.Sprintf("e %d %d %d", now, f.Pkt.ID, f.Seq))
+	}
+	net.OnPacketDone = func(p *flit.Packet, now int64) {
+		*trace = append(*trace, fmt.Sprintf("d %d %d %d", now, p.ID, p.Latency(now)))
+	}
+}
+
+// compareTraces fails the test at the first diverging event.
+func compareTraces(t *testing.T, label string, ref, got []string) {
+	t.Helper()
+	if len(got) != len(ref) {
+		t.Fatalf("%s: %d events vs %d reference", label, len(got), len(ref))
+	}
+	for i := range ref {
+		if got[i] != ref[i] {
+			t.Fatalf("%s: event %d diverged: %q vs reference %q", label, i, got[i], ref[i])
+		}
+	}
 }
 
 // TestParallelStepperMatchesSerial: the two-phase parallel stepper must
@@ -52,21 +76,10 @@ func TestParallelStepperMatchesSerial(t *testing.T) {
 			t.Parallel()
 			cfg := Config{K: 4, Router: router.DefaultConfig(kind), Seed: 11, InjectionRate: 0.5 * 1.0 / 5}
 			serial := eventTrace(t, cfg, cycles)
-			if len(serial) == 0 {
-				t.Fatal("no traffic in serial run")
-			}
 			for _, workers := range []int{2, 5} {
 				cfg := cfg
 				cfg.StepWorkers = workers
-				par := eventTrace(t, cfg, cycles)
-				if len(par) != len(serial) {
-					t.Fatalf("%d workers: %d events vs %d serial", workers, len(par), len(serial))
-				}
-				for i := range serial {
-					if par[i] != serial[i] {
-						t.Fatalf("%d workers: event %d diverged: %q vs serial %q", workers, i, par[i], serial[i])
-					}
-				}
+				compareTraces(t, fmt.Sprintf("%d workers", workers), serial, eventTrace(t, cfg, cycles))
 			}
 		})
 	}

@@ -63,7 +63,6 @@ func TestConfigFieldsClassified(t *testing.T) {
 		"PacketSize":    {perRun, func(c *Config) { c.PacketSize = 3 }},
 		"InjectionRate": {perRun, func(c *Config) { c.InjectionRate = 0.05 }},
 		"Pattern":       {perRun, func(c *Config) { c.Pattern = traffic.Transpose{} }},
-		"Bernoulli":     {perRun, func(c *Config) { c.Bernoulli = true }},
 		"Source":        {perRun, func(c *Config) { c.Source = traffic.SourceSpec{Kind: "bernoulli"} }},
 		"Sizes":         {perRun, func(c *Config) { c.Sizes = sizes }},
 		"Replay": {perRun, func(c *Config) {

@@ -23,6 +23,7 @@ func TestRandomConfigurationsRunClean(t *testing.T) {
 		router.Wormhole, router.VirtualChannel, router.SpeculativeVC,
 		router.SingleCycleWormhole, router.SingleCycleVC,
 	}
+	sources := []traffic.SourceSpec{{Kind: "bernoulli"}, {}}
 	iters := 30
 	if testing.Short() {
 		iters = 8
@@ -78,7 +79,7 @@ func TestRandomConfigurationsRunClean(t *testing.T) {
 			Pattern:       patterns[r.Intn(len(patterns))],
 			FlitDelay:     1 + r.Intn(2),
 			CreditDelay:   1 + r.Intn(4),
-			Bernoulli:     r.Intn(2) == 0,
+			Source:        sources[r.Intn(2)],
 			Seed:          r.Uint64(),
 		}
 		net, err := New(cfg)

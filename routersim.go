@@ -372,9 +372,6 @@ func SimulateWithTurnaroundProbe(c SimConfig) (SimResult, error) {
 // distinct, and the configuration is checked as strictly as Simulate
 // checks it.
 func Sweep(c SimConfig, loads []float64) ([]LoadPoint, error) {
-	if _, err := c.lower(); err != nil {
-		return nil, err
-	}
 	return harness.Curve(c.Scenario, loads, harness.Options{Seed: c.Seed, Audit: c.Audit, Protocol: c.protocol()})
 }
 
