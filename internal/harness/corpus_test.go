@@ -12,6 +12,7 @@ import (
 
 	"routersim/internal/flit"
 	"routersim/internal/network"
+	"routersim/internal/router"
 	"routersim/internal/sim"
 )
 
@@ -273,12 +274,10 @@ func firstDiff(got, want []byte) string {
 	return fmt.Sprintf("%d events, reference %d", len(g)-1, len(w)-1)
 }
 
-// corpusRow runs one row: the job RunScenario runs, pinned by the
-// SHA-256 of its JSON, then every engine variant on the same lowered
-// configuration. Each variant's sim.Result must equal the job's and
-// each variant's event trace the reference's. It returns the row's
-// corpus.txt line.
-func corpusRow(t *testing.T, sc Scenario) string {
+// corpusJob runs a row's seed-1 job, audited, and returns it with the
+// SHA-256 of its JSON.
+func corpusJob(t *testing.T, sc Scenario) (JobResult, [sha256.Size]byte) {
+	t.Helper()
 	jr, err := RunScenario(sc, Options{Workers: 1, Seed: 1, Audit: 50, Protocol: corpusProtocol})
 	if err != nil {
 		t.Fatal(err)
@@ -290,6 +289,16 @@ func corpusRow(t *testing.T, sc Scenario) string {
 	if err := WriteJSON(&js, []JobResult{jr}); err != nil {
 		t.Fatal(err)
 	}
+	return jr, sha256.Sum256(js.Bytes())
+}
+
+// corpusRow runs one row: the job RunScenario runs, pinned by the
+// SHA-256 of its JSON, then every engine variant on the same lowered
+// configuration. Each variant's sim.Result must equal the job's and
+// each variant's event trace the reference's. It returns the row's
+// corpus.txt line.
+func corpusRow(t *testing.T, sc Scenario) string {
+	jr, digest := corpusJob(t, sc)
 	cfg, err := sc.SimConfig(jr.Seed, corpusProtocol)
 	if err != nil {
 		t.Fatal(err)
@@ -321,7 +330,7 @@ func corpusRow(t *testing.T, sc Scenario) string {
 			t.Errorf("%s: trace differs from %s at %s", v.name, refName, firstDiff(trace, ref))
 		}
 	}
-	return fmt.Sprintf("%x %x %s", sha256.Sum256(js.Bytes()), sha256.Sum256(ref), jr.Scenario.Label())
+	return fmt.Sprintf("%x %x %s", digest, sha256.Sum256(ref), jr.Scenario.Label())
 }
 
 // TestCorpus is the conformance gate for router timing and the engines:
@@ -352,6 +361,41 @@ func TestCorpus(t *testing.T) {
 	if *updateCorpus && !t.Failed() {
 		if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// kindRows is how many leading corpus rows are the router-kind golden.
+const kindRows = 26
+
+// TestKindsGolden pins every router kind bit for bit on its own, without
+// the engine variants: each of the first kindRows corpus rows (every
+// kind on both sides of its knee, plus the axes whose code paths differ
+// per kind) must still serialize to the job digest testdata/corpus.txt
+// records, the one recorded before the five step bodies were folded
+// into one stepper. The single-cycle kinds have no other exact test
+// outside the corpus (no benchmark digest runs them).
+func TestKindsGolden(t *testing.T) {
+	const path = "testdata/corpus.txt"
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := strings.Split(string(want), "\n")
+	if len(pinned) < kindRows {
+		t.Fatalf("%s pins %d rows, fewer than the %d kind rows", path, len(pinned)-1, kindRows)
+	}
+	kinds := map[string]bool{}
+	for i, sc := range corpus[:kindRows] {
+		kinds[sc.Router] = true
+		jr, digest := corpusJob(t, sc)
+		if got := fmt.Sprintf("%x", digest); !strings.HasPrefix(pinned[i], got+" ") {
+			t.Errorf("%s: job digest %s, %s:%d pins %q", jr.Scenario.Label(), got, path, i+1, pinned[i])
+		}
+	}
+	for _, kind := range router.Kinds() {
+		if !kinds[kind.String()] {
+			t.Errorf("no kind row runs %s", kind)
 		}
 	}
 }

@@ -67,6 +67,48 @@ func TestDeterminismRepeatedRuns(t *testing.T) {
 	}
 }
 
+// TestShardDeterminism certifies the lookahead-sharded engine at the
+// harness level: the same matrix run single-range and with several
+// shard counts must produce byte-identical measurement payloads. The
+// scenario's shards field necessarily differs, so the comparison
+// covers the serialized *results* of each job. Run under -race in CI,
+// this also certifies the shard gang and window barriers.
+func TestShardDeterminism(t *testing.T) {
+	run := func(shards int) []JobResult {
+		m := Matrix{
+			Routers: []string{"wormhole", "spec-vc"},
+			Ks:      []int{4},
+			Loads:   []float64{0.2, 0.5},
+			Shards:  []int{shards},
+		}
+		results, err := Run(m, Options{Seed: 42, Protocol: Protocol{Warmup: 300, Packets: 150}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return results
+	}
+	base := run(0)
+	for _, shards := range []int{2, 4} {
+		results := run(shards)
+		if len(results) != len(base) {
+			t.Fatalf("%d shards: %d jobs vs %d single-range", shards, len(results), len(base))
+		}
+		for i := range base {
+			var b, r strings.Builder
+			if err := WriteJSON(&b, []JobResult{{Result: base[i].Result, Seed: base[i].Seed}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := WriteJSON(&r, []JobResult{{Result: results[i].Result, Seed: results[i].Seed}}); err != nil {
+				t.Fatal(err)
+			}
+			if b.String() != r.String() {
+				t.Errorf("job %d (%s): result payload diverged between single-range and %d-shard engine",
+					i, base[i].Scenario.Label(), shards)
+			}
+		}
+	}
+}
+
 // TestReplayDeterminismAcrossWorkersAndSeeds closes the record/replay
 // loop at the harness level: a workload recorded once and replayed
 // through the matrix engine must serialize byte-identically across

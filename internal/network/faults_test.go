@@ -270,3 +270,59 @@ func TestFaultRerouteDelivery(t *testing.T) {
 		})
 	}
 }
+
+// TestFaultedEngineIdentity extends the engine identity matrix to
+// adaptive routing and fault injection: for each config the full-scan
+// serial engine is the reference, and the active-set scheduler on one,
+// two and four shards must reproduce its exact event trace through link
+// kills, a router kill, and a seeded random kill. Run under -race in CI.
+func TestFaultedEngineIdentity(t *testing.T) {
+	cycles := simCycles(6000)
+	faults := fmt.Sprintf("link:0-1@cycle=%d;router:5@cycle=%d;rand:links=1@cycle=%d",
+		cycles/8, cycles/4, cycles/2)
+	cases := []struct {
+		name    string
+		spec    string
+		vcs     int
+		routing string
+		faults  string
+	}{
+		{"mesh-dor-faulted", "mesh:k=4", 2, "", faults},
+		{"mesh-adaptive", "mesh:k=4", 2, "adaptive:minimal", ""},
+		{"mesh-adaptive-faulted", "mesh:k=4", 2, "adaptive:minimal", faults},
+		{"torus-adaptive-faulted", "torus", 4, "adaptive:minimal", faults},
+		{"hypercube-adaptive-faulted", "hypercube:16", 2, "adaptive:minimal", faults},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			topo := mustTopo(t, tc.spec)
+			rc := router.DefaultConfig(router.SpeculativeVC)
+			rc.VCs = tc.vcs
+			cfg := Config{
+				Topo:          topo,
+				Router:        rc,
+				Seed:          17,
+				InjectionRate: 0.3 * topo.UniformCapacity() / 5,
+				Routing:       tc.routing,
+				Faults:        tc.faults,
+				FullScan:      true,
+			}
+			ref := eventTrace(t, cfg, cycles)
+			for _, v := range []struct {
+				label  string
+				shards int
+			}{
+				{"active serial", 0},
+				{"shards=2", 2},
+				{"shards=4", 4},
+			} {
+				cfg := cfg
+				cfg.FullScan = false
+				cfg.Shards = v.shards
+				compareTraces(t, v.label, ref, eventTrace(t, cfg, cycles))
+			}
+		})
+	}
+}

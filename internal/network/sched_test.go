@@ -1,12 +1,62 @@
 package network
 
 import (
+	"fmt"
 	"testing"
 
 	"routersim/internal/link"
 	"routersim/internal/router"
 	"routersim/internal/traffic"
 )
+
+// TestActiveSetMatchesFullScan is the scheduler's identity gate: across
+// every topology family and the load regimes the paper's protocol
+// visits (near zero-load, mid-load, at the knee), the active-set engine
+// must produce the full-scan reference engine's exact event sequence:
+// every packet creation, flit ejection, and completion at the same
+// cycle in the same order.
+func TestActiveSetMatchesFullScan(t *testing.T) {
+	specs := []string{"mesh", "torus:k=3,n=3", "ring:12", "hypercube:16"}
+	loads := []float64{0.02, 0.3, 0.55}
+	cycles := simCycles(5000)
+	for _, spec := range specs {
+		for _, load := range loads {
+			spec, load := spec, load
+			t.Run(fmt.Sprintf("%s/load%v", spec, load), func(t *testing.T) {
+				t.Parallel()
+				topo := mustTopo(t, spec)
+				cfg := Config{
+					Topo:          topo,
+					Router:        router.DefaultConfig(router.SpeculativeVC),
+					Seed:          9,
+					InjectionRate: load * topo.UniformCapacity() / 5,
+				}
+				fullScan := cfg
+				fullScan.FullScan = true
+				compareTraces(t, "active-set", eventTrace(t, fullScan, cycles), eventTrace(t, cfg, cycles))
+			})
+		}
+	}
+}
+
+// TestActiveSetMatchesFullScanWormhole covers the wormhole and
+// single-cycle router kinds (the VC kinds are covered cross-topology
+// above): their port-holding state machines must survive being skipped
+// while idle.
+func TestActiveSetMatchesFullScanWormhole(t *testing.T) {
+	kinds := []router.Kind{router.Wormhole, router.SingleCycleWormhole, router.SingleCycleVC}
+	cycles := simCycles(5000)
+	for _, kind := range kinds {
+		kind := kind
+		t.Run(kind.String(), func(t *testing.T) {
+			t.Parallel()
+			cfg := Config{K: 4, Router: router.DefaultConfig(kind), Seed: 3, InjectionRate: 0.3 * 1.0 / 5}
+			fullScan := cfg
+			fullScan.FullScan = true
+			compareTraces(t, "active-set serial", eventTrace(t, fullScan, cycles), eventTrace(t, cfg, cycles))
+		})
+	}
+}
 
 // TestActiveSetMultiFlitDelay exercises the wake wheel with flit and
 // credit propagation delays above one cycle (arrivals wake routers

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"unsafe"
@@ -9,6 +10,41 @@ import (
 	"routersim/internal/router"
 	"routersim/internal/topology"
 )
+
+// TestShardedMatchesFullScan is the sharded engine's identity matrix:
+// every topology family × load regime × shard count must reproduce the
+// full-scan reference engine's exact event trace — every packet
+// creation, flit ejection, and completion at the same cycle in the same
+// order with the same packet IDs. Run under -race in CI, this also
+// certifies the window barriers.
+func TestShardedMatchesFullScan(t *testing.T) {
+	specs := []string{"mesh:k=4", "torus", "ring:12", "hypercube:16"}
+	loads := []float64{0.1, 0.4, 0.8}
+	cycles := simCycles(4000)
+	for _, spec := range specs {
+		spec := spec
+		t.Run(spec, func(t *testing.T) {
+			t.Parallel()
+			topo := mustTopo(t, spec)
+			for _, load := range loads {
+				cfg := Config{
+					Topo:          topo,
+					Router:        router.DefaultConfig(router.SpeculativeVC),
+					Seed:          23,
+					InjectionRate: load * topo.UniformCapacity() / 5,
+					FullScan:      true,
+				}
+				ref := eventTrace(t, cfg, cycles)
+				for _, shards := range []int{1, 2, 3, 4} {
+					cfg := cfg
+					cfg.FullScan = false
+					cfg.Shards = shards
+					compareTraces(t, fmt.Sprintf("load %.1f shards %d", load, shards), ref, eventTrace(t, cfg, cycles))
+				}
+			}
+		})
+	}
+}
 
 // TestShardLookaheadHeterogeneous pins the PR 6 interaction: with
 // per-router link-delay overrides the window length must come from the

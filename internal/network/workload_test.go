@@ -22,6 +22,101 @@ func mustTopo(t *testing.T, spec string) topology.Topology {
 	return topo
 }
 
+// TestWorkloadIdentity is the identity gate for the workload axes:
+// bursty sources, size distributions, and per-router overrides must
+// produce the full-scan reference engine's exact event sequence on the
+// active-set scheduler. The MMPP/batch cases specifically certify
+// parked multi-packet wakes; the override cases certify the generalized
+// wake wheel (per-router link delays) and the heterogeneous credit
+// sizing.
+func TestWorkloadIdentity(t *testing.T) {
+	cycles := simCycles(5000)
+	base := func(kind router.Kind) Config {
+		return Config{K: 4, Router: router.DefaultConfig(kind), Seed: 23, InjectionRate: 0.5 * 1.0 / 5}
+	}
+	cases := []struct {
+		name string
+		cfg  func() Config
+	}{
+		{"mmpp", func() Config {
+			c := base(router.SpeculativeVC)
+			c.Source = traffic.SourceSpec{Kind: "mmpp", On: 20, Off: 60}
+			return c
+		}},
+		{"batch", func() Config {
+			c := base(router.VirtualChannel)
+			c.Source = traffic.SourceSpec{Kind: "batch", BatchSize: 4}
+			return c
+		}},
+		{"uniform-sizes", func() Config {
+			c := base(router.SpeculativeVC)
+			c.Sizes = traffic.UniformSize{Min: 1, Max: 9}
+			return c
+		}},
+		{"bimodal-sizes-bernoulli", func() Config {
+			c := base(router.VirtualChannel)
+			c.Source = traffic.SourceSpec{Kind: "bernoulli"}
+			c.Sizes = traffic.BimodalSize{Small: 1, Large: 9, P: 0.2}
+			return c
+		}},
+		{"hetero-vcs-bufs", func() Config {
+			c := base(router.SpeculativeVC)
+			c.Overrides = []RouterOverride{
+				{Node: 0, VCs: 4, BufPerVC: 8},
+				{Node: 5, VCs: 1},
+				{Node: 10, BufPerVC: 1},
+			}
+			return c
+		}},
+		{"hetero-link-delays", func() Config {
+			c := base(router.VirtualChannel)
+			c.Overrides = []RouterOverride{
+				{Node: 3, LinkDelay: 3},
+				{Node: 7, LinkDelay: 2},
+				{Node: 12, LinkDelay: 5},
+			}
+			return c
+		}},
+		{"hetero-wormhole", func() Config {
+			c := base(router.Wormhole)
+			c.Overrides = []RouterOverride{
+				{Node: 1, BufPerVC: 2, LinkDelay: 2},
+				{Node: 9, BufPerVC: 16},
+			}
+			return c
+		}},
+		{"mmpp-sizes-overrides", func() Config {
+			c := base(router.SpeculativeVC)
+			c.Source = traffic.SourceSpec{Kind: "mmpp", On: 40, Off: 40}
+			c.Sizes = traffic.BimodalSize{Small: 2, Large: 8, P: 0.3}
+			c.Overrides = []RouterOverride{
+				{Node: 2, VCs: 4, BufPerVC: 2, LinkDelay: 2},
+				{Node: 13, BufPerVC: 8},
+			}
+			return c
+		}},
+		{"hetero-ring", func() Config {
+			c := base(router.VirtualChannel)
+			c.K = 0
+			c.Topo = mustTopo(t, "ring:12")
+			c.Overrides = []RouterOverride{
+				{Node: 4, BufPerVC: 8, LinkDelay: 2},
+			}
+			return c
+		}},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			cfg := tc.cfg()
+			ref := cfg
+			ref.FullScan = true
+			compareTraces(t, tc.name+"/active", eventTrace(t, ref, cycles), eventTrace(t, cfg, cycles))
+		})
+	}
+}
+
 // TestTraceRecordReplayIdentity closes the record→replay loop at the
 // event level: capture a bursty variable-size workload, replay it, and
 // require the replay to reproduce the original run's complete event
