@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -123,6 +124,40 @@ func TestRunScenarioStrict(t *testing.T) {
 	}
 	if r.Scenario.VCs != 2 || r.Scenario.BufPerVC != 4 {
 		t.Errorf("result scenario not canonicalized: %+v", r.Scenario)
+	}
+}
+
+// TestRunScenarioDefaultsRouter: an empty router means the axis table's
+// default on both paths, so a hand-built scenario with every axis but
+// the load left empty is the one job of a matrix with every axis but
+// the size left empty — the same bytes and the same checkpoint key.
+func TestRunScenarioDefaultsRouter(t *testing.T) {
+	opts := tinyOptions()
+	got, err := RunScenario(Scenario{K: 4, Load: 0.2}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := Run(Matrix{Ks: []int{4}}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 1 {
+		t.Fatalf("the matrix expands to %d jobs, want 1", len(jobs))
+	}
+	want := jobs[0]
+	var a, b bytes.Buffer
+	if err := WriteJSON(&a, []JobResult{got}); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteJSON(&b, []JobResult{want}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Errorf("RunScenario(Scenario{K: 4}) wrote\n%s\nthe matrix's job wrote\n%s", a.Bytes(), b.Bytes())
+	}
+	pr := protocolJSON(opts.Protocol)
+	if jobKey(got.Scenario, got.Seed, pr) != jobKey(want.Scenario, want.Seed, pr) {
+		t.Error("RunScenario(Scenario{K: 4}) and the matrix's job have different checkpoint keys")
 	}
 }
 

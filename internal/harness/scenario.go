@@ -232,6 +232,9 @@ func (s Scenario) check(size bool) error {
 // serialized results always state the configuration that ran. Negative
 // values are left for SimConfig to reject.
 func (s Scenario) canonical() Scenario {
+	if s.Router == "" {
+		s.Router = axes[0].def
+	}
 	if s.Topology == "" {
 		s.Topology = "mesh"
 	}

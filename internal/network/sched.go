@@ -154,6 +154,9 @@ type scheduler struct {
 	srcCount  int
 	srcActive []int32
 	srcHeap   []srcWake
+
+	// Padding to a multiple of 64 bytes, for the reason shard has it.
+	_ [8]byte
 }
 
 // srcWake parks one idle source until its next injection cycle.

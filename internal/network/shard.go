@@ -162,6 +162,12 @@ type shard struct {
 	// increments are race-free; the auditor sums them at barriers.
 	injected int64
 	drained  int64
+
+	// Shards are allocated one by one and stepped by different
+	// goroutines at once; padding to a multiple of 64 bytes puts each in
+	// a size class of whole cache lines, so no two share one
+	// (TestShardStateOwnsItsLines).
+	_ [32]byte
 }
 
 // pktsPerChunk is how many packets one chunk holds: 73 × 56 bytes fill
@@ -271,6 +277,7 @@ func (n *Network) buildShards(cuts []int32, depBound map[[2]int32]int64) {
 		x.wake = func(due int64) { sc.wakeAt(dst, due) }
 	}
 	if len(n.shards) > 1 {
+		// One party per shard: Step's caller and len(shards)-1 helpers.
 		n.shardGang = pool.NewGang(len(n.shards))
 		n.shardRunFn = func(i int) {
 			sh := n.shards[i]

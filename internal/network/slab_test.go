@@ -104,6 +104,35 @@ func TestShardsShareNoCacheLine(t *testing.T) {
 	}
 }
 
+// TestShardStateOwnsItsLines: a shard and its scheduler hold the window
+// state (clock, horizon, event buffers, worklists) that only the
+// goroutine stepping that shard writes. Each is its own allocation,
+// padded to a multiple of 64 bytes, so each starts on a cache line of
+// its own and two shards stepping at once never write one line.
+func TestShardStateOwnsItsLines(t *testing.T) {
+	if sz := unsafe.Sizeof(shard{}); sz%64 != 0 {
+		t.Errorf("shard is %d bytes, not a multiple of 64", sz)
+	}
+	if sz := unsafe.Sizeof(scheduler{}); sz%64 != 0 {
+		t.Errorf("scheduler is %d bytes, not a multiple of 64", sz)
+	}
+	for _, shards := range []int{2, 3, 4} {
+		n, err := New(Config{K: 8, Router: router.DefaultConfig(router.SpeculativeVC), Shards: shards, InjectionRate: 0.01, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sh := range n.shards {
+			if off := uintptr(unsafe.Pointer(sh)) % 64; off != 0 {
+				t.Errorf("shards=%d: shard %d starts %d bytes into a cache line", shards, sh.idx, off)
+			}
+			if off := uintptr(unsafe.Pointer(sh.sc)) % 64; off != 0 {
+				t.Errorf("shards=%d: shard %d's scheduler starts %d bytes into a cache line", shards, sh.idx, off)
+			}
+		}
+		n.Close()
+	}
+}
+
 // slabType is an instantiated slab.Slab, for its package path.
 var slabType = reflect.TypeOf(slab.Slab[int]{})
 
